@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -64,7 +65,6 @@ class RunManifest:
     learning_rate: float = 1e-3
     batch_size: int = 32
     epochs: int = 3
-    deterministic: bool = True
 
     def validate(self) -> None:
         if self.profile not in ("baseline", "rddl", "both"):
@@ -78,6 +78,18 @@ class RunManifest:
             )
         if self.rows_per_table < 2:
             raise ManifestError("rows_per_table must be >= 2")
+        try:
+            self.sampler_config()
+        except paths.PathError as exc:
+            raise ManifestError(str(exc)) from exc
+        if self.k_negatives < 0:
+            raise ManifestError("k_negatives must be >= 0")
+        for name in ("eval_negatives", "embed_dim", "hidden_dim", "layers",
+                     "fusion_dim", "batch_size", "epochs"):
+            if getattr(self, name) < 1:
+                raise ManifestError(f"{name} must be >= 1")
+        if not 0.0 <= self.learning_rate < math.inf:
+            raise ManifestError("learning_rate must be finite and >= 0")
 
     def expanded_tasks(self) -> list[str]:
         if self.tasks == ["all"]:
@@ -103,6 +115,7 @@ class RunManifest:
     @classmethod
     def load(cls, path) -> "RunManifest":
         data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data.pop("deterministic", None)  # unused key of older manifests
         return cls(**data)
 
 
@@ -332,6 +345,7 @@ class Pipeline:
         return siamese.ModelConfig(
             vocab_size=vocab.size,
             num_relations=len(vocab.relation_names),
+            num_paths=self.m.num_paths,
             embed_dim=self.m.embed_dim,
             hidden_dim=self.m.hidden_dim,
             layers=self.m.layers,
@@ -375,8 +389,9 @@ class Pipeline:
                 samples_dir / "eval_pos.txt", self.m.num_paths, self.m.max_length)
             neg = paths.load_samples(
                 samples_dir / "eval_neg.txt", self.m.num_paths, self.m.max_length)
-            pos_scores = siamese.predict(params, pos)
-            neg_scores = siamese.predict(params, neg)
+            # one call, so that equal inputs tie across the two sets
+            scores = siamese.predict(params, pos + neg)
+            pos_scores, neg_scores = scores[:len(pos)], scores[len(pos):]
             with (out / "scores.tsv").open("w", encoding="utf-8") as fh:
                 fh.write("label\tscore\n")
                 for score in pos_scores:
@@ -475,8 +490,6 @@ def _build_manifest(args) -> RunManifest:
         manifest.tasks = ["all"] if args.task == "all" else [args.task]
     if args.seed is not None:
         manifest.seed = args.seed
-    if args.deterministic:
-        manifest.deterministic = True
     manifest.validate()
     return manifest
 
@@ -496,7 +509,6 @@ def main(argv=None) -> int:
         cmd.add_argument("--task", default=None)
         cmd.add_argument("--seed", type=int, default=None)
         cmd.add_argument("--out", default=None)
-        cmd.add_argument("--deterministic", action="store_true")
     args = parser.parse_args(argv)
     try:
         manifest = _build_manifest(args)

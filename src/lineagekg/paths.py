@@ -34,6 +34,8 @@ class SamplerConfig:
     def __post_init__(self):
         if self.num_paths < 1 or self.max_length < 1 or self.walk_budget < 1:
             raise PathError("num_paths, max_length and walk_budget must be >= 1")
+        if not 0.0 <= self.restart_prob <= 1.0:
+            raise PathError("restart_prob must be in [0, 1]")
 
 
 class EdgeVocabulary:

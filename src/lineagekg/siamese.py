@@ -1,10 +1,20 @@
 """Multi-path Siamese sequence model, implemented from scratch on numpy.
 
-Each of the three edge-token paths runs through shared embeddings and stacked
-bidirectional LSTM layers; per-path global max pooling feeds a dense fusion
-layer, and the score is the sigmoid of the cosine similarity between the fused
-path representation and the target relation embedding.  Arithmetic is 64-bit;
-gradients are analytic and checked against finite differences in the tests.
+Each of a sample's ``num_paths`` edge-token paths runs through shared
+embeddings and stacked bidirectional LSTM layers; per-path global max pooling
+feeds a dense fusion layer, and the score is the sigmoid of the cosine
+similarity between the fused path representation and the target relation
+embedding.  Arithmetic is 64-bit; gradients are analytic and checked against
+finite differences in the tests.
+
+A batch of B samples runs as one (B*P, T) token matrix: every path of every
+sample is a row, PAD-padded to the batch's longest path, and each LSTM
+direction makes one pass over all rows, computing at each step only the rows
+whose token there is not PAD.  The forward pass keeps just the carried hidden
+and cell states; the backward pass recomputes each step's gates from them, so
+a batch's activations stay a few (B*P, T, h) arrays.  Pooling, fusion and the
+cosine are vectorised over the batch; ``forward`` and ``backward`` are
+batches of one.
 
 PAD positions carry hidden and cell state through unchanged and are masked out
 of pooling, so appending extra padding never changes a score.
@@ -37,6 +47,7 @@ class ModelError(Exception):
 class ModelConfig:
     vocab_size: int
     num_relations: int
+    num_paths: int = 3
     embed_dim: int = 32
     hidden_dim: int = 32
     layers: int = 2
@@ -47,8 +58,8 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("vocab_size", "num_relations", "embed_dim", "hidden_dim",
-                     "layers", "fusion_dim", "batch_size", "epochs"):
+        for name in ("vocab_size", "num_relations", "num_paths", "embed_dim",
+                     "hidden_dim", "layers", "fusion_dim", "batch_size", "epochs"):
             if getattr(self, name) < 1:
                 raise ModelError(f"{name} must be >= 1")
 
@@ -99,7 +110,8 @@ def init_parameters(cfg: ModelConfig) -> Parameters:
             bias = np.zeros(4 * h)
             bias[h:2 * h] = 1.0  # forget gate
             arrays[f"{prefix}_b"] = bias
-    arrays["fusion_W"] = rng.uniform(-bound, bound, (3 * 2 * h, cfg.fusion_dim))
+    arrays["fusion_W"] = rng.uniform(
+        -bound, bound, (cfg.num_paths * 2 * h, cfg.fusion_dim))
     arrays["fusion_b"] = np.zeros(cfg.fusion_dim)
     return Parameters(cfg, arrays)
 
@@ -108,127 +120,154 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
+def _safe(norms: np.ndarray) -> np.ndarray:
+    """Norms with zeros replaced by 1, to divide by where a norm may be zero."""
+    return np.where(norms > 0.0, norms, 1.0)
+
+
 @dataclass
 class _DirectionTrace:
     order: list[int]
-    x_t: list[np.ndarray]
-    h_prev: list[np.ndarray]
-    c_prev: list[np.ndarray]
-    gates: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
-    c_new: list[np.ndarray]
-    tanh_c: list[np.ndarray]
-    masks: list[np.ndarray]
-    outputs: np.ndarray  # (P, T, h), aligned to absolute positions
+    inputs: np.ndarray  # (rows, T, in_dim)
+    active: list[np.ndarray]  # per position: indices of the rows not PAD there
+    # carried states after each step, aligned to absolute positions
+    outputs: np.ndarray  # (rows, T, h)
+    cells: np.ndarray  # (rows, T, h)
 
 
 class ForwardCache:
-    """Everything required to reproduce the analytic gradients."""
+    """Everything required to reproduce the analytic gradients of a batch.
+
+    Path rows are sample-major: row ``b * P + p`` holds path ``p`` of sample
+    ``b``; per-sample arrays have a leading batch axis of length B.
+    """
 
     def __init__(self):
-        self.tokens: np.ndarray = None
-        self.mask: np.ndarray = None
-        self.layer_inputs: list[np.ndarray] = []
+        self.tokens: np.ndarray = None  # (B*P, T)
         self.traces: list[tuple[_DirectionTrace, _DirectionTrace]] = []
-        self.top: np.ndarray = None
-        self.pool_argmax: np.ndarray = None
-        self.pool_valid: np.ndarray = None
-        self.x_cat: np.ndarray = None
-        self.p: np.ndarray = None
-        self.p_norm: float = 0.0
-        self.relation: int = -1
-        self.r_vec: np.ndarray = None
-        self.r_norm: float = 0.0
-        self.z: float = 0.0
-        self.prob: float = 0.0
+        self.top_shape: tuple[int, int, int] = (0, 0, 0)  # (B*P, T, 2h)
+        self.pool_argmax: np.ndarray = None  # (B*P, 2h)
+        self.x_cat: np.ndarray = None  # (B, P*2h)
+        self.p: np.ndarray = None  # (B, fusion_dim)
+        self.p_norm: np.ndarray = None  # (B,)
+        self.p_hat: np.ndarray = None
+        self.relations: np.ndarray = None  # (B,)
+        self.r_norm: np.ndarray = None
+        self.r_hat: np.ndarray = None
+        self.scored: np.ndarray = None  # (B,) False where a norm is zero
+        self.z: np.ndarray = None
+        self.probs: np.ndarray = None
+
+
+def _cell(params: Parameters, layer: int, direction: str, x_t: np.ndarray,
+          h: np.ndarray, c: np.ndarray):
+    """One LSTM step: gates (i, f, g, o), new cell state and its tanh."""
+    h_dim = params.cfg.hidden_dim
+    z = (x_t @ params.arrays[f"lstm{layer}{direction}_W"].T
+         + h @ params.arrays[f"lstm{layer}{direction}_U"].T
+         + params.arrays[f"lstm{layer}{direction}_b"])
+    i = _sigmoid(z[:, :h_dim])
+    f = _sigmoid(z[:, h_dim:2 * h_dim])
+    gg = np.tanh(z[:, 2 * h_dim:3 * h_dim])
+    o = _sigmoid(z[:, 3 * h_dim:])
+    c_new = f * c + i * gg
+    return i, f, gg, o, c_new, np.tanh(c_new)
 
 
 def _run_direction(params: Parameters, layer: int, direction: str,
-                   inputs: np.ndarray, mask: np.ndarray) -> _DirectionTrace:
+                   inputs: np.ndarray, active: list[np.ndarray],
+                   outputs: np.ndarray) -> _DirectionTrace:
+    """Run one direction over all rows, writing the carried hidden state at
+    each position into ``outputs``.
+
+    A step computes only the rows whose token at that position is not PAD;
+    the others carry h and c through unchanged.  Only the carried states are
+    kept: the backward pass recomputes each step's gates from them.
+    """
     h_dim = params.cfg.hidden_dim
-    P, T, _ = inputs.shape
-    W = params.arrays[f"lstm{layer}{direction}_W"]
-    U = params.arrays[f"lstm{layer}{direction}_U"]
-    b = params.arrays[f"lstm{layer}{direction}_b"]
+    rows, T, _ = inputs.shape
     order = list(range(T)) if direction == "f" else list(range(T - 1, -1, -1))
-    h = np.zeros((P, h_dim))
-    c = np.zeros((P, h_dim))
-    trace = _DirectionTrace(order, [], [], [], [], [], [], [],
-                            np.zeros((P, T, h_dim)))
+    h = np.zeros((rows, h_dim))
+    c = np.zeros((rows, h_dim))
+    cells = np.zeros((rows, T, h_dim))
     for t in order:
-        x_t = inputs[:, t]
-        m = mask[:, t:t + 1]
-        z = x_t @ W.T + h @ U.T + b
-        i = _sigmoid(z[:, :h_dim])
-        f = _sigmoid(z[:, h_dim:2 * h_dim])
-        gg = np.tanh(z[:, 2 * h_dim:3 * h_dim])
-        o = _sigmoid(z[:, 3 * h_dim:])
-        c_new = f * c + i * gg
-        tanh_c = np.tanh(c_new)
-        h_new = o * tanh_c
-        trace.x_t.append(x_t)
-        trace.h_prev.append(h)
-        trace.c_prev.append(c)
-        trace.gates.append((i, f, gg, o))
-        trace.c_new.append(c_new)
-        trace.tanh_c.append(tanh_c)
-        trace.masks.append(m)
-        h = m * h_new + (1.0 - m) * h
-        c = m * c_new + (1.0 - m) * c
-        trace.outputs[:, t] = h
-    return trace
+        idx = active[t]
+        _, _, _, o, c_new, tanh_c = _cell(params, layer, direction, inputs[idx, t],
+                                          h[idx], c[idx])
+        h[idx] = o * tanh_c
+        c[idx] = c_new
+        outputs[:, t] = h
+        cells[:, t] = c
+    return _DirectionTrace(order, inputs, active, outputs, cells)
 
 
-def forward(params: Parameters, sample: PathSample) -> tuple[float, ForwardCache]:
-    """Score one (paths, relation) pair; returns probability in (0, 1)."""
-    cfg = params.cfg
-    if not 0 <= sample.relation < cfg.num_relations:
-        raise ModelError(f"relation id out of range: {sample.relation}")
-    T = max(len(p) for p in sample.paths)
-    tokens = np.full((len(sample.paths), T), PAD, dtype=np.int64)
-    for idx, path in enumerate(sample.paths):
+def _path_tokens(cfg: ModelConfig, samples: Sequence[PathSample]) -> np.ndarray:
+    """(B*P, T) token matrix, PAD-padded to the batch's longest path, with
+    every relation id, path count and token id checked against the config."""
+    for sample in samples:
+        if not 0 <= sample.relation < cfg.num_relations:
+            raise ModelError(f"relation id out of range: {sample.relation}")
+        if len(sample.paths) != cfg.num_paths:
+            raise ModelError(
+                f"sample has {len(sample.paths)} paths, model expects {cfg.num_paths}")
+    rows = [path for sample in samples for path in sample.paths]
+    tokens = np.full((len(rows), max(len(p) for p in rows)), PAD, dtype=np.int64)
+    for idx, path in enumerate(rows):
         tokens[idx, :len(path)] = path
     if tokens.max(initial=0) >= cfg.vocab_size or tokens.min(initial=0) < 0:
         raise ModelError("token id out of range")
+    return tokens
 
+
+def forward_batch(params: Parameters, samples: Sequence[PathSample]
+                  ) -> tuple[np.ndarray, ForwardCache]:
+    """Score a batch of (paths, relation) pairs; returns B probabilities in (0, 1)."""
+    cfg = params.cfg
+    if not samples:
+        raise ModelError("empty batch")
     cache = ForwardCache()
-    cache.tokens = tokens
-    cache.mask = (tokens != PAD).astype(np.float64)
-    cache.relation = sample.relation
+    cache.tokens = _path_tokens(cfg, samples)
+    cache.relations = np.array([s.relation for s in samples], dtype=np.int64)
+    mask = cache.tokens != PAD
+    rows, T = mask.shape
+    active = [np.flatnonzero(mask[:, t]) for t in range(T)]
 
-    current = params.arrays["token_emb"][tokens]
+    h = cfg.hidden_dim
+    current = params.arrays["token_emb"][cache.tokens]
     for layer in range(cfg.layers):
-        cache.layer_inputs.append(current)
-        trace_f = _run_direction(params, layer, "f", current, cache.mask)
-        trace_b = _run_direction(params, layer, "b", current, cache.mask)
-        cache.traces.append((trace_f, trace_b))
-        current = np.concatenate([trace_f.outputs, trace_b.outputs], axis=2)
-    cache.top = current
+        outputs = np.zeros((rows, T, 2 * h))  # forward half, then backward half
+        cache.traces.append((
+            _run_direction(params, layer, "f", current, active, outputs[:, :, :h]),
+            _run_direction(params, layer, "b", current, active, outputs[:, :, h:]),
+        ))
+        current = outputs
+    cache.top_shape = current.shape
 
-    P, T, F = current.shape
-    neg_inf = np.where(cache.mask[:, :, None] > 0, current, -np.inf)
-    cache.pool_valid = cache.mask.any(axis=1)
-    pooled = np.zeros((P, F))
-    argmax = np.zeros((P, F), dtype=np.int64)
-    for p_idx in range(P):
-        if cache.pool_valid[p_idx]:
-            argmax[p_idx] = np.argmax(neg_inf[p_idx], axis=0)
-            pooled[p_idx] = current[p_idx, argmax[p_idx], np.arange(F)]
-    cache.pool_argmax = argmax
+    # max-pool over the non-PAD steps; a path of PAD only keeps its zero
+    # initial state, so it pools to zeros and passes back no gradient
+    cache.pool_argmax = np.argmax(
+        np.where(mask[:, :, None], current, -np.inf), axis=1)
+    pooled = np.take_along_axis(current, cache.pool_argmax[:, None, :], axis=1)[:, 0]
 
-    cache.x_cat = pooled.reshape(-1)
+    cache.x_cat = pooled.reshape(len(samples), -1)
     u = cache.x_cat @ params.arrays["fusion_W"] + params.arrays["fusion_b"]
     cache.p = np.tanh(u)
-    cache.p_norm = float(np.linalg.norm(cache.p))
-    cache.r_vec = params.arrays["rel_emb"][sample.relation]
-    cache.r_norm = float(np.linalg.norm(cache.r_vec))
-    if cache.p_norm == 0.0 or cache.r_norm == 0.0:
-        cache.z = 0.0
-    else:
-        cache.z = float(
-            (cache.p / cache.p_norm) @ (cache.r_vec / cache.r_norm)
-        )
-    cache.prob = float(_sigmoid(np.array(cache.z)))
-    return cache.prob, cache
+    r_vec = params.arrays["rel_emb"][cache.relations]
+    cache.p_norm = np.linalg.norm(cache.p, axis=1)
+    cache.r_norm = np.linalg.norm(r_vec, axis=1)
+    # a zero-norm side pins the score at 0.5 (z = 0), with zero gradient
+    cache.scored = (cache.p_norm > 0.0) & (cache.r_norm > 0.0)
+    cache.p_hat = cache.p / _safe(cache.p_norm)[:, None]
+    cache.r_hat = r_vec / _safe(cache.r_norm)[:, None]
+    cache.z = np.where(cache.scored, (cache.p_hat * cache.r_hat).sum(axis=1), 0.0)
+    cache.probs = _sigmoid(cache.z)
+    return cache.probs, cache
+
+
+def forward(params: Parameters, sample: PathSample) -> tuple[float, ForwardCache]:
+    """Score one (paths, relation) pair as a batch of one."""
+    probs, cache = forward_batch(params, [sample])
+    return float(probs[0]), cache
 
 
 def bce_loss(prob: float, label: int) -> float:
@@ -239,84 +278,80 @@ def bce_loss(prob: float, label: int) -> float:
 
 def _backward_direction(params: Parameters, layer: int, direction: str,
                         trace: _DirectionTrace, d_outputs: np.ndarray,
-                        grads: dict[str, np.ndarray]) -> np.ndarray:
+                        grads: dict[str, np.ndarray], d_inputs: np.ndarray) -> None:
+    """Add this direction's parameter gradients to ``grads`` and its input
+    gradients to ``d_inputs``."""
     h_dim = params.cfg.hidden_dim
     W = params.arrays[f"lstm{layer}{direction}_W"]
     U = params.arrays[f"lstm{layer}{direction}_U"]
-    P, T, _ = d_outputs.shape
-    in_dim = trace.x_t[0].shape[1]
-    d_inputs = np.zeros((P, T, in_dim))
     dW = grads[f"lstm{layer}{direction}_W"]
     dU = grads[f"lstm{layer}{direction}_U"]
     db = grads[f"lstm{layer}{direction}_b"]
-    dh_next = np.zeros((P, h_dim))
-    dc_next = np.zeros((P, h_dim))
+    rows = d_outputs.shape[0]
+    # gradients reaching the carried h and c; PAD steps pass them on unchanged
+    dh = np.zeros((rows, h_dim))
+    dc = np.zeros((rows, h_dim))
     for step in range(len(trace.order) - 1, -1, -1):
         t = trace.order[step]
-        m = trace.masks[step]
-        i, f, gg, o = trace.gates[step]
-        dh_total = d_outputs[:, t] + dh_next
-        dc_total = dc_next
-        dh_new = m * dh_total
-        dh_prev_carry = (1.0 - m) * dh_total
-        dc_from_out = m * dc_total
-        dc_prev_carry = (1.0 - m) * dc_total
-        do = dh_new * trace.tanh_c[step]
-        dc_new = dc_from_out + dh_new * o * (1.0 - trace.tanh_c[step] ** 2)
-        df = dc_new * trace.c_prev[step]
+        idx = trace.active[t]
+        dh += d_outputs[:, t]
+        if step:
+            h_prev = trace.outputs[idx, trace.order[step - 1]]
+            c_prev = trace.cells[idx, trace.order[step - 1]]
+        else:
+            h_prev = c_prev = np.zeros((len(idx), h_dim))
+        x_t = trace.inputs[idx, t]
+        i, f, gg, o, _, tanh_c = _cell(params, layer, direction, x_t, h_prev, c_prev)
+        dh_new = dh[idx]
+        do = dh_new * tanh_c
+        dc_new = dc[idx] + dh_new * o * (1.0 - tanh_c ** 2)
+        df = dc_new * c_prev
         di = dc_new * gg
         dgg = dc_new * i
-        dc_prev = dc_new * f + dc_prev_carry
         dz = np.concatenate([
             di * i * (1.0 - i),
             df * f * (1.0 - f),
             dgg * (1.0 - gg ** 2),
             do * o * (1.0 - o),
         ], axis=1)
-        dW += dz.T @ trace.x_t[step]
-        dU += dz.T @ trace.h_prev[step]
+        dW += dz.T @ x_t
+        dU += dz.T @ h_prev
         db += dz.sum(axis=0)
-        d_inputs[:, t] += dz @ W
-        dh_next = dz @ U + dh_prev_carry
-        dc_next = dc_prev
-    return d_inputs
+        d_inputs[idx, t] += dz @ W
+        dh[idx] = dz @ U
+        dc[idx] = dc_new * f
 
 
-def backward(params: Parameters, cache: ForwardCache, label: int) -> dict[str, np.ndarray]:
-    """Analytic gradients of the binary cross-entropy loss."""
-    grads = params.zeros_like()
-    dz = cache.prob - float(label)  # dL/dz through sigmoid + BCE
-
-    if cache.p_norm == 0.0 or cache.r_norm == 0.0:
-        return grads  # score pinned at 0.5; no parameter influences it
-
-    p_hat = cache.p / cache.p_norm
-    r_hat = cache.r_vec / cache.r_norm
-    dp = dz * (r_hat - cache.z * p_hat) / cache.p_norm
-    grads["rel_emb"][cache.relation] = dz * (p_hat - cache.z * r_hat) / cache.r_norm
+def backward_batch(params: Parameters, cache: ForwardCache, labels: Sequence[int],
+                   grads: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Add the analytic gradients of the batch's summed binary cross-entropy
+    to ``grads`` and return it.  Consumes the cache's LSTM activations, so a
+    cache is back-propagated once."""
+    labels = np.asarray(labels, dtype=np.float64)
+    # dL/dz through sigmoid + BCE
+    dz = np.where(cache.scored, cache.probs - labels, 0.0)[:, None]
+    z = cache.z[:, None]
+    dp = dz * (cache.r_hat - z * cache.p_hat) / _safe(cache.p_norm)[:, None]
+    # relation and token ids repeat within a batch: add.at sums every update
+    np.add.at(grads["rel_emb"], cache.relations,
+              dz * (cache.p_hat - z * cache.r_hat) / _safe(cache.r_norm)[:, None])
 
     du = dp * (1.0 - cache.p ** 2)
-    grads["fusion_W"] += np.outer(cache.x_cat, du)
-    grads["fusion_b"] += du
-    dx_cat = params.arrays["fusion_W"] @ du
-
-    P, T, F = cache.top.shape
-    d_top = np.zeros((P, T, F))
-    d_pooled = dx_cat.reshape(P, F)
-    for p_idx in range(P):
-        if cache.pool_valid[p_idx]:
-            d_top[p_idx, cache.pool_argmax[p_idx], np.arange(F)] += d_pooled[p_idx]
+    grads["fusion_W"] += cache.x_cat.T @ du
+    grads["fusion_b"] += du.sum(axis=0)
+    d_pooled = (du @ params.arrays["fusion_W"].T).reshape(cache.pool_argmax.shape)
+    d_current = np.zeros(cache.top_shape)
+    np.put_along_axis(d_current, cache.pool_argmax[:, None, :], d_pooled[:, None, :],
+                      axis=1)
 
     h_dim = params.cfg.hidden_dim
-    d_current = d_top
     for layer in range(params.cfg.layers - 1, -1, -1):
-        trace_f, trace_b = cache.traces[layer]
-        d_inputs = _backward_direction(
-            params, layer, "f", trace_f, d_current[:, :, :h_dim], grads
-        )
-        d_inputs += _backward_direction(
-            params, layer, "b", trace_b, d_current[:, :, h_dim:], grads
-        )
+        trace_f, trace_b = cache.traces.pop()  # frees each layer once done
+        d_inputs = np.zeros(trace_f.inputs.shape)
+        _backward_direction(params, layer, "f", trace_f, d_current[:, :, :h_dim],
+                            grads, d_inputs)
+        _backward_direction(params, layer, "b", trace_b, d_current[:, :, h_dim:],
+                            grads, d_inputs)
         d_current = d_inputs
 
     np.add.at(
@@ -325,6 +360,11 @@ def backward(params: Parameters, cache: ForwardCache, label: int) -> dict[str, n
         d_current.reshape(-1, params.cfg.embed_dim),
     )
     return grads
+
+
+def backward(params: Parameters, cache: ForwardCache, label: int) -> dict[str, np.ndarray]:
+    """Analytic gradients of the binary cross-entropy loss of one sample."""
+    return backward_batch(params, cache, [label], params.zeros_like())
 
 
 @dataclass
@@ -347,6 +387,7 @@ def train(params: Parameters, samples: Sequence[PathSample],
         raise ModelError("empty training stream")
     adam_m = params.zeros_like()
     adam_v = params.zeros_like()
+    grads = params.zeros_like()
     step = 0
     epoch_losses: list[float] = []
     step_losses: list[float] = []
@@ -357,21 +398,20 @@ def train(params: Parameters, samples: Sequence[PathSample],
         total = 0.0
         count = 0
         for start in range(0, len(indices), cfg.batch_size):
-            batch = indices[start:start + cfg.batch_size]
-            grads = params.zeros_like()
+            batch = [samples[idx] for idx in indices[start:start + cfg.batch_size]]
+            probs, cache = forward_batch(params, batch)
             batch_loss = 0.0
-            for idx in batch:
-                sample = samples[idx]
-                prob, cache = forward(params, sample)
+            for prob, sample in zip(probs.tolist(), batch):
                 batch_loss += bce_loss(prob, sample.label)
-                sample_grads = backward(params, cache, sample.label)
-                for name, g in sample_grads.items():
-                    grads[name] += g
             batch_loss /= len(batch)
             if math.isnan(batch_loss):
                 raise RuntimeError(
                     f"NaN loss at epoch {epoch} batch {start // cfg.batch_size}"
                 )
+            for g in grads.values():
+                g.fill(0.0)
+            backward_batch(params, cache, [s.label for s in batch], grads)
+            del cache  # keep one batch's activations alive at a time
             scale = 1.0 / len(batch)
             step += 1
             lr = cfg.learning_rate
@@ -397,7 +437,22 @@ def train(params: Parameters, samples: Sequence[PathSample],
 
 
 def predict(params: Parameters, samples: Sequence[PathSample]) -> list[float]:
-    return [forward(params, sample)[0] for sample in samples]
+    """Scores in input order, computed in batches of the config's batch size.
+
+    Each distinct (paths, relation) input is scored once.  A row's rounding
+    can depend on the rows batched with it, so this is what makes equal
+    inputs, such as a positive and a negative with the same paths, tie
+    exactly, as ranking metrics expect.
+    """
+    inputs = list(dict.fromkeys((s.paths, s.relation) for s in samples))
+    size = params.cfg.batch_size
+    scores: dict = {}
+    for start in range(0, len(inputs), size):
+        chunk = inputs[start:start + size]
+        probs, _ = forward_batch(
+            params, [PathSample(paths, relation, 0) for paths, relation in chunk])
+        scores.update(zip(chunk, probs.tolist()))
+    return [scores[(s.paths, s.relation)] for s in samples]
 
 
 # -- checkpoint I/O -----------------------------------------------------------------

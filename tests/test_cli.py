@@ -2,7 +2,14 @@ import json
 
 import pytest
 
-from lineagekg.cli import PRESETS, Pipeline, RunManifest, main, run_pipeline
+from lineagekg.cli import (
+    PRESETS,
+    ManifestError,
+    Pipeline,
+    RunManifest,
+    main,
+    run_pipeline,
+)
 from lineagekg.metrics import read_results
 
 
@@ -46,6 +53,24 @@ class TestValidation:
         manifest = tiny_manifest(tmp_path, train_scenarios=3)
         status, _ = run_pipeline(manifest, echo=lambda *_: None)
         assert status == 1
+
+    @pytest.mark.parametrize("field, value", [
+        ("num_paths", 0), ("max_length", 0), ("walk_budget", 0),
+        ("embed_dim", 0), ("hidden_dim", 0), ("layers", 0), ("fusion_dim", 0),
+        ("batch_size", 0), ("epochs", 0),
+        ("restart_prob", -0.1), ("restart_prob", 1.5),
+        ("restart_prob", float("nan")), ("k_negatives", -1),
+        ("eval_negatives", 0), ("learning_rate", -1e-3),
+        ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+    ])
+    def test_rejects_before_any_stage(self, tmp_path, field, value):
+        manifest = tiny_manifest(tmp_path, **{field: value})
+        with pytest.raises(ManifestError, match=field):
+            manifest.validate()
+        logs = []
+        status, _ = run_pipeline(manifest, echo=logs.append)
+        assert status == 1
+        assert not any(line.startswith("[run ]") for line in logs)
 
 
 class TestPipeline:
@@ -102,6 +127,21 @@ class TestPipeline:
         manifest.save(tmp_path / "m.json")
         loaded = RunManifest.load(tmp_path / "m.json")
         assert loaded == manifest
+
+    def test_loads_manifest_with_retired_deterministic_key(self, tmp_path):
+        manifest = tiny_manifest(tmp_path)
+        manifest.save(tmp_path / "m.json")
+        data = json.loads((tmp_path / "m.json").read_text())
+        data["deterministic"] = True
+        (tmp_path / "m.json").write_text(json.dumps(data))
+        assert RunManifest.load(tmp_path / "m.json") == manifest
+
+    def test_two_path_model_trains_and_evaluates(self, tmp_path):
+        manifest = tiny_manifest(tmp_path, num_paths=2)
+        logs = []
+        status, results = run_pipeline(manifest, echo=logs.append)
+        assert status == 0, logs
+        assert read_results(results)[0].negatives == 20
 
 
 class TestDeterminism:

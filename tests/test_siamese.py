@@ -1,16 +1,19 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
 
-from lineagekg.paths import PathSample
+from lineagekg.paths import NOPATH, PAD, PathSample
 from lineagekg.siamese import (
     ModelConfig,
     ModelError,
     Parameters,
     backward,
+    backward_batch,
     bce_loss,
     forward,
+    forward_batch,
     init_parameters,
     load_checkpoint,
     predict,
@@ -113,6 +116,12 @@ class TestForward:
         b, _ = forward(params, long)
         assert a == pytest.approx(b, abs=0, rel=0)
 
+    def test_inner_padding_carries_state(self):
+        params = init_parameters(tiny_config(layers=2))
+        inner = PathSample(paths=((2, PAD, 3), (5,), (1,)), relation=1, label=1)
+        packed = PathSample(paths=((2, 3), (5,), (1,)), relation=1, label=1)
+        assert forward(params, inner)[0] == forward(params, packed)[0]
+
     def test_weight_sharing_single_tensor_set(self):
         cfg = tiny_config(layers=2)
         params = init_parameters(cfg)
@@ -164,6 +173,83 @@ class TestBackward:
         assert max_relative_error(analytic, numeric) <= 1e-3
 
 
+class TestBatch:
+    def test_mixed_batch_matches_summed_single_samples(self):
+        params = init_parameters(tiny_config(seed=3, layers=2))
+        params.arrays["rel_emb"][3][:] = 0.0  # one sample pinned at 0.5
+        nopath = (NOPATH, PAD, PAD)
+        # paths of different lengths (one of PAD only), a NOPATH-only sample,
+        # and relations and tokens that repeat across samples
+        batch = [
+            PathSample(paths=((2, 3, 4, 5), (5, 2), (1,)), relation=2, label=1),
+            PathSample(paths=(nopath, nopath, nopath), relation=1, label=0),
+            PathSample(paths=((6, 7, 2, 3, 4, 5, 6), (2,), (PAD,)), relation=2, label=0),
+            PathSample(paths=((3, 3, 3), (4, 5), (7, 6, 5, 4)), relation=3, label=1),
+            PathSample(paths=((2, 3, 4, 5), (5, 2), (1,)), relation=1, label=1),
+        ]
+        probs, cache = forward_batch(params, batch)
+        grads = backward_batch(params, cache, [s.label for s in batch],
+                               params.zeros_like())
+        summed = params.zeros_like()
+        for i, sample in enumerate(batch):
+            prob, single = forward(params, sample)
+            assert probs[i] == pytest.approx(prob, rel=1e-12, abs=0)
+            for name, g in backward(params, single, sample.label).items():
+                summed[name] += g
+        assert probs[3] == 0.5
+        assert np.all(grads["rel_emb"][3] == 0.0)  # only the pinned sample uses it
+        # relative to each tensor's largest entry: an entry whose terms cancel
+        # keeps their rounding error
+        for name in summed:
+            assert np.any(summed[name] != 0.0), name
+            np.testing.assert_allclose(grads[name], summed[name], rtol=1e-12,
+                                       atol=1e-12 * np.abs(summed[name]).max(),
+                                       err_msg=name)
+
+    def test_mean_loss_matches_finite_differences(self):
+        params = init_parameters(tiny_config(seed=4))
+        batch = [tiny_sample(relation=2, label=1),
+                 PathSample(paths=((6, PAD, 7, 2), (3,), (4, 5)), relation=2, label=0),
+                 PathSample(paths=((5, 4), (PAD,), (2, 2, 2, 2)), relation=0, label=1)]
+        labels = [s.label for s in batch]
+
+        def mean_loss():
+            probs, _ = forward_batch(params, batch)
+            return sum(bce_loss(p, y) for p, y in zip(probs.tolist(), labels)) / 3
+
+        _, cache = forward_batch(params, batch)
+        analytic = {name: g / 3 for name, g in
+                    backward_batch(params, cache, labels, params.zeros_like()).items()}
+        numeric = {}
+        eps = 1e-4
+        for name, arr in params.arrays.items():
+            grad = np.zeros_like(arr)
+            flat, grad_flat = arr.reshape(-1), grad.reshape(-1)
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + eps
+                loss_plus = mean_loss()
+                flat[i] = orig - eps
+                loss_minus = mean_loss()
+                flat[i] = orig
+                grad_flat[i] = (loss_plus - loss_minus) / (2 * eps)
+            numeric[name] = grad
+        assert max_relative_error(analytic, numeric) <= 1e-3
+
+    def test_path_count_sizes_fusion_and_is_checked(self):
+        params = init_parameters(tiny_config(num_paths=2))
+        assert params.arrays["fusion_W"].shape == (2 * 2 * 4, 6)
+        two = PathSample(paths=((2, 3), (4,)), relation=1, label=1)
+        assert 0.0 < forward(params, two)[0] < 1.0
+        with pytest.raises(ModelError, match="3 paths, model expects 2"):
+            forward_batch(params, [two, tiny_sample()])
+
+    def test_relation_checked_over_whole_batch(self):
+        params = init_parameters(tiny_config())
+        with pytest.raises(ModelError, match="relation id out of range: 9"):
+            forward_batch(params, [tiny_sample(relation=1), tiny_sample(relation=9)])
+
+
 class TestTrain:
     def test_overfit_single_sample_loss_decreases(self):
         cfg = tiny_config(epochs=1, seed=1)
@@ -172,6 +258,28 @@ class TestTrain:
         result = train(params, stream, cfg)
         first_ten = result.step_losses[:10]
         assert all(b < a for a, b in zip(first_ten, first_ten[1:]))
+
+    def test_each_step_uses_only_its_batch(self):
+        """Two Adam steps on identical batches, recomputed from the batch
+        gradients: a step must not see an earlier batch's gradients."""
+        cfg = tiny_config(batch_size=4, epochs=1, seed=6, learning_rate=0.01)
+        samples = [tiny_sample(relation=2, label=1)] * 8
+        params = init_parameters(cfg)
+        expected = params.copy()
+        m, v = expected.zeros_like(), expected.zeros_like()
+        for step in (1, 2):
+            _, cache = forward_batch(expected, samples[:4])
+            grads = backward_batch(expected, cache, [1] * 4, expected.zeros_like())
+            for name, array in expected.arrays.items():
+                g = grads[name] / 4
+                m[name] = 0.9 * m[name] + (1 - 0.9) * g
+                v[name] = 0.999 * v[name] + (1 - 0.999) * g * g
+                array -= cfg.learning_rate * (m[name] / (1 - 0.9 ** step)) / (
+                    np.sqrt(v[name] / (1 - 0.999 ** step)) + 1e-8)
+        train(params, samples, cfg)
+        for name, array in params.arrays.items():
+            np.testing.assert_allclose(array, expected.arrays[name], rtol=1e-12,
+                                       atol=1e-15, err_msg=name)
 
     def test_zero_learning_rate_keeps_params(self):
         cfg = tiny_config(learning_rate=0.0, epochs=1)
@@ -223,6 +331,36 @@ class TestPredict:
         for i, sample in enumerate(samples):
             assert scores[i] == forward(params, sample)[0]
 
+    def test_order_preserved_across_batches(self):
+        params = init_parameters(tiny_config(batch_size=32))
+        samples = [PathSample(paths=((2 + i % 6, 3 + i % 5), (5, 2 + i % 3), (1,)),
+                              relation=i % 4, label=1) for i in range(70)]
+        scores = predict(params, samples)
+        assert len(scores) == 70
+        assert len(set(scores)) > 32
+        for i, sample in enumerate(samples):
+            assert scores[i] == pytest.approx(forward(params, sample)[0], rel=1e-12)
+
+
+    def test_equal_inputs_tie_whatever_their_batch(self):
+        # one input at index 3 (a full batch of 32) and 33 (a batch of 2), with
+        # either label: computed in each batch, its two scores can differ in
+        # the last bit, which breaks the tie that PR-AUC groups
+        params = init_parameters(ModelConfig(vocab_size=20, num_relations=4, seed=0))
+
+        def sample(seed, label=0):
+            rng = np.random.default_rng(seed)
+            return PathSample(
+                paths=tuple(tuple(int(t) for t in rng.integers(2, 20, rng.integers(1, 7)))
+                            for _ in range(3)),
+                relation=1, label=label)
+
+        samples = [sample(1000 + i) for i in range(34)]
+        samples[3], samples[33] = sample(0, label=1), sample(0, label=0)
+        scores = predict(params, samples)
+        assert scores[3] == scores[33]
+        assert scores[3] == pytest.approx(forward(params, samples[3])[0], rel=1e-12)
+
 
 class TestCheckpoint:
     def test_bitwise_round_trip(self, tmp_path):
@@ -238,6 +376,17 @@ class TestCheckpoint:
         path2 = tmp_path / "model2.bin"
         save_checkpoint(loaded, path2)
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_header_without_num_paths_loads_as_three(self, tmp_path):
+        params = init_parameters(tiny_config(seed=8))
+        path = tmp_path / "model.bin"
+        save_checkpoint(params, path)
+        magic, header, rest = path.read_bytes().split(b"\n", 2)
+        old = json.loads(header)
+        del old["num_paths"]
+        path.write_bytes(b"\n".join([magic, json.dumps(old).encode(), rest]))
+        loaded = load_checkpoint(path)
+        assert loaded.cfg == params.cfg and loaded.cfg.num_paths == 3
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"
