@@ -12,7 +12,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -261,40 +261,14 @@ class Pipeline:
 
         def build():
             kg.mkdir(parents=True, exist_ok=True)
-            suite = self._load_suite(task)
-            scenarios = suite.scenarios_for(task)
-            n_train = self.m.train_scenarios
-            cfg = convert.ConvertConfig(profile=profile, use_data=True)
-            base_ns = profile
-
-            def populate(group, suffix):
-                db, _ = scenario.execute_scenarios(suite.db, group)
-                g = KnowledgeGraph()
-                report = convert.populate_kg(
-                    g, db,
-                    replace(cfg, namespace=f"{base_ns}.{suffix}"),
-                    executions=convert._executions_for(group),
-                )
-                return g, report
-
-            train_g, train_report = populate(scenarios[:n_train], "train")
-            test_g, test_report = populate(scenarios[n_train:], "test")
-            test_tuples = [t for s in scenarios[n_train:] for t in s.all_tuples()]
-            evidence = tuple(f for f in convert.LINEAGE_FAMILIES
-                             if f != "rowDerivedFrom")
-            resolution = convert.resolve_lineage_detailed(
-                test_g, test_tuples, materialize=evidence)
+            split = convert.split_train_test(
+                self._load_suite(task), task, profile, self.m.train_scenarios)
             (kg / "train_base.nt").write_text(
-                serialize_ntriples(train_g), encoding="utf-8")
-            (kg / "test.nt").write_text(serialize_ntriples(test_g), encoding="utf-8")
-            split = convert.SplitResult(
-                train=train_g, test=test_g,
-                ground_truth=list(resolution.row_pairs),
-                train_report=train_report, test_report=test_report)
+                serialize_ntriples(split.train), encoding="utf-8")
+            (kg / "test.nt").write_text(serialize_ntriples(split.test), encoding="utf-8")
             convert.write_ground_truth(kg / "ground_truth.csv", split)
-            convert.write_report(kg / "counts_train.txt", train_report)
-            convert.write_report(kg / "counts_test.txt",
-                                 convert.population_report(test_g))
+            convert.write_report(kg / "counts_train.txt", split.train_report)
+            convert.write_report(kg / "counts_test.txt", split.test_report)
             (kg / "schema.nt").write_text(
                 export_profile(vocabulary(profile)), encoding="utf-8")
 

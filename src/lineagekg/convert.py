@@ -2,10 +2,10 @@
 
 Population walks views first, then tables.  View columns are named bare and
 table columns are prefixed with the table name (the published procedure's
-asymmetry, kept verbatim; ``prefix_view_columns`` switches to uniform
-prefixing).  Lineage resolution matches tuples against the graph through the
-conjunctive pattern engine and links every satisfying (source row, target
-row) pair.
+asymmetry, kept verbatim), so views with a column of the same name share one
+Column node.  Lineage resolution looks each tuple's values up in the graph's
+indexes and links every (source row, target row) pair whose rows belong to
+the objects the tuple names.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .kgstore import (
     KnowledgeGraph,
     Literal,
     canonical_lexical,
-    match_pattern,
 )
 from .ontology import OntologyProfile, ProfileError, vocabulary
 from .reldb import DTYPE_KINDS, Database, Relation
@@ -52,8 +51,6 @@ class ConvertConfig:
     profile: str  # "baseline" | "rddl"
     use_data: bool = True
     namespace: str = ""
-    emit_notnull: bool = True
-    prefix_view_columns: bool = False
 
     def resolved_namespace(self) -> str:
         return self.namespace or self.profile
@@ -173,7 +170,7 @@ def populate_kg(
     row_class = class_node("Row") if cfg.use_data else -1
     cell_class = class_node("CellValue") if cfg.use_data else -1
 
-    # views first, bare column names unless prefixing is requested
+    # views first, with bare column names
     for view_name in sorted(db.views):
         view = db.views[view_name]
         cls = view.object_class if is_rddl else "Table"
@@ -181,9 +178,7 @@ def populate_kg(
         object_nodes[view_name] = v_node
         column_nodes = []
         for col in view.table.columns:
-            local = (f"{sanitize(view_name)}_{sanitize(col.name)}"
-                     if cfg.prefix_view_columns else sanitize(col.name))
-            c_node = typed_node(local, "Column")
+            c_node = typed_node(sanitize(col.name), "Column")
             g.add_triple(v_node, rels["hasColumn"], c_node)
             column_nodes.append(c_node)
         if cfg.use_data:
@@ -215,7 +210,7 @@ def populate_kg(
                 fk = fk_by_column[col.name]
                 fk_node = typed_node(sanitize(fk.name), "ForeignKey")
                 g.add_triple(c_node, rels["hasConstraint"], fk_node)
-            if cfg.emit_notnull and not col.nullable and not col.is_pk:
+            if not col.nullable and not col.is_pk:
                 nn_node = typed_node(
                     f"NN_{sanitize(table_name)}_{sanitize(col.name)}", "NotNullConstraint"
                 )
@@ -281,11 +276,7 @@ class LineageResolution:
 
 
 def _locals_index(g: KnowledgeGraph) -> dict[str, int]:
-    index = g.meta.get("locals_index")
-    if index is None or len(index) != g.num_nodes:
-        index = {local_name(iri): node_id for node_id, iri in enumerate(g.iris())}
-        g.meta["locals_index"] = index
-    return index
+    return {local_name(iri): node_id for node_id, iri in enumerate(g.iris())}
 
 
 def _find_column(g: KnowledgeGraph, obj_node: int, table: str, column: str,
@@ -300,6 +291,8 @@ def _find_column(g: KnowledgeGraph, obj_node: int, table: str, column: str,
 def _match_rows(g: KnowledgeGraph, obj_node: int, col_node: int, value: str,
                 rels: dict) -> list[tuple[int, int]]:
     """Rows (and their cells) of obj whose cell in col has the exact value."""
+    if not g.has_triple(obj_node, rels["hasColumn"], col_node):
+        return []
     kind = None
     for (cell, _, _) in g.lookup(r=rels["belongsToColumn"], o=col_node):
         for lit in g.objects_of(cell, rels["exactValue"]):
@@ -314,13 +307,11 @@ def _match_rows(g: KnowledgeGraph, obj_node: int, col_node: int, value: str,
         literal = Literal(canonical_lexical(value, kind), kind)
     except ValueError:
         return []
-    bindings = match_pattern(g, [
-        ("?x", rels["exactValue"], literal),
-        ("?x", rels["belongsToColumn"], col_node),
-        ("?r", rels["hasCellValue"], "?x"),
-        (obj_node, rels["hasColumn"], col_node),
-    ])
-    return [(b["?r"], b["?x"]) for b in bindings]
+    # views share Column nodes, so a cell of col may sit in another object's row
+    return [(r, x) for (x, _, _) in g.lookup(r=rels["exactValue"], o=literal)
+            if g.has_triple(x, rels["belongsToColumn"], col_node)
+            for r in g.subjects_of(rels["hasCellValue"], x)
+            if g.has_triple(obj_node, rels["hasRow"], r)]
 
 
 def resolve_lineage_detailed(
@@ -339,7 +330,8 @@ def resolve_lineage_detailed(
         if family not in LINEAGE_FAMILIES:
             raise ConvertError(f"unknown lineage family: {family!r}")
     rels = {name: g.relation_id(name)
-            for name in ("hasColumn", "hasCellValue", "belongsToColumn", "exactValue")
+            for name in ("hasColumn", "hasRow", "hasCellValue", "belongsToColumn",
+                         "exactValue")
             + LINEAGE_FAMILIES}
     rdf_type = g.relation_id(RDF_TYPE)
     locals_index = _locals_index(g)
@@ -350,7 +342,6 @@ def resolve_lineage_detailed(
             node = locals_index.get(role)
             if node is None:
                 node = g.add_node(f"{g.namespace}:{role}")
-                locals_index[role] = node
             role_nodes[role] = node
 
     result = LineageResolution(added={family: 0 for family in LINEAGE_FAMILIES})
@@ -432,61 +423,38 @@ def _executions_for(scenarios: Sequence[Scenario]) -> list[ExecutionRecord]:
     return records
 
 
-def split_train_test(
-    suite,
-    task_name: str,
-    cfg: ConvertConfig,
-    n_train: Optional[int] = None,
-    withhold: Sequence[str] = ("rowDerivedFrom",),
-    test_executions: bool = True,
-) -> SplitResult:
+def split_train_test(suite, task_name: str, profile: str,
+                     n_train: int) -> SplitResult:
     """Build node-disjoint train/test graphs for one task.
 
-    Train scenarios are fully resolved (all lineage families present); in the
-    test graph the ``withhold`` families are kept out and the rowDerivedFrom
-    pairs are returned as ground truth.
+    Both graphs are populated with their scenarios' query executions.  The
+    train graph is left unresolved: its lineage is inserted later, from the
+    train scenarios' tuples.  The test graph gets the column, value and table
+    lineage families, and its rowDerivedFrom pairs, the prediction target,
+    are returned as ground truth instead of being inserted.
     """
     if suite.db is None:
         raise ConvertError("suite carries no database")
     scenarios = suite.scenarios_for(task_name)
-    if n_train is None:
-        n_train = max(1, len(scenarios) - 3)
     if not 0 < n_train < len(scenarios):
         raise ConvertError(f"bad train split: {n_train} of {len(scenarios)}")
-    if "rowDerivedFrom" not in withhold:
-        raise ConvertError("rowDerivedFrom is the prediction target; must be withheld")
 
-    base_ns = cfg.namespace or cfg.profile
-
-    def build(group: Sequence[Scenario], suffix: str, executions_on: bool,
-              materialize: Sequence[str]):
+    def populate(group: Sequence[Scenario], suffix: str):
         db, _ = execute_scenarios(suite.db, list(group))
-        group_cfg = ConvertConfig(
-            profile=cfg.profile,
-            use_data=True,
-            namespace=f"{base_ns}.{suffix}",
-            emit_notnull=cfg.emit_notnull,
-            prefix_view_columns=cfg.prefix_view_columns,
-        )
         g = KnowledgeGraph()
-        executions = _executions_for(group) if executions_on else []
-        report = populate_kg(g, db, group_cfg, executions=executions)
-        tuples = [t for scenario in group for t in scenario.all_tuples()]
-        resolution = resolve_lineage_detailed(g, tuples, materialize=materialize)
-        return g, resolution, report
+        cfg = ConvertConfig(profile=profile, namespace=f"{profile}.{suffix}")
+        return g, populate_kg(g, db, cfg, executions=_executions_for(group))
 
-    train_g, _, train_report = build(
-        scenarios[:n_train], "train", True, LINEAGE_FAMILIES
-    )
-    test_materialize = tuple(f for f in LINEAGE_FAMILIES if f not in withhold)
-    test_g, test_resolution, test_report = build(
-        scenarios[n_train:], "test", test_executions, test_materialize
-    )
+    train_g, train_report = populate(scenarios[:n_train], "train")
+    test_g, _ = populate(scenarios[n_train:], "test")
+    tuples = [t for scenario in scenarios[n_train:] for t in scenario.all_tuples()]
+    evidence = tuple(f for f in LINEAGE_FAMILIES if f != "rowDerivedFrom")
+    resolution = resolve_lineage_detailed(test_g, tuples, materialize=evidence)
     return SplitResult(
         train=train_g,
         test=test_g,
-        ground_truth=list(test_resolution.row_pairs),
-        train_report=population_report(train_g),
+        ground_truth=list(resolution.row_pairs),
+        train_report=train_report,
         test_report=population_report(test_g),
     )
 

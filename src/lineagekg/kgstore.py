@@ -1,4 +1,4 @@
-"""Typed triple store with conjunctive pattern matching and N-Triples I/O.
+"""Typed triple store with index lookups and N-Triples I/O.
 
 Nodes are interned to dense integer ids; triples are kept with set
 semantics in insertion order so that iteration is deterministic across
@@ -74,19 +74,8 @@ class Literal:
             raise ValueError(f"unknown literal kind: {self.kind!r}")
 
 
-def make_literal(lexical: str, kind: str) -> Literal:
-    return Literal(canonical_lexical(lexical, kind), kind)
-
-
 Object = Union[int, Literal]
 Triple = tuple  # (subject id, relation id, Object)
-
-# A pattern term is a node id, a Literal, or a "?var" string.
-VAR_PREFIX = "?"
-
-
-def is_var(term) -> bool:
-    return isinstance(term, str) and term.startswith(VAR_PREFIX)
 
 
 class KnowledgeGraph:
@@ -128,9 +117,6 @@ class KnowledgeGraph:
         if not 0 <= node_id < len(self._iris):
             raise UnknownNodeError(f"unknown node id: {node_id}")
         return self._iris[node_id]
-
-    def has_node(self, iri: str) -> bool:
-        return iri in self._iri_ids
 
     @property
     def num_nodes(self) -> int:
@@ -234,46 +220,6 @@ class KnowledgeGraph:
 
     def objects_of(self, s: int, r: int) -> list[Object]:
         return [t[2] for t in self.lookup(s=s, r=r)]
-
-
-def match_pattern(g: KnowledgeGraph, patterns) -> list[dict]:
-    """Solve a conjunction of triple patterns sharing "?var" variables.
-
-    Returns every variable binding under which all patterns are triples of
-    ``g``.  Evaluated as a left-deep index-backed join in the given order;
-    the result set is order-independent.
-    """
-    bindings: list[dict] = [{}]
-    for pattern in patterns:
-        if len(pattern) != 3:
-            raise KgError(f"pattern must have 3 terms: {pattern!r}")
-        new_bindings: list[dict] = []
-        for binding in bindings:
-            s, r, o = (binding.get(t, t) if is_var(t) else t for t in pattern)
-            s_bound = None if is_var(s) else s
-            r_bound = None if is_var(r) else r
-            o_bound = None if is_var(o) else o
-            if isinstance(s_bound, Literal) or isinstance(r_bound, Literal):
-                continue  # a variable bound to a literal cannot be a subject/relation
-            if s_bound is not None:
-                g._check_node(s_bound)
-            if o_bound is not None and not isinstance(o_bound, Literal):
-                g._check_node(o_bound)
-            for (ts, tr, to) in g.lookup(s_bound, r_bound, o_bound):
-                extended = dict(binding)
-                ok = True
-                for term, value in ((s, ts), (r, tr), (o, to)):
-                    if is_var(term):
-                        if term in extended and extended[term] != value:
-                            ok = False
-                            break
-                        extended[term] = value
-                if ok:
-                    new_bindings.append(extended)
-        bindings = new_bindings
-        if not bindings:
-            return []
-    return bindings
 
 
 # -- N-Triples serialization -------------------------------------------------

@@ -13,11 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-TASK_ORDER = (
-    "selection-projection", "selection-linear", "selection-nonlinear",
-    "join-projection", "join-linear", "join-nonlinear",
-    "union-projection", "union-linear", "union-nonlinear",
-)
+from .scenario import TASK_NAMES
 
 METRIC_NAMES = ("precision", "recall", "pr_auc", "hits_at_10")
 
@@ -141,35 +137,40 @@ def _fmt_delta(delta: float) -> str:
     return f"({sign}{rounded:.2f})"
 
 
-def report(results: Sequence[TaskResult]) -> str:
-    """Comparison table: per task a baseline row and an extended-profile row
-    with parenthesized deltas, then the mean per-task improvement."""
+def _paired_deltas(results: Sequence[TaskResult]) -> list[tuple]:
+    """(task, baseline, rddl, rddl - baseline metrics) per task, in task order
+    with unknown tasks last; a task without exactly both profiles is an error."""
     by_task: dict[str, dict[str, TaskResult]] = {}
     for r in results:
         by_task.setdefault(r.task, {})[r.profile] = r
-    tasks = [t for t in TASK_ORDER if t in by_task]
-    tasks += [t for t in by_task if t not in TASK_ORDER]
+    tasks = [t for t in TASK_NAMES if t in by_task]
+    tasks += [t for t in by_task if t not in TASK_NAMES]
+    paired = []
     for task in tasks:
         pair = by_task[task]
         if set(pair) != {"baseline", "rddl"}:
             raise MetricsError(f"unpaired task {task!r}: profiles {sorted(pair)}")
+        base, rddl = pair["baseline"], pair["rddl"]
+        delta = tuple(r - b for r, b in zip(rddl.metrics(), base.metrics()))
+        paired.append((task, base, rddl, delta))
+    return paired
 
+
+def report(results: Sequence[TaskResult]) -> str:
+    """Comparison table: per task a baseline row and an extended-profile row
+    with parenthesized deltas, then the mean per-task improvement."""
+    paired = _paired_deltas(results)
     header = ["Task", "Ontology", "Precision", "Recall", "AUC", "Hits@10"]
     rows: list[list[str]] = []
-    deltas: list[tuple[float, float, float, float]] = []
-    for task in tasks:
-        base = by_task[task]["baseline"]
-        rddl = by_task[task]["rddl"]
+    for task, base, rddl, delta in paired:
         title = task.capitalize()
         rows.append([title, "baseline"] + [_fmt(v) for v in base.metrics()])
-        delta = tuple(r - b for r, b in zip(rddl.metrics(), base.metrics()))
-        deltas.append(delta)
         rows.append([title, "RDDL"] + [
             f"{_fmt(v)}{_fmt_delta(d)}" for v, d in zip(rddl.metrics(), delta)
         ])
-    if deltas:
-        means = [sum(column) / len(deltas) for column in zip(*deltas)]
-        rows.append(["Average improvement", ""] + [_fmt(m) for m in means])
+    if paired:
+        rows.append(["Average improvement", ""]
+                    + [_fmt(m) for m in mean_improvements(results)])
 
     widths = [max(len(header[i]), *(len(row[i]) for row in rows))
               for i in range(len(header))]
@@ -182,16 +183,7 @@ def report(results: Sequence[TaskResult]) -> str:
 
 def mean_improvements(results: Sequence[TaskResult]) -> tuple[float, float, float, float]:
     """Simple mean of per-task (RDDL - baseline) metric deltas."""
-    by_task: dict[str, dict[str, TaskResult]] = {}
-    for r in results:
-        by_task.setdefault(r.task, {})[r.profile] = r
-    deltas = []
-    for task, pair in by_task.items():
-        if set(pair) != {"baseline", "rddl"}:
-            raise MetricsError(f"unpaired task {task!r}")
-        deltas.append(tuple(
-            r - b for r, b in zip(pair["rddl"].metrics(), pair["baseline"].metrics())
-        ))
+    deltas = [delta for *_, delta in _paired_deltas(results)]
     if not deltas:
         raise MetricsError("no results")
     return tuple(sum(col) / len(deltas) for col in zip(*deltas))

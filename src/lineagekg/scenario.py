@@ -113,11 +113,6 @@ class ScenarioSuite:
             raise ScenarioError(f"unknown task: {task_name!r}")
         return self.scenarios[task_name]
 
-    def total_transformations(self) -> int:
-        return sum(
-            len(s.transformations) for group in self.scenarios.values() for s in group
-        )
-
 
 # -- math maps ------------------------------------------------------------------
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -33,6 +34,45 @@ def completed_run(tmp_path_factory):
     logs = []
     status, results = run_pipeline(manifest, echo=logs.append)
     return manifest, out, status, results, logs
+
+
+# sha256 of every graph artifact of tiny_manifest(profile="both").  The graph
+# stages are pure Python (no BLAS rounding), and a change to graph building or
+# lineage resolution that alters these bytes alters every downstream result.
+GRAPH_ARTIFACT_DIGESTS = {
+    "selection-projection/baseline/kg/counts_test.txt":
+        "5ca9ef7a81cd3d05bba17058e9b816128f5bafa8ec6b754599120dd5b990c94a",
+    "selection-projection/baseline/kg/counts_train.txt":
+        "4d7773a0ead8f12487e7605e1f6e470234c728fa09d339c3cb8b5038d0a10b60",
+    "selection-projection/baseline/kg/ground_truth.csv":
+        "aa3abf304a94628c0d07fdfad458831b1a5210a49d2b6e8ff13f9dbe374301d6",
+    "selection-projection/baseline/kg/resolve_counts.txt":
+        "5c8b1804228ee76d8e52e2984d9a4744527515d3ce67103a9016807dcce6cef8",
+    "selection-projection/baseline/kg/schema.nt":
+        "6fc661da54140f65a283d59309731ce4b56d83c1fe9c366b6eefa60995936e5d",
+    "selection-projection/baseline/kg/test.nt":
+        "602b8d2ae9c666e7594c314083133be27a8b8c9e34156c6ef401953d9017402f",
+    "selection-projection/baseline/kg/train.nt":
+        "9c0f4a1793cd218c14b9798ee28e362014bbc152455d95856321c77b5e430785",
+    "selection-projection/baseline/kg/train_base.nt":
+        "d5e95a54dd991afd73f3ec4d15a5b01caf00be84489c79eb7fcd7df1548dce42",
+    "selection-projection/rddl/kg/counts_test.txt":
+        "76da441d55fe8d809ae27cb860f123f01062f5fd6c0bb55233de738625d90747",
+    "selection-projection/rddl/kg/counts_train.txt":
+        "83599d08f2fd9aa9439dbf28959e6eb775029a5fe93fa7307ea551ca45c8bef4",
+    "selection-projection/rddl/kg/ground_truth.csv":
+        "a5bcc3b213dd9b1f1d6b4cbcae7f5a7fd6a92958831ccd183e81c7b940d49c0c",
+    "selection-projection/rddl/kg/resolve_counts.txt":
+        "5c8b1804228ee76d8e52e2984d9a4744527515d3ce67103a9016807dcce6cef8",
+    "selection-projection/rddl/kg/schema.nt":
+        "f81c19b3ff942fe86006860e67fab0ef84fd1cddd33196a744f11ca76a1ee9cf",
+    "selection-projection/rddl/kg/test.nt":
+        "9c2b1fec7a78f27bfeca13bdcd26f6525675c15a3208f9e2c4981ac66e69d001",
+    "selection-projection/rddl/kg/train.nt":
+        "26379781d205d3bf30d042df561ad045834dfd74d7492cbd39c020944bba11e3",
+    "selection-projection/rddl/kg/train_base.nt":
+        "3e81c1a2821dec2b6d6008f2221750c0bf77a27a09a441a2c5440ed91ddb5b93",
+}
 
 
 class TestValidation:
@@ -153,6 +193,19 @@ class TestDeterminism:
             assert status == 0
             files.append(results.read_bytes())
         assert files[0] == files[1]
+
+
+    def test_graph_artifacts_pinned(self, tmp_path):
+        manifest = tiny_manifest(tmp_path, profile="both")
+        for stage in ("gen-scenarios", "build-kg", "resolve-lineage"):
+            status, _ = run_pipeline(manifest, echo=lambda *_: None, only_stage=stage)
+            assert status == 0
+        digests = {
+            path.relative_to(tmp_path).as_posix():
+                hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in tmp_path.rglob("kg/*")
+        }
+        assert digests == GRAPH_ARTIFACT_DIGESTS
 
 
 class TestMainEntry:

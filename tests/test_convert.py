@@ -43,6 +43,16 @@ def two_table_db(src_rows, dst_rows):
     })
 
 
+def views_sharing_column_db():
+    """Table Src(k, v) and views V1(x), V2(x), all holding the value "a"."""
+    src = TableDef("Src", (ColumnDef("k", "integer", is_pk=True),
+                           ColumnDef("v", "varchar", length=20, nullable=True)))
+    views = {name: Relation(TableDef(name, (ColumnDef("x", "varchar", length=20),)),
+                            [("a",)], "View")
+             for name in ("V1", "V2")}
+    return Database(tables={"Src": Relation(src, [("1", "a")])}, views=views)
+
+
 def brute_force_row_edges(db, tuples, namespace):
     """Oracle: join raw database cell values directly, no graph involved."""
     edges = set()
@@ -283,17 +293,22 @@ class TestResolveLineage:
 
     def test_matches_brute_force_on_random_dbs(self):
         rng = random.Random(99)
+        cases = []
         for trial in range(8):
             values = [f"v{rng.randrange(6)}" for _ in range(12)]
             src_rows = [(str(i + 1), rng.choice(values)) for i in range(8)]
             dst_rows = [(str(i + 1), rng.choice(values)) for i in range(8)]
-            db = two_table_db(src_rows, dst_rows)
-            g = self.build(db)
             tuples = [
                 LineageTuple("Src", "v", rng.choice(values),
                              "Dst", "w", rng.choice(values))
                 for _ in range(5)
             ]
+            cases.append((two_table_db(src_rows, dst_rows), tuples))
+        # views share bare column nodes: V2's row must not match a V1 tuple
+        cases.append((views_sharing_column_db(),
+                      [LineageTuple("Src", "v", "a", "V1", "x", "a")]))
+        for db, tuples in cases:
+            g = self.build(db)
             resolve_lineage(g, tuples)
             assert graph_row_edges(g) == brute_force_row_edges(db, tuples, "rddl")
 
@@ -309,15 +324,26 @@ def suite():
     return suite
 
 
+def resolved_split(suite, profile):
+    """A 3-scenario train split with the train graph resolved from its
+    scenarios' tuples, as the pipeline's resolve-lineage stage does."""
+    name = "selection-projection"
+    split = split_train_test(suite, name, profile, 3)
+    resolve_lineage(split.train, [t for s in suite.scenarios_for(name)[:3]
+                                  for t in s.all_tuples()])
+    return split
+
+
+@pytest.fixture(scope="module")
+def split(suite):
+    return resolved_split(suite, "rddl")
+
+
 class TestSplit:
-    def test_node_iris_disjoint(self, suite):
-        split = split_train_test(suite, "selection-projection",
-                                 ConvertConfig(profile="rddl"), n_train=3)
+    def test_node_iris_disjoint(self, split):
         assert set(split.train.iris()) & set(split.test.iris()) == set()
 
-    def test_test_graph_has_no_row_lineage_but_ground_truth(self, suite):
-        split = split_train_test(suite, "selection-projection",
-                                 ConvertConfig(profile="rddl"), n_train=3)
+    def test_test_graph_has_no_row_lineage_but_ground_truth(self, suite, split):
         rel = split.test.relation_id("rowDerivedFrom")
         assert sum(1 for _ in split.test.lookup(r=rel)) == 0
         assert len(split.ground_truth) >= 1
@@ -330,34 +356,33 @@ class TestSplit:
             covered.add(local.rsplit("_r", 1)[0])
         assert {sanitize(o) for o in outputs} <= covered
 
-    def test_relation_registries_equal(self, suite):
-        split = split_train_test(suite, "selection-projection",
-                                 ConvertConfig(profile="rddl"), n_train=3)
+    def test_relation_registries_equal(self, split):
         assert split.train.relation_names() == split.test.relation_names()
 
-    def test_train_contains_all_lineage_families(self, suite):
-        split = split_train_test(suite, "selection-projection",
-                                 ConvertConfig(profile="rddl"), n_train=3)
+    def test_train_contains_all_lineage_families(self, split):
         for family in ("rowDerivedFrom", "columnDerivedFrom",
                        "valueDerivedFrom", "tableDerivedFrom"):
             rel = split.train.relation_id(family)
             assert sum(1 for _ in split.train.lookup(r=rel)) >= 1
 
-    def test_withhold_all_removes_evidence(self, suite):
-        split = split_train_test(
-            suite, "selection-projection", ConvertConfig(profile="rddl"),
-            n_train=3,
-            withhold=("rowDerivedFrom", "columnDerivedFrom",
-                      "valueDerivedFrom", "tableDerivedFrom"),
-        )
-        for family in ("rowDerivedFrom", "valueDerivedFrom"):
+    def test_test_graph_has_evidence_families(self, split):
+        for family in ("columnDerivedFrom", "valueDerivedFrom", "tableDerivedFrom"):
             rel = split.test.relation_id(family)
-            assert sum(1 for _ in split.test.lookup(r=rel)) == 0
-        assert len(split.ground_truth) >= 1
+            assert sum(1 for _ in split.test.lookup(r=rel)) >= 1
 
-    def test_ground_truth_csv_round_trip(self, suite, tmp_path):
-        split = split_train_test(suite, "selection-projection",
-                                 ConvertConfig(profile="rddl"), n_train=3)
+    def test_train_graph_left_unresolved(self, suite):
+        bare = split_train_test(suite, "selection-projection", "rddl", 3)
+        for family in ("rowDerivedFrom", "columnDerivedFrom",
+                       "valueDerivedFrom", "tableDerivedFrom"):
+            rel = bare.train.relation_id(family)
+            assert sum(1 for _ in bare.train.lookup(r=rel)) == 0
+
+    @pytest.mark.parametrize("n_train", [0, 5])
+    def test_bad_split_rejected(self, suite, n_train):
+        with pytest.raises(ConvertError, match="bad train split"):
+            split_train_test(suite, "selection-projection", "rddl", n_train)
+
+    def test_ground_truth_csv_round_trip(self, split, tmp_path):
         path = tmp_path / "gt.csv"
         write_ground_truth(path, split)
         loaded = read_ground_truth(path, split.test)
@@ -365,7 +390,6 @@ class TestSplit:
 
     def test_validates_under_profile(self, suite):
         for profile in ("baseline", "rddl"):
-            split = split_train_test(suite, "selection-projection",
-                                     ConvertConfig(profile=profile), n_train=3)
+            split = resolved_split(suite, profile)
             assert validate_graph(vocabulary(profile), split.train) == []
             assert validate_graph(vocabulary(profile), split.test) == []

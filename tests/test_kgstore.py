@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -9,41 +8,10 @@ from lineagekg.kgstore import (
     ParseError,
     UnknownNodeError,
     canonical_lexical,
-    is_var,
-    match_pattern,
     parse_ntriples,
     render_decimal,
     serialize_ntriples,
 )
-
-
-def brute_force_match(g, patterns):
-    """Oracle: nested loops over the full triple list per pattern, with a
-    consistency check on the combined assignment (no indexes, no pruning)."""
-    triples = list(g.triples())
-    results = []
-    for combo in itertools.product(triples, repeat=len(patterns)):
-        binding = {}
-        ok = True
-        for pattern, triple in zip(patterns, combo):
-            for term, value in zip(pattern, triple):
-                if is_var(term):
-                    if term in binding and binding[term] != value:
-                        ok = False
-                        break
-                    binding[term] = value
-                elif term != value:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            results.append(binding)
-    return {tuple(sorted(b.items())) for b in results}
-
-
-def as_set(bindings):
-    return {tuple(sorted(b.items())) for b in bindings}
 
 
 def random_graph(rng, num_nodes, num_triples, num_relations=4, literal_share=0.25):
@@ -134,84 +102,6 @@ class TestIndexes:
             assert (s, r, o) in set(g.lookup(o=o))
             if isinstance(o, Literal):
                 assert (s, r, o) in set(g.lookup(r=r, o=o))
-
-
-class TestMatchPattern:
-    def test_single_satisfying_assignment(self):
-        g = KnowledgeGraph()
-        r1 = g.add_node("t:r1")
-        x1 = g.add_node("t:x1")
-        hcv = g.add_relation("hasCellValue")
-        ev = g.add_relation("exactValue")
-        g.add_triple(r1, hcv, x1)
-        g.add_triple(x1, ev, Literal("42", "integer"))
-        bindings = match_pattern(g, [
-            ("?r", hcv, "?x"),
-            ("?x", ev, Literal("42", "integer")),
-        ])
-        assert as_set(bindings) == {(("?r", r1), ("?x", x1))}
-
-    def test_empty_graph(self):
-        g = KnowledgeGraph()
-        g.add_relation("p")
-        assert match_pattern(g, [("?a", 0, "?b")]) == []
-
-    def test_row_source_query_matches_nested_loop_oracle(self):
-        # two-table toy graph and the 4-pattern row lookup conjunction
-        g = KnowledgeGraph()
-        rels = {n: g.add_relation(n) for n in
-                ("hasColumn", "hasCellValue", "belongsToColumn", "exactValue")}
-        t1 = g.add_node("t:T1")
-        c1 = g.add_node("t:T1_c")
-        t2 = g.add_node("t:T2")
-        c2 = g.add_node("t:T2_c")
-        g.add_triple(t1, rels["hasColumn"], c1)
-        g.add_triple(t2, rels["hasColumn"], c2)
-        for table, col, prefix in ((t1, c1, "a"), (t2, c2, "b")):
-            for i in range(3):
-                row = g.add_node(f"t:{prefix}_row{i}")
-                cell = g.add_node(f"t:{prefix}_cell{i}")
-                g.add_triple(row, rels["hasCellValue"], cell)
-                g.add_triple(cell, rels["belongsToColumn"], col)
-                value = "7" if i != 1 else "9"
-                g.add_triple(cell, rels["exactValue"], Literal(value, "integer"))
-        conj = [
-            ("?r", rels["hasCellValue"], "?x"),
-            ("?x", rels["exactValue"], Literal("7", "integer")),
-            ("?x", rels["belongsToColumn"], c1),
-            (t1, rels["hasColumn"], c1),
-        ]
-        assert as_set(match_pattern(g, conj)) == brute_force_match(g, conj)
-        # both tables hold "7" cells; the hasColumn conjunct keeps only T1's rows
-        assert len(match_pattern(g, conj)) == 2
-
-    def test_order_independence(self):
-        rng = random.Random(3)
-        g = random_graph(rng, 12, 60)
-        conj = [("?a", 0, "?b"), ("?b", 1, "?c")]
-        expected = as_set(match_pattern(g, conj))
-        for perm in itertools.permutations(conj):
-            assert as_set(match_pattern(g, list(perm))) == expected
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_random_graphs_match_oracle(self, seed):
-        rng = random.Random(seed)
-        g = random_graph(rng, rng.randint(4, 14), rng.randint(5, 70))
-        num_patterns = rng.randint(1, 3)
-        variables = ["?a", "?b", "?c", "?d"]
-        conj = []
-        for _ in range(num_patterns):
-            s = rng.choice(variables[:3]) if rng.random() < 0.7 else rng.randrange(g.num_nodes)
-            r = rng.randrange(g.num_relations)
-            roll = rng.random()
-            if roll < 0.5:
-                o = rng.choice(variables)
-            elif roll < 0.75:
-                o = rng.randrange(g.num_nodes)
-            else:
-                o = Literal(str(rng.randrange(8)), "integer")
-            conj.append((s, r, o))
-        assert as_set(match_pattern(g, conj)) == brute_force_match(g, conj)
 
 
 class TestSerialization:
