@@ -119,20 +119,13 @@ class RunManifest:
         return cls(**data)
 
 
-def canonical_relations(profile_name: str) -> list[str]:
-    """The shared relation registry order for all graphs of a profile."""
-    profile = vocabulary(profile_name)
-    return ["rdf:type"] + sorted(profile.property_names())
-
-
 def _parse_graph(path, profile_name: str) -> KnowledgeGraph:
     g = parse_ntriples(
         Path(path).read_text(encoding="utf-8"),
-        relations=tuple(canonical_relations(profile_name)),
+        relations=tuple(vocabulary(profile_name).relation_names()),
     )
     if g.num_nodes:
         g.namespace = g.node_iri(0).split(":", 1)[0]
-    g.meta["namespace"] = g.namespace
     g.meta["profile"] = profile_name
     return g
 

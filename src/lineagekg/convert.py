@@ -21,16 +21,9 @@ from .kgstore import (
     Literal,
     canonical_lexical,
 )
-from .ontology import OntologyProfile, ProfileError, vocabulary
+from .ontology import LINEAGE_PROPERTIES, OntologyProfile, ProfileError, vocabulary
 from .reldb import DTYPE_KINDS, Database, Relation
 from .scenario import LineageTuple, Scenario, execute_scenarios
-
-LINEAGE_FAMILIES = (
-    "rowDerivedFrom",
-    "columnDerivedFrom",
-    "valueDerivedFrom",
-    "tableDerivedFrom",
-)
 
 # DataType subclass by dtype family
 _DATATYPE_CLASS = {
@@ -80,20 +73,12 @@ def _iri(ns: str, local: str) -> str:
     return f"{ns}:{local}"
 
 
-def local_name(iri: str) -> str:
-    return iri.split(":", 1)[1] if ":" in iri else iri
-
-
 def resolve_type(
     g: KnowledgeGraph, profile: OntologyProfile, dtype: str, length: Optional[int]
 ) -> DataTypeRef:
     """Return the interned datatype individual for (dtype, length)."""
     if profile.name != "rddl":
         raise ProfileError("datatypes exist only under the rddl profile")
-    interned: dict = g.meta.setdefault("datatype_intern", {})
-    key = (dtype, length)
-    if key in interned:
-        return interned[key]
     ns = g.namespace
     local = f"dt_{dtype}" if length is None else f"dt_{dtype}_{length}"
     node = g.add_node(_iri(ns, local))
@@ -102,9 +87,7 @@ def resolve_type(
     g.add_triple(node, g.relation_id("typeName"), Literal(dtype, "string"))
     if length is not None:
         g.add_triple(node, g.relation_id("typeLength"), Literal(str(length), "integer"))
-    ref = DataTypeRef(node, dtype, length)
-    interned[key] = ref
-    return ref
+    return DataTypeRef(node, dtype, length)
 
 
 def _emit_rows(g: KnowledgeGraph, rel: Relation, obj_node: int,
@@ -144,12 +127,8 @@ def populate_kg(
     profile = vocabulary(cfg.profile)
     ns = cfg.resolved_namespace()
     g.namespace = ns
-    g.meta["namespace"] = ns
     g.meta["profile"] = cfg.profile
-
-    rels: dict = {RDF_TYPE: g.add_relation(RDF_TYPE)}
-    for name in sorted(profile.property_names()):
-        rels[name] = g.add_relation(name)
+    rels = {name: g.add_relation(name) for name in profile.relation_names()}
 
     class_nodes: dict[str, int] = {}
 
@@ -258,7 +237,7 @@ def population_report(g: KnowledgeGraph) -> dict[str, int]:
         type_rel = g.relation_id(RDF_TYPE)
         for (_, _, o) in g.lookup(r=type_rel):
             if not isinstance(o, Literal):
-                key = f"class.{local_name(g.node_iri(o))}"
+                key = f"class.{g.local_name(o)}"
                 report[key] = report.get(key, 0) + 1
     return report
 
@@ -276,14 +255,14 @@ class LineageResolution:
 
 
 def _locals_index(g: KnowledgeGraph) -> dict[str, int]:
-    return {local_name(iri): node_id for node_id, iri in enumerate(g.iris())}
+    return {g.local_name(node_id): node_id for node_id in range(g.num_nodes)}
 
 
 def _find_column(g: KnowledgeGraph, obj_node: int, table: str, column: str,
                  has_column: int) -> Optional[int]:
     wanted = {sanitize(column), f"{sanitize(table)}_{sanitize(column)}"}
     for candidate in g.objects_of(obj_node, has_column):
-        if local_name(g.node_iri(candidate)) in wanted:
+        if g.local_name(candidate) in wanted:
             return candidate
     return None
 
@@ -317,7 +296,7 @@ def _match_rows(g: KnowledgeGraph, obj_node: int, col_node: int, value: str,
 def resolve_lineage_detailed(
     g: KnowledgeGraph,
     tuples: Iterable[LineageTuple],
-    materialize: Sequence[str] = LINEAGE_FAMILIES,
+    materialize: Sequence[str] = LINEAGE_PROPERTIES,
     strict: bool = False,
 ) -> LineageResolution:
     """Match each tuple against the graph and link the satisfying pairs.
@@ -327,15 +306,17 @@ def resolve_lineage_detailed(
     edges and keep them as ground truth.
     """
     for family in materialize:
-        if family not in LINEAGE_FAMILIES:
+        if family not in LINEAGE_PROPERTIES:
             raise ConvertError(f"unknown lineage family: {family!r}")
     rels = {name: g.relation_id(name)
             for name in ("hasColumn", "hasRow", "hasCellValue", "belongsToColumn",
                          "exactValue")
-            + LINEAGE_FAMILIES}
+            + LINEAGE_PROPERTIES}
     rdf_type = g.relation_id(RDF_TYPE)
     locals_index = _locals_index(g)
-    profile_name = g.meta.get("profile", "rddl")
+    profile_name = g.meta.get("profile")
+    if profile_name is None:
+        raise ConvertError("graph records no ontology profile")
     role_nodes: dict[str, int] = {}
     if profile_name == "rddl":
         for role in ("SourceDataCandidate", "TargetDataCandidate"):
@@ -344,8 +325,8 @@ def resolve_lineage_detailed(
                 node = g.add_node(f"{g.namespace}:{role}")
             role_nodes[role] = node
 
-    result = LineageResolution(added={family: 0 for family in LINEAGE_FAMILIES})
-    seen: dict[str, set] = {family: set() for family in LINEAGE_FAMILIES}
+    result = LineageResolution(added={family: 0 for family in LINEAGE_PROPERTIES})
+    seen: dict[str, set] = {family: set() for family in LINEAGE_PROPERTIES}
 
     def record(family: str, pairs: list[tuple[int, int]], sink: list) -> None:
         for pair in pairs:
@@ -448,7 +429,7 @@ def split_train_test(suite, task_name: str, profile: str,
     train_g, train_report = populate(scenarios[:n_train], "train")
     test_g, _ = populate(scenarios[n_train:], "test")
     tuples = [t for scenario in scenarios[n_train:] for t in scenario.all_tuples()]
-    evidence = tuple(f for f in LINEAGE_FAMILIES if f != "rowDerivedFrom")
+    evidence = tuple(f for f in LINEAGE_PROPERTIES if f != "rowDerivedFrom")
     resolution = resolve_lineage_detailed(test_g, tuples, materialize=evidence)
     return SplitResult(
         train=train_g,

@@ -7,6 +7,7 @@ runs.  Objects are either node ids or typed literals.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
@@ -118,6 +119,11 @@ class KnowledgeGraph:
             raise UnknownNodeError(f"unknown node id: {node_id}")
         return self._iris[node_id]
 
+    def local_name(self, node_id: int) -> str:
+        """The node's IRI after its first ':' (the whole IRI when it has none)."""
+        prefix, colon, local = self.node_iri(node_id).partition(":")
+        return local if colon else prefix
+
     @property
     def num_nodes(self) -> int:
         return len(self._iris)
@@ -226,15 +232,23 @@ class KnowledgeGraph:
 
 _ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
 _UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
+_ESCAPE_TABLE = str.maketrans(_ESCAPES)
+
+# a whole line: <subject> <relation>, then <object> or "literal"^^<xsd:kind>,
+# then "."; runs of spaces may separate the terms and follow the dot
+_TRIPLE_LINE = re.compile(
+    r'<([^>]*)> *<([^>]*)> *(?:<([^>]*)>|"([^"\\]*(?:\\.[^"\\]*)*)"(?:\^\^<xsd:([^>]*)>)?) *\. *'
+)
+_ESCAPE_SEQUENCE = re.compile(r"\\(.)")
 
 
-def _escape(text: str) -> str:
-    return "".join(_ESCAPES.get(ch, ch) for ch in text)
+def _unescape(match: re.Match) -> str:
+    return _UNESCAPES[match.group(1)]
 
 
 def _format_object(g: KnowledgeGraph, o: Object) -> str:
     if isinstance(o, Literal):
-        body = f'"{_escape(o.lexical)}"'
+        body = f'"{o.lexical.translate(_ESCAPE_TABLE)}"'
         if o.kind != "string":
             body += f"^^<xsd:{o.kind}>"
         return body
@@ -251,97 +265,35 @@ def serialize_ntriples(g: KnowledgeGraph) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-class _LineParser:
-    def __init__(self, line: str, number: int):
-        self.line = line
-        self.pos = 0
-        self.number = number
-
-    def fail(self, message: str):
-        raise ParseError(message, self.number)
-
-    def skip_spaces(self):
-        while self.pos < len(self.line) and self.line[self.pos] == " ":
-            self.pos += 1
-
-    def expect(self, ch: str):
-        if self.pos >= len(self.line) or self.line[self.pos] != ch:
-            self.fail(f"expected {ch!r} at column {self.pos + 1}")
-        self.pos += 1
-
-    def read_iri(self) -> str:
-        self.expect("<")
-        end = self.line.find(">", self.pos)
-        if end < 0:
-            self.fail("unterminated IRI")
-        iri = self.line[self.pos:end]
-        self.pos = end + 1
-        return iri
-
-    def read_literal(self) -> Literal:
-        self.expect('"')
-        chars = []
-        while True:
-            if self.pos >= len(self.line):
-                self.fail("unterminated literal")
-            ch = self.line[self.pos]
-            self.pos += 1
-            if ch == "\\":
-                if self.pos >= len(self.line):
-                    self.fail("dangling escape")
-                esc = self.line[self.pos]
-                self.pos += 1
-                if esc not in _UNESCAPES:
-                    self.fail(f"bad escape: \\{esc}")
-                chars.append(_UNESCAPES[esc])
-            elif ch == '"':
-                break
-            else:
-                chars.append(ch)
-        kind = "string"
-        if self.line.startswith("^^<xsd:", self.pos):
-            self.pos += len("^^<xsd:")
-            end = self.line.find(">", self.pos)
-            if end < 0:
-                self.fail("unterminated datatype")
-            kind = self.line[self.pos:end]
-            if kind not in LITERAL_KINDS:
-                self.fail(f"unknown literal kind: {kind!r}")
-            self.pos = end + 1
-        return Literal("".join(chars), kind)
-
-
-def parse_ntriples(text: str, namespace: str = "",
-                   relations: tuple[str, ...] = ()) -> KnowledgeGraph:
+def parse_ntriples(text: str, relations: tuple[str, ...] = ()) -> KnowledgeGraph:
     """Parse the line format produced by :func:`serialize_ntriples`.
 
     ``relations`` pre-registers relation names in a fixed order so that
     graphs parsed from different files share one relation registry.
     """
-    g = KnowledgeGraph(namespace=namespace)
+    g = KnowledgeGraph()
     for name in relations:
         g.add_relation(name)
     for number, raw in enumerate(text.split("\n"), start=1):
         line = raw.rstrip("\r")
         if not line.strip():
             continue
-        p = _LineParser(line, number)
-        subj = p.read_iri()
-        p.skip_spaces()
-        rel = p.read_iri()
-        p.skip_spaces()
-        if p.pos < len(line) and line[p.pos] == "<":
-            obj: Object = g.add_node(p.read_iri())
-        elif p.pos < len(line) and line[p.pos] == '"':
-            obj = p.read_literal()
+        match = _TRIPLE_LINE.fullmatch(line)
+        if match is None:
+            raise ParseError("malformed triple", number)
+        subj, rel, iri, lexical, kind = match.groups()
+        if iri is not None:
+            obj: Object = g.add_node(iri)
         else:
-            p.fail("expected object term")
-        p.skip_spaces()
-        p.expect(".")
-        p.skip_spaces()
-        if p.pos != len(line):
-            p.fail("trailing content after '.'")
-        s = g.add_node(subj)
-        r = g.add_relation(rel)
-        g.add_triple(s, r, obj)
+            if kind is None:
+                kind = "string"
+            elif kind not in LITERAL_KINDS:
+                raise ParseError(f"unknown literal kind: {kind!r}", number)
+            try:
+                lexical = _ESCAPE_SEQUENCE.sub(_unescape, lexical)
+            except KeyError as exc:
+                raise ParseError(f"bad escape: \\{exc.args[0]}", number) from None
+            obj = Literal(lexical, kind)
+        # object node before subject node: node ids fix the path sampler's walk order
+        g.add_triple(g.add_node(subj), g.add_relation(rel), obj)
     return g

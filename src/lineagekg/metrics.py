@@ -168,9 +168,8 @@ def report(results: Sequence[TaskResult]) -> str:
         rows.append([title, "RDDL"] + [
             f"{_fmt(v)}{_fmt_delta(d)}" for v, d in zip(rddl.metrics(), delta)
         ])
-    if paired:
-        rows.append(["Average improvement", ""]
-                    + [_fmt(m) for m in mean_improvements(results)])
+    rows.append(["Average improvement", ""]
+                + [_fmt(m) for m in mean_improvements(results)])
 
     widths = [max(len(header[i]), *(len(row[i]) for row in rows))
               for i in range(len(header))]

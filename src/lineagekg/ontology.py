@@ -59,6 +59,10 @@ class OntologyProfile:
     def property_names(self) -> set[str]:
         return {p.name for p in self.properties}
 
+    def relation_names(self) -> list[str]:
+        """The relation registry order shared by every graph of this profile."""
+        return [RDF_TYPE] + sorted(self.property_names())
+
     def get_class(self, name: str) -> OntClass:
         canonical = CLASS_ALIASES.get(name, name)
         for c in self.classes:
@@ -174,10 +178,6 @@ def is_subclass_of(profile: OntologyProfile, a: str, b: str) -> bool:
     return False
 
 
-def _local_name(iri: str) -> str:
-    return iri.split(":", 1)[1] if ":" in iri else iri
-
-
 def validate_graph(profile: OntologyProfile, g: KnowledgeGraph) -> list[str]:
     """Check every triple against the profile; violations are data, not errors."""
     violations: list[str] = []
@@ -190,7 +190,7 @@ def validate_graph(profile: OntologyProfile, g: KnowledgeGraph) -> list[str]:
         for (s, _, o) in g.lookup(r=type_rel):
             if isinstance(o, Literal):
                 continue
-            asserted.setdefault(s, set()).add(_local_name(g.node_iri(o)))
+            asserted.setdefault(s, set()).add(g.local_name(o))
 
     def satisfies(node: int, required: str) -> bool:
         types = asserted.get(node, set())
@@ -208,7 +208,7 @@ def validate_graph(profile: OntologyProfile, g: KnowledgeGraph) -> list[str]:
             if isinstance(o, Literal):
                 violations.append(f"rdf:type with literal object on {g.node_iri(s)}")
                 continue
-            local = CLASS_ALIASES.get(_local_name(g.node_iri(o)), _local_name(g.node_iri(o)))
+            local = CLASS_ALIASES.get(g.local_name(o), g.local_name(o))
             if local not in class_names:
                 violations.append(f"unknown class {local!r} asserted on {g.node_iri(s)}")
             continue

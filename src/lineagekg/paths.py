@@ -189,9 +189,7 @@ def row_nodes(g: KnowledgeGraph) -> list[int]:
     for (s, _, o) in g.lookup(r=type_rel):
         if isinstance(o, Literal):
             continue
-        iri = g.node_iri(o)
-        local = iri.split(":", 1)[1] if ":" in iri else iri
-        if local == "Row":
+        if g.local_name(o) == "Row":
             rows.append(s)
     return rows
 
@@ -225,8 +223,9 @@ def build_eval_set(
     if n < 2:
         raise PathError("not enough row nodes for negatives")
 
+    row_set = set(rows)
     candidates_total = n * (n - 1) - sum(
-        1 for (a, b) in linked if a in set(rows) and b in set(rows) and a != b
+        1 for (a, b) in linked if a in row_set and b in row_set and a != b
     )
     if candidates_total < num_negatives:
         raise PathError(

@@ -202,10 +202,12 @@ def execute_transformation(
     else:
         raise ScenarioError(f"unknown algebra: {spec.algebra!r}")
 
-    # output schema: copied columns in source order, then the calc column
+    # output schema: copied columns in source order, then the calc column;
+    # out_names[s] names the output column of each of spec.projected[s]
     out_columns: list[ColumnDef] = []
-    copied_layout: list[tuple[int, str, str]] = []  # (source idx, src col, out col)
+    out_names: list[list[str]] = []
     if spec.algebra == "union":
+        names = []
         for pos in range(len(spec.projected[0])):
             c0 = sources[0].table.find_column(spec.projected[0][pos])
             c1 = sources[1].table.find_column(spec.projected[1][pos])
@@ -219,9 +221,11 @@ def execute_transformation(
                 length = max(c0.length or 0, c1.length or 0)
             out_columns.append(ColumnDef(
                 name, c0.dtype, length=length, nullable=c0.nullable or c1.nullable))
-            copied_layout.append((pos, "", name))  # positional; resolved per side
+            names.append(name)
+        out_names = [names, names]
     else:
         for s_idx, cols in enumerate(spec.projected):
+            names = []
             for col_name in cols:
                 col = sources[s_idx].table.find_column(col_name)
                 if col is None:
@@ -231,7 +235,8 @@ def execute_transformation(
                 name = _copied_column_name(spec, sources[s_idx].name, col_name)
                 out_columns.append(ColumnDef(
                     name, col.dtype, length=col.length, nullable=col.nullable))
-                copied_layout.append((s_idx, col_name, name))
+                names.append(name)
+            out_names.append(names)
 
     has_calc = spec.math != "projection"
     if has_calc:
@@ -244,44 +249,21 @@ def execute_transformation(
     for contributors in row_sets:
         cells: list = []
         pending: list[tuple[str, str, str, str]] = []  # (t1, c1, v1, out col)
-        if spec.algebra == "union":
-            s_idx, row = contributors[0]
+        args: list[tuple[str, str, str, float]] = []  # (t1, c1, v1, float)
+        for s_idx, row in contributors:
             src = sources[s_idx]
-            for pos, (_, _, out_name) in enumerate(copied_layout):
-                src_col = spec.projected[s_idx][pos]
+            for src_col, out_name in zip(spec.projected[s_idx], out_names[s_idx]):
                 value = row[src.table.column_index(src_col)]
                 cells.append(value)
                 if value is not None:
                     pending.append((src.name, src_col, value, out_name))
-        else:
-            by_source = dict(contributors)
-            for s_idx, src_col, out_name in copied_layout:
-                src = sources[s_idx]
-                value = by_source[s_idx][src.table.column_index(src_col)]
-                cells.append(value)
-                if value is not None:
-                    pending.append((src.name, src_col, value, out_name))
+            for col_name in spec.applied[s_idx] if has_calc else ():
+                value = row[src.table.column_index(col_name)]
+                if value is None:
+                    raise ScenarioError(f"NULL in applied column {col_name!r}")
+                args.append((src.name, col_name, value, float(value)))
 
         if has_calc:
-            args: list[tuple[str, str, str, float]] = []  # (t1, c1, v1, float)
-            if spec.algebra == "union":
-                s_idx, row = contributors[0]
-                applied_cols = spec.applied[s_idx]
-                src = sources[s_idx]
-                for col_name in applied_cols:
-                    value = row[src.table.column_index(col_name)]
-                    if value is None:
-                        raise ScenarioError(f"NULL in applied column {col_name!r}")
-                    args.append((src.name, col_name, value, float(value)))
-            else:
-                by_source = dict(contributors)
-                for s_idx, applied_cols in enumerate(spec.applied):
-                    src = sources[s_idx]
-                    for col_name in applied_cols:
-                        value = by_source[s_idx][src.table.column_index(col_name)]
-                        if value is None:
-                            raise ScenarioError(f"NULL in applied column {col_name!r}")
-                        args.append((src.name, col_name, value, float(value)))
             if spec.math == "bilinear":
                 if len(args) != 2:
                     raise ScenarioError("bilinear needs exactly two applied columns")

@@ -16,7 +16,7 @@ from lineagekg.convert import (
     split_train_test,
     write_ground_truth,
 )
-from lineagekg.kgstore import KnowledgeGraph, Literal, serialize_ntriples
+from lineagekg.kgstore import KnowledgeGraph, Literal, parse_ntriples, serialize_ntriples
 from lineagekg.ontology import ProfileError, validate_graph, vocabulary
 from lineagekg.reldb import ColumnDef, Database, Relation, TableDef, northwind_fixture
 from lineagekg.scenario import LineageTuple, ScenarioSuite, generate_scenario, task_by_name
@@ -290,6 +290,15 @@ class TestResolveLineage:
         )
         assert len(result.row_pairs) == 1
         assert graph_row_edges(g) == set()
+
+    def test_graph_without_profile_rejected(self):
+        db = two_table_db([("1", "42x")], [("1", "42x")])
+        g = self.build(db, profile="baseline")
+        parsed = parse_ntriples(serialize_ntriples(g), relations=tuple(g.relation_names()))
+        with pytest.raises(ConvertError, match="profile"):
+            resolve_lineage_detailed(
+                parsed, [LineageTuple("Src", "v", "42x", "Dst", "w", "42x")])
+        assert validate_graph(vocabulary("baseline"), parsed) == []
 
     def test_matches_brute_force_on_random_dbs(self):
         rng = random.Random(99)

@@ -161,3 +161,51 @@ class TestSerialization:
     def test_pre_registered_relations(self):
         g = parse_ntriples("<t:a> <p> <t:b> .\n", relations=("rdf:type", "p"))
         assert g.relation_names()[:2] == ["rdf:type", "p"]
+
+
+MALFORMED_LINES = [
+    ("missing-dot", "<t:a> <p> <t:b>"),
+    ("unterminated-iri", "<t:a> <p> <t:b ."),
+    ("unterminated-literal", '<t:a> <p> "abc .'),
+    ("dangling-escape", '<t:a> <p> "abc\\'),
+    ("bad-escape", '<t:a> <p> "a\\qb" .'),
+    ("unknown-kind", '<t:a> <p> "1"^^<xsd:float> .'),
+    ("unterminated-datatype", '<t:a> <p> "1"^^<xsd:integer .'),
+    ("trailing-content", "<t:a> <p> <t:b> . x"),
+    ("leading-space", " <t:a> <p> <t:b> ."),
+    ("missing-object", "<t:a> <p> ."),
+]
+
+ODD_VALID_TEXTS = [
+    ("no-spaces", "<a><p><b>.", [("a", "p", "b")]),
+    ("space-runs", '<t:a>    <p>   "7"^^<xsd:integer>   .',
+     [("t:a", "p", Literal("7", "integer"))]),
+    ("spaces-after-dot", "<t:a> <p> <t:b> .   ", [("t:a", "p", "t:b")]),
+    ("crlf", '<t:a> <p> <t:b> .\r\n<t:a> <q> "x\\ty" .\r\n',
+     [("t:a", "p", "t:b"), ("t:a", "q", Literal("x\ty"))]),
+]
+
+
+class TestParseTable:
+    @pytest.mark.parametrize("line", [line for _, line in MALFORMED_LINES],
+                             ids=[name for name, _ in MALFORMED_LINES])
+    def test_malformed_line_rejected_with_its_number(self, line):
+        text = "<t:a> <p> <t:b> .\n\n" + line + "\n<t:c> <p> <t:d> .\n"
+        with pytest.raises(ParseError) as err:
+            parse_ntriples(text)
+        assert err.value.line_number == 3
+        assert str(err.value).startswith("line 3: ")
+
+    @pytest.mark.parametrize("text,expected", [case[1:] for case in ODD_VALID_TEXTS],
+                             ids=[case[0] for case in ODD_VALID_TEXTS])
+    def test_odd_valid_lines_parse(self, text, expected):
+        g = parse_ntriples(text)
+        got = [(g.node_iri(s), g.relation_name(r),
+                o if isinstance(o, Literal) else g.node_iri(o))
+               for (s, r, o) in g.triples()]
+        assert got == expected
+
+    def test_object_node_interned_before_subject(self):
+        g = parse_ntriples("<t:a> <p> <t:b> .\n<t:c> <q> <t:a> .\n")
+        assert g.iris() == ["t:b", "t:a", "t:c"]
+        assert g.relation_names() == ["p", "q"]

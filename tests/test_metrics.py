@@ -170,6 +170,10 @@ class TestReport:
         ]
         assert "0.84(-0.01)" in report(results)
 
+    def test_no_results_rejected(self):
+        with pytest.raises(MetricsError, match="no results"):
+            report([])
+
     def test_unpaired_task_rejected(self):
         with pytest.raises(MetricsError, match="unpaired"):
             report([result("union-linear", "baseline", 0.9, 0.9, 0.9, 0.6)])
