@@ -12,7 +12,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -67,6 +67,12 @@ class RunManifest:
     epochs: int = 3
 
     def validate(self) -> None:
+        for f in fields(self):
+            # field types are strings under postponed annotations
+            kinds = {"int": int, "float": (int, float)}.get(f.type)
+            value = getattr(self, f.name)
+            if kinds and (isinstance(value, bool) or not isinstance(value, kinds)):
+                raise ManifestError(f"{f.name} must be {f.type}, got {value!r}")
         if self.profile not in ("baseline", "rddl", "both"):
             raise ManifestError(f"unknown profile: {self.profile!r}")
         for task in self.expanded_tasks():
@@ -116,6 +122,9 @@ class RunManifest:
     def load(cls, path) -> "RunManifest":
         data = json.loads(Path(path).read_text(encoding="utf-8"))
         data.pop("deterministic", None)  # unused key of older manifests
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ManifestError(f"unknown manifest key(s): {', '.join(unknown)}")
         return cls(**data)
 
 
@@ -234,7 +243,7 @@ class Pipeline:
         def build():
             db = self._database()
             kind = scenario.task_by_name(task)
-            suite = scenario.ScenarioSuite(seed=self.m.seed, db=db)
+            suite = scenario.ScenarioSuite(db=db)
             suite.scenarios[task] = [
                 scenario.generate_scenario(db, kind, self.m.seed, idx)
                 for idx in range(self.m.scenarios_per_task)
@@ -244,8 +253,7 @@ class Pipeline:
         self._run_stage("gen-scenarios", task, "", outputs, build)
 
     def _load_suite(self, task: str) -> scenario.ScenarioSuite:
-        return scenario.load_suite(self.scenarios_dir(task),
-                                   db=self._database(), seed=self.m.seed)
+        return scenario.load_suite(self.scenarios_dir(task), db=self._database())
 
     def stage_build_kg(self, task: str, profile: str) -> None:
         kg = self.kg_dir(task, profile)

@@ -11,7 +11,7 @@ the objects the tuple names.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -40,29 +40,12 @@ class ConvertError(Exception):
 
 
 @dataclass(frozen=True)
-class ConvertConfig:
-    profile: str  # "baseline" | "rddl"
-    use_data: bool = True
-    namespace: str = ""
-
-    def resolved_namespace(self) -> str:
-        return self.namespace or self.profile
-
-
-@dataclass(frozen=True)
 class ExecutionRecord:
     """A query execution to record under the rddl profile."""
 
     name: str
     sources: tuple[str, ...]
     output: str
-
-
-@dataclass(frozen=True)
-class DataTypeRef:
-    node: int
-    type_name: str
-    length: Optional[int]
 
 
 def sanitize(name: str) -> str:
@@ -75,8 +58,8 @@ def _iri(ns: str, local: str) -> str:
 
 def resolve_type(
     g: KnowledgeGraph, profile: OntologyProfile, dtype: str, length: Optional[int]
-) -> DataTypeRef:
-    """Return the interned datatype individual for (dtype, length)."""
+) -> int:
+    """Return the node of the interned datatype individual for (dtype, length)."""
     if profile.name != "rddl":
         raise ProfileError("datatypes exist only under the rddl profile")
     ns = g.namespace
@@ -87,17 +70,20 @@ def resolve_type(
     g.add_triple(node, g.relation_id("typeName"), Literal(dtype, "string"))
     if length is not None:
         g.add_triple(node, g.relation_id("typeLength"), Literal(str(length), "integer"))
-    return DataTypeRef(node, dtype, length)
+    return node
 
 
 def _emit_rows(g: KnowledgeGraph, rel: Relation, obj_node: int,
                column_nodes: list[int], rels: dict,
-               row_class: int, cell_class: int) -> None:
+               row_class: int, cell_class: int) -> list[int]:
+    """Emit the relation's rows and their non-NULL cells; returns the row nodes."""
     ns = g.namespace
     base = sanitize(rel.name)
     rdf_type = rels[RDF_TYPE]
+    row_nodes = []
     for i, row in enumerate(rel.rows):
         row_node = g.add_node(_iri(ns, f"{base}_r{i}"))
+        row_nodes.append(row_node)
         g.add_triple(row_node, rdf_type, row_class)
         g.add_triple(obj_node, rels["hasRow"], row_node)
         for j, (col, value) in enumerate(zip(rel.table.columns, row)):
@@ -110,35 +96,39 @@ def _emit_rows(g: KnowledgeGraph, rel: Relation, obj_node: int,
             g.add_triple(
                 cell_node, rels["exactValue"], Literal(value, DTYPE_KINDS[col.dtype])
             )
+    return row_nodes
 
 
 def populate_kg(
     g: KnowledgeGraph,
     db: Database,
-    cfg: ConvertConfig,
+    profile: str,
     executions: Sequence[ExecutionRecord] = (),
+    namespace: str = "",
 ) -> dict[str, int]:
-    """Convert a database into the graph under the configured profile.
+    """Convert a database, rows included, into the graph under ``profile``.
 
-    Returns a population report (node/triple counts by class).
+    ``profile`` is "baseline" or "rddl"; IRIs are prefixed with ``namespace``,
+    or with the profile name when it is empty.  Returns a population report
+    (node/triple counts by class).
     """
     if len(g) != 0:
         raise ConvertError("populate_kg requires an empty graph")
-    profile = vocabulary(cfg.profile)
-    ns = cfg.resolved_namespace()
+    onto = vocabulary(profile)
+    ns = namespace or profile
     g.namespace = ns
-    g.meta["profile"] = cfg.profile
-    rels = {name: g.add_relation(name) for name in profile.relation_names()}
+    g.meta["profile"] = profile
+    rels = {name: g.add_relation(name) for name in onto.relation_names()}
 
     class_nodes: dict[str, int] = {}
 
     def class_node(name: str) -> int:
         if name not in class_nodes:
-            profile.get_class(name)  # existence check
+            onto.get_class(name)  # existence check
             class_nodes[name] = g.add_node(_iri(ns, name))
         return class_nodes[name]
 
-    is_rddl = cfg.profile == "rddl"
+    is_rddl = profile == "rddl"
 
     def typed_node(local: str, cls: str) -> int:
         node = g.add_node(_iri(ns, local))
@@ -146,8 +136,9 @@ def populate_kg(
         return node
 
     object_nodes: dict[str, int] = {}
-    row_class = class_node("Row") if cfg.use_data else -1
-    cell_class = class_node("CellValue") if cfg.use_data else -1
+    row_nodes: dict[str, list[int]] = {}
+    row_class = class_node("Row")
+    cell_class = class_node("CellValue")
 
     # views first, with bare column names
     for view_name in sorted(db.views):
@@ -160,8 +151,8 @@ def populate_kg(
             c_node = typed_node(sanitize(col.name), "Column")
             g.add_triple(v_node, rels["hasColumn"], c_node)
             column_nodes.append(c_node)
-        if cfg.use_data:
-            _emit_rows(g, view, v_node, column_nodes, rels, row_class, cell_class)
+        row_nodes[view_name] = _emit_rows(
+            g, view, v_node, column_nodes, rels, row_class, cell_class)
 
     # tables, with prefixed column names and (rddl) schema metadata
     for table_name in sorted(db.tables):
@@ -180,8 +171,8 @@ def populate_kg(
                 c_node, rels["isNullable"],
                 Literal("true" if col.nullable else "false", "boolean"),
             )
-            dt = resolve_type(g, profile, col.dtype, col.length)
-            g.add_triple(c_node, rels["hasDatatype"], dt.node)
+            dt_node = resolve_type(g, onto, col.dtype, col.length)
+            g.add_triple(c_node, rels["hasDatatype"], dt_node)
             if col.is_pk:
                 pk_node = typed_node(f"PK_{sanitize(table_name)}", "PrimaryKey")
                 g.add_triple(c_node, rels["hasConstraint"], pk_node)
@@ -194,8 +185,8 @@ def populate_kg(
                     f"NN_{sanitize(table_name)}_{sanitize(col.name)}", "NotNullConstraint"
                 )
                 g.add_triple(c_node, rels["hasConstraint"], nn_node)
-        if cfg.use_data:
-            _emit_rows(g, table, t_node, column_nodes, rels, row_class, cell_class)
+        row_nodes[table_name] = _emit_rows(
+            g, table, t_node, column_nodes, rels, row_class, cell_class)
 
     if is_rddl:
         for table_name in sorted(db.tables):
@@ -220,13 +211,8 @@ def populate_kg(
                 g.add_triple(e_node, rels["usesTable"], object_nodes[source])
             if record.output not in object_nodes:
                 raise ConvertError(f"execution output {record.output!r} absent from graph")
-            if cfg.use_data:
-                out_rel = db.relation(record.output)
-                base = sanitize(record.output)
-                for i in range(len(out_rel.rows)):
-                    g.add_triple(
-                        e_node, rels["generatesRow"], g.node_id(_iri(ns, f"{base}_r{i}"))
-                    )
+            for row_node in row_nodes[record.output]:
+                g.add_triple(e_node, rels["generatesRow"], row_node)
 
     return population_report(g)
 
@@ -247,11 +233,8 @@ def population_report(g: KnowledgeGraph) -> dict[str, int]:
 
 @dataclass
 class LineageResolution:
-    row_pairs: list[tuple[int, int]] = field(default_factory=list)  # (dst, src)
-    column_pairs: list[tuple[int, int]] = field(default_factory=list)
-    value_pairs: list[tuple[int, int]] = field(default_factory=list)
-    table_pairs: list[tuple[int, int]] = field(default_factory=list)
-    added: dict[str, int] = field(default_factory=dict)
+    row_pairs: list[tuple[int, int]]  # (dst, src), in first-match order
+    added: dict[str, int]  # new edges per lineage family
 
 
 def _locals_index(g: KnowledgeGraph) -> dict[str, int]:
@@ -297,13 +280,12 @@ def resolve_lineage_detailed(
     g: KnowledgeGraph,
     tuples: Iterable[LineageTuple],
     materialize: Sequence[str] = LINEAGE_PROPERTIES,
-    strict: bool = False,
 ) -> LineageResolution:
     """Match each tuple against the graph and link the satisfying pairs.
 
-    Only the edge families listed in ``materialize`` are inserted; matched
-    pairs for every family are reported regardless, so a caller can withhold
-    edges and keep them as ground truth.
+    Only the edge families listed in ``materialize`` are inserted; the
+    matched row pairs are reported regardless, in first-match order, so a
+    caller can withhold rowDerivedFrom edges and keep them as ground truth.
     """
     for family in materialize:
         if family not in LINEAGE_PROPERTIES:
@@ -325,18 +307,13 @@ def resolve_lineage_detailed(
                 node = g.add_node(f"{g.namespace}:{role}")
             role_nodes[role] = node
 
-    result = LineageResolution(added={family: 0 for family in LINEAGE_PROPERTIES})
-    seen: dict[str, set] = {family: set() for family in LINEAGE_PROPERTIES}
+    added = {family: 0 for family in LINEAGE_PROPERTIES}
+    row_pairs: dict[tuple[int, int], None] = {}  # insertion-ordered set
 
-    def record(family: str, pairs: list[tuple[int, int]], sink: list) -> None:
-        for pair in pairs:
-            if pair in seen[family]:
-                continue
-            seen[family].add(pair)
-            sink.append(pair)
-            if family in materialize:
-                if g.add_triple(pair[0], rels[family], pair[1]):
-                    result.added[family] += 1
+    def link(family: str, pairs: list[tuple[int, int]]) -> None:
+        if family in materialize:
+            for (dst, src) in pairs:
+                added[family] += g.add_triple(dst, rels[family], src)
 
     for t in tuples:
         src_obj = locals_index.get(sanitize(t.t1))
@@ -349,29 +326,24 @@ def resolve_lineage_detailed(
             raise ConvertError(f"unresolvable column in tuple {t}")
         src_matches = _match_rows(g, src_obj, c1, t.v1, rels)
         dst_matches = _match_rows(g, dst_obj, c2, t.v2, rels)
-        if strict and (len(src_matches) > 1 or len(dst_matches) > 1):
-            raise ConvertError(f"ambiguous match for tuple {t}")
         if not src_matches or not dst_matches:
             continue
-        record("rowDerivedFrom",
-               [(dr, sr) for (dr, _) in dst_matches for (sr, _) in src_matches],
-               result.row_pairs)
-        record("columnDerivedFrom", [(c2, c1)], result.column_pairs)
-        record("valueDerivedFrom",
-               [(dx, sx) for (_, dx) in dst_matches for (_, sx) in src_matches],
-               result.value_pairs)
-        record("tableDerivedFrom", [(dst_obj, src_obj)], result.table_pairs)
+        pairs = [(dr, sr) for (dr, _) in dst_matches for (sr, _) in src_matches]
+        row_pairs.update(dict.fromkeys(pairs))
+        link("rowDerivedFrom", pairs)
+        link("columnDerivedFrom", [(c2, c1)])
+        link("valueDerivedFrom",
+             [(dx, sx) for (_, dx) in dst_matches for (_, sx) in src_matches])
+        link("tableDerivedFrom", [(dst_obj, src_obj)])
         if "tableDerivedFrom" in materialize and role_nodes:
             g.add_triple(dst_obj, rdf_type, role_nodes["SourceDataCandidate"])
             g.add_triple(src_obj, rdf_type, role_nodes["TargetDataCandidate"])
-    return result
+    return LineageResolution(list(row_pairs), added)
 
 
-def resolve_lineage(g: KnowledgeGraph, tuples: Iterable[LineageTuple],
-                    strict: bool = False) -> int:
+def resolve_lineage(g: KnowledgeGraph, tuples: Iterable[LineageTuple]) -> int:
     """Insert all four lineage families; returns new rowDerivedFrom edges."""
-    result = resolve_lineage_detailed(g, tuples, strict=strict)
-    return result.added["rowDerivedFrom"]
+    return resolve_lineage_detailed(g, tuples).added["rowDerivedFrom"]
 
 
 # -- inductive train/test split ---------------------------------------------------
@@ -423,8 +395,8 @@ def split_train_test(suite, task_name: str, profile: str,
     def populate(group: Sequence[Scenario], suffix: str):
         db, _ = execute_scenarios(suite.db, list(group))
         g = KnowledgeGraph()
-        cfg = ConvertConfig(profile=profile, namespace=f"{profile}.{suffix}")
-        return g, populate_kg(g, db, cfg, executions=_executions_for(group))
+        return g, populate_kg(g, db, profile, executions=_executions_for(group),
+                              namespace=f"{profile}.{suffix}")
 
     train_g, train_report = populate(scenarios[:n_train], "train")
     test_g, _ = populate(scenarios[n_train:], "test")

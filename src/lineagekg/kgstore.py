@@ -2,7 +2,8 @@
 
 Nodes are interned to dense integer ids; triples are kept with set
 semantics in insertion order so that iteration is deterministic across
-runs.  Objects are either node ids or typed literals.
+runs, and each is also filed under its subject and under its object.
+Objects are either node ids or typed literals.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ Triple = tuple  # (subject id, relation id, Object)
 
 
 class KnowledgeGraph:
-    """Triple set with dense node/relation registries and three indexes."""
+    """Triple set with dense node/relation registries, indexed by subject and object."""
 
     def __init__(self, namespace: str = ""):
         self.namespace = namespace
@@ -88,11 +89,10 @@ class KnowledgeGraph:
         self._iri_ids: dict[str, int] = {}
         self._rel_names: list[str] = []
         self._rel_ids: dict[str, int] = {}
-        self._triples: dict[Triple, None] = {}
-        # insertion-ordered indexes (dict-of-dict used as ordered sets)
-        self._by_subject: dict[int, dict[Triple, None]] = {}
-        self._by_object: dict[Object, dict[Triple, None]] = {}
-        self._by_rel_literal: dict[tuple[int, Literal], dict[Triple, None]] = {}
+        self._triples: dict[Triple, None] = {}  # insertion-ordered set
+        # each triple once per endpoint, in insertion order
+        self._by_subject: dict[int, list[Triple]] = {}
+        self._by_object: dict[Object, list[Triple]] = {}
         self._frozen = False
         self.meta: dict = {}
 
@@ -182,10 +182,8 @@ class KnowledgeGraph:
             return False
         self._check_mutable()
         self._triples[triple] = None
-        self._by_subject.setdefault(s, {})[triple] = None
-        self._by_object.setdefault(o, {})[triple] = None
-        if isinstance(o, Literal):
-            self._by_rel_literal.setdefault((r, o), {})[triple] = None
+        self._by_subject.setdefault(s, []).append(triple)
+        self._by_object.setdefault(o, []).append(triple)
         return True
 
     def has_triple(self, s: int, r: int, o: Object) -> bool:
@@ -204,12 +202,10 @@ class KnowledgeGraph:
     def lookup(self, s: Optional[int] = None, r: Optional[int] = None,
                o: Optional[Object] = None) -> Iterator[Triple]:
         """Iterate triples matching the bound positions (None = wildcard)."""
-        if isinstance(o, Literal) and r is not None:
-            candidates = self._by_rel_literal.get((r, o), {})
-        elif s is not None:
-            candidates = self._by_subject.get(s, {})
+        if s is not None:
+            candidates = self._by_subject.get(s, ())
         elif o is not None:
-            candidates = self._by_object.get(o, {})
+            candidates = self._by_object.get(o, ())
         else:
             candidates = self._triples
         for triple in candidates:

@@ -93,11 +93,10 @@ class PathSample:
 class PathSampler:
     """Seeded random-walk path sampler over one (frozen) graph."""
 
-    def __init__(self, g: KnowledgeGraph, cfg: SamplerConfig,
-                 vocab: Optional[EdgeVocabulary] = None):
+    def __init__(self, g: KnowledgeGraph, cfg: SamplerConfig):
         self.g = g
         self.cfg = cfg
-        self.vocab = vocab or EdgeVocabulary(g.relation_names())
+        self.vocab = EdgeVocabulary(g.relation_names())
         # adjacency over node-to-node triples, both directions
         self.adjacency: list[list[tuple[int, int, tuple]]] = [
             [] for _ in range(g.num_nodes)

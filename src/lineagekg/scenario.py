@@ -101,7 +101,6 @@ class Scenario:
 
 @dataclass
 class ScenarioSuite:
-    seed: int
     scenarios: dict[str, list[Scenario]] = field(default_factory=dict)
     db: Optional[Database] = None
 
@@ -580,7 +579,7 @@ def generate_scenario(
 def generate_suite(db: Database, seed: int, scenarios_per_task: int = 20) -> ScenarioSuite:
     """Deterministic scenario suite over all 9 tasks."""
     db.validate()
-    suite = ScenarioSuite(seed=seed, db=db)
+    suite = ScenarioSuite(db=db)
     for task in TASKS:
         suite.scenarios[task.name] = [
             generate_scenario(db, task, seed, idx)
@@ -645,7 +644,7 @@ def save_suite(suite: ScenarioSuite, directory) -> None:
                             writer.writerow([t.t1, t.c1, t.v1, t.t2, t.c2, t.v2])
 
 
-def load_suite(directory, db: Optional[Database] = None, seed: int = 0) -> ScenarioSuite:
+def load_suite(directory, db: Optional[Database] = None) -> ScenarioSuite:
     root = Path(directory)
     rows_by_scenario: dict[str, list] = {}
     task_of: dict[str, str] = {}
@@ -659,7 +658,7 @@ def load_suite(directory, db: Optional[Database] = None, seed: int = 0) -> Scena
             rows_by_scenario.setdefault(record["scenario_id"], []).append(record)
             task_of[record["scenario_id"]] = record["task"]
 
-    suite = ScenarioSuite(seed=seed, db=db)
+    suite = ScenarioSuite(db=db)
     for scenario_id, records in rows_by_scenario.items():
         records.sort(key=lambda r: int(r["step"]))
         task = task_by_name(task_of[scenario_id])

@@ -370,7 +370,6 @@ def backward(params: Parameters, cache: ForwardCache, label: int) -> dict[str, n
 @dataclass
 class TrainResult:
     epoch_losses: list[float]
-    step_losses: list[float]
 
 
 def train(params: Parameters, samples: Sequence[PathSample],
@@ -390,7 +389,6 @@ def train(params: Parameters, samples: Sequence[PathSample],
     grads = params.zeros_like()
     step = 0
     epoch_losses: list[float] = []
-    step_losses: list[float] = []
     indices = list(range(len(samples)))
     for epoch in range(cfg.epochs):
         rng = _random.Random(f"{cfg.seed}:epoch:{epoch}")
@@ -429,11 +427,10 @@ def train(params: Parameters, samples: Sequence[PathSample],
                     f"non-finite parameters after epoch {epoch}"
                     f" batch {start // cfg.batch_size}"
                 )
-            step_losses.append(batch_loss)
             total += batch_loss * len(batch)
             count += len(batch)
         epoch_losses.append(total / count)
-    return TrainResult(epoch_losses, step_losses)
+    return TrainResult(epoch_losses)
 
 
 def predict(params: Parameters, samples: Sequence[PathSample]) -> list[float]:

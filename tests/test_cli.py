@@ -102,6 +102,9 @@ class TestValidation:
         ("restart_prob", float("nan")), ("k_negatives", -1),
         ("eval_negatives", 0), ("learning_rate", -1e-3),
         ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+        ("epochs", 1.5), ("num_paths", 2.0), ("batch_size", True),
+        ("seed", "0"), ("restart_prob", "0.2"), ("learning_rate", None),
+        ("learning_rate", False),
     ])
     def test_rejects_before_any_stage(self, tmp_path, field, value):
         manifest = tiny_manifest(tmp_path, **{field: value})
@@ -212,6 +215,16 @@ class TestMainEntry:
     def test_unknown_task_exit_code(self, tmp_path, capsys):
         code = main(["run", "--out", str(tmp_path), "--task", "nope"])
         assert code == 1
+
+    def test_unknown_manifest_key_rejected(self, tmp_path, capsys):
+        tiny_manifest(tmp_path / "out").save(tmp_path / "m.json")
+        data = json.loads((tmp_path / "m.json").read_text())
+        data["epoch"] = 3
+        (tmp_path / "m.json").write_text(json.dumps(data))
+        code = main(["run", "--manifest", str(tmp_path / "m.json")])
+        assert code == 1
+        assert "unknown manifest key(s): epoch" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_gen_scenarios_subcommand(self, tmp_path):
         code = main([

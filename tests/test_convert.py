@@ -4,7 +4,6 @@ from pathlib import Path
 import pytest
 
 from lineagekg.convert import (
-    ConvertConfig,
     ConvertError,
     ExecutionRecord,
     populate_kg,
@@ -91,7 +90,7 @@ class TestResolveType:
         profile = vocabulary("rddl")
         a = resolve_type(g, profile, "varchar", 40)
         b = resolve_type(g, profile, "varchar", 40)
-        assert a.node == b.node
+        assert a == b
 
     def test_distinct_lengths(self):
         g = KnowledgeGraph(namespace="rddl")
@@ -99,17 +98,17 @@ class TestResolveType:
         for name in sorted(vocabulary("rddl").property_names()):
             g.add_relation(name)
         profile = vocabulary("rddl")
-        assert resolve_type(g, profile, "varchar", 40).node != \
-            resolve_type(g, profile, "varchar", 20).node
+        assert resolve_type(g, profile, "varchar", 40) != \
+            resolve_type(g, profile, "varchar", 20)
 
     def test_integer_is_numeric(self):
         g = KnowledgeGraph(namespace="rddl")
         g.add_relation("rdf:type")
         for name in sorted(vocabulary("rddl").property_names()):
             g.add_relation(name)
-        ref = resolve_type(g, vocabulary("rddl"), "integer", None)
+        node = resolve_type(g, vocabulary("rddl"), "integer", None)
         type_rel = g.relation_id("rdf:type")
-        types = {g.node_iri(o) for (_, _, o) in g.lookup(s=ref.node, r=type_rel)}
+        types = {g.node_iri(o) for (_, _, o) in g.lookup(s=node, r=type_rel)}
         assert "rddl:NumericType" in types
 
     def test_baseline_rejected(self):
@@ -124,13 +123,13 @@ class TestPopulateGolden:
         outputs = set()
         for _ in range(3):
             g = KnowledgeGraph()
-            populate_kg(g, toy_db(), ConvertConfig(profile="rddl", use_data=False))
+            populate_kg(g, toy_db(), "rddl")
             outputs.add(serialize_ntriples(g))
         assert outputs == {golden}  # byte-identical across runs, equal to golden
 
     def test_toy_schema_baseline_structure_only(self):
         g = KnowledgeGraph()
-        populate_kg(g, toy_db(), ConvertConfig(profile="baseline", use_data=False))
+        populate_kg(g, toy_db(), "baseline")
         names = {g.relation_name(r) for (_, r, _) in g.triples()}
         assert names == {"rdf:type", "hasColumn"}
         text = serialize_ntriples(g)
@@ -140,22 +139,22 @@ class TestPopulateGolden:
 
     def test_empty_database(self):
         g = KnowledgeGraph()
-        report = populate_kg(g, Database(tables={}), ConvertConfig(profile="rddl"))
+        report = populate_kg(g, Database(tables={}), "rddl")
         assert len(g) == 0
         assert report["triples"] == 0
 
     def test_requires_empty_graph(self):
         g = KnowledgeGraph()
-        populate_kg(g, toy_db(), ConvertConfig(profile="rddl", use_data=False))
+        populate_kg(g, toy_db(), "rddl")
         with pytest.raises(ConvertError):
-            populate_kg(g, toy_db(), ConvertConfig(profile="rddl"))
+            populate_kg(g, toy_db(), "rddl")
 
 
 @pytest.fixture(scope="module")
 def fixture_graph():
     db = northwind_fixture(rows_per_table=6, seed=2)
     g = KnowledgeGraph()
-    report = populate_kg(g, db, ConvertConfig(profile="rddl"))
+    report = populate_kg(g, db, "rddl")
     return db, g, report
 
 
@@ -191,7 +190,7 @@ class TestPopulateData:
     def test_baseline_has_zero_constraint_individuals(self):
         db = northwind_fixture(rows_per_table=4, seed=2)
         g = KnowledgeGraph()
-        populate_kg(g, db, ConvertConfig(profile="baseline"))
+        populate_kg(g, db, "baseline")
         assert "Constraint" not in serialize_ntriples(g)
         assert validate_graph(vocabulary("baseline"), g) == []
 
@@ -200,7 +199,7 @@ class TestPopulateData:
         texts = set()
         for _ in range(3):
             g = KnowledgeGraph()
-            populate_kg(g, db, ConvertConfig(profile="rddl"))
+            populate_kg(g, db, "rddl")
             texts.add(serialize_ntriples(g))
         assert len(texts) == 1
 
@@ -213,7 +212,7 @@ class TestPopulateData:
         record = ExecutionRecord("Out1_q", ("Customers",), "Out1")
         for profile, expected in (("rddl", True), ("baseline", False)):
             g = KnowledgeGraph()
-            populate_kg(g, db2, ConvertConfig(profile=profile), executions=[record])
+            populate_kg(g, db2, profile, executions=[record])
             text = serialize_ntriples(g)
             assert ("QueryExecution" in text) is expected
             if expected:
@@ -226,7 +225,7 @@ class TestPopulateData:
 class TestResolveLineage:
     def build(self, db, profile="rddl"):
         g = KnowledgeGraph()
-        populate_kg(g, db, ConvertConfig(profile=profile))
+        populate_kg(g, db, profile)
         return g
 
     def test_unique_value_single_edge(self):
@@ -244,16 +243,6 @@ class TestResolveLineage:
         g = self.build(db)
         added = resolve_lineage(g, [LineageTuple("Src", "v", "dup", "Dst", "w", "dup")])
         assert added == 4
-
-    def test_strict_mode_rejects_ambiguity(self):
-        db = two_table_db(
-            [("1", "dup"), ("2", "dup")],
-            [("1", "dup")],
-        )
-        g = self.build(db)
-        with pytest.raises(ConvertError, match="ambiguous"):
-            resolve_lineage(g, [LineageTuple("Src", "v", "dup", "Dst", "w", "dup")],
-                            strict=True)
 
     def test_value_in_other_table_excluded(self):
         # v1 appears only in Dst.w; the (t1 hasColumn c1) conjunct excludes it
@@ -325,7 +314,7 @@ class TestResolveLineage:
 @pytest.fixture(scope="module")
 def suite():
     db = northwind_fixture(rows_per_table=8, seed=3)
-    suite = ScenarioSuite(seed=3, db=db)
+    suite = ScenarioSuite(db=db)
     name = "selection-projection"
     suite.scenarios[name] = [
         generate_scenario(db, task_by_name(name), 3, i) for i in range(5)

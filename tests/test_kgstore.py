@@ -103,6 +103,31 @@ class TestIndexes:
             if isinstance(o, Literal):
                 assert (s, r, o) in set(g.lookup(r=r, o=o))
 
+    # bound positions of a lookup, and the kind of object it binds
+    @pytest.mark.parametrize("bound, kind", [
+        ("s", None), ("o", int), ("r", None), ("sr", None),
+        ("ro", int), ("ro", Literal), ("o", Literal),
+    ])
+    def test_lookup_equals_ordered_filter_of_triples(self, bound, kind):
+        rng = random.Random(17)
+        g = random_graph(rng, 20, 300)
+        triples = list(g.triples())
+        assert len(triples) < 300  # repeated inserts are part of the test
+        probes = [t for t in triples if kind is None or isinstance(t[2], kind)]
+        if kind is Literal:
+            probes.append((0, 0, Literal("99", "integer")))  # in no triple
+        queries = {tuple(t[i] if p in bound else None for i, p in enumerate("sro"))
+                   for t in probes}
+        for query in queries:
+            expected = [t for t in triples
+                        if all(q is None or q == v for q, v in zip(query, t))]
+            s, r, o = query
+            assert list(g.lookup(s=s, r=r, o=o)) == expected
+            if bound == "ro":
+                assert g.subjects_of(r, o) == [t[0] for t in expected]
+            if bound == "sr":
+                assert g.objects_of(s, r) == [t[2] for t in expected]
+
 
 class TestSerialization:
     def test_empty_graph(self):

@@ -66,7 +66,7 @@ def chain_graph():
 @pytest.fixture(scope="module")
 def converted():
     db = northwind_fixture(rows_per_table=6, seed=4)
-    suite = ScenarioSuite(seed=4, db=db)
+    suite = ScenarioSuite(db=db)
     name = "selection-projection"
     suite.scenarios[name] = [
         generate_scenario(db, task_by_name(name), 4, i) for i in range(4)

@@ -254,7 +254,7 @@ def _executed(db, scenario):
 class TestSuiteSerialization:
     def test_round_trip(self, db, small_suite, tmp_path):
         save_suite(small_suite, tmp_path)
-        loaded = load_suite(tmp_path, db=db, seed=small_suite.seed)
+        loaded = load_suite(tmp_path, db=db)
         assert loaded.task_names() == small_suite.task_names()
         for task in small_suite.task_names():
             for a, b in zip(small_suite.scenarios_for(task), loaded.scenarios_for(task)):

@@ -252,12 +252,12 @@ class TestBatch:
 
 class TestTrain:
     def test_overfit_single_sample_loss_decreases(self):
-        cfg = tiny_config(epochs=1, seed=1)
+        cfg = tiny_config(epochs=10, seed=1)
         params = init_parameters(cfg)
-        stream = [tiny_sample()] * (32 * 12)
-        result = train(params, stream, cfg)
-        first_ten = result.step_losses[:10]
-        assert all(b < a for a, b in zip(first_ten, first_ten[1:]))
+        # one batch per epoch: each epoch loss is the loss of one Adam step
+        result = train(params, [tiny_sample()] * cfg.batch_size, cfg)
+        losses = result.epoch_losses
+        assert all(b < a for a, b in zip(losses, losses[1:]))
 
     def test_each_step_uses_only_its_batch(self):
         """Two Adam steps on identical batches, recomputed from the batch
@@ -282,13 +282,13 @@ class TestTrain:
                                        atol=1e-15, err_msg=name)
 
     def test_zero_learning_rate_keeps_params(self):
-        cfg = tiny_config(learning_rate=0.0, epochs=1)
+        cfg = tiny_config(learning_rate=0.0, epochs=3)
         params = init_parameters(cfg)
         before = {k: v.copy() for k, v in params.arrays.items()}
         result = train(params, [tiny_sample()] * 40, cfg)
         for name, array in params.arrays.items():
             assert np.array_equal(array, before[name])
-        assert len(set(round(x, 12) for x in result.step_losses)) == 1
+        assert len(set(round(x, 12) for x in result.epoch_losses)) == 1
 
     def test_training_deterministic(self):
         samples = [tiny_sample(relation=i % 4, label=i % 2) for i in range(64)]
