@@ -1,4 +1,5 @@
-"""Pipeline orchestrator: scenarios -> graphs -> lineage -> paths -> model -> report.
+"""Pipeline orchestrator: gen-scenarios -> build-kg (graphs with lineage
+resolved) -> sample-paths -> train -> evaluate -> report.
 
 Every stage writes its artifacts plus a checksum sidecar and is skipped on
 re-runs while its recorded inputs and outputs are unchanged; once any stage
@@ -21,8 +22,7 @@ from .kgstore import KnowledgeGraph, parse_ntriples, serialize_ntriples
 from .ontology import export_profile, vocabulary
 from .reldb import northwind_fixture
 
-STAGES = ("gen-scenarios", "build-kg", "resolve-lineage", "sample-paths",
-          "train", "evaluate", "report")
+STAGES = ("gen-scenarios", "build-kg", "sample-paths", "train", "evaluate", "report")
 
 PRESETS = {
     "desk": dict(rows_per_table=10, scenarios_per_task=7, train_scenarios=5,
@@ -45,7 +45,7 @@ class StageError(Exception):
 
 @dataclass
 class RunManifest:
-    out_dir: str
+    out_dir: str = ""  # a manifest file may leave it to --out
     seed: int = 0
     profile: str = "both"  # baseline | rddl | both
     tasks: list[str] = field(default_factory=lambda: ["all"])
@@ -69,12 +69,18 @@ class RunManifest:
     def validate(self) -> None:
         for f in fields(self):
             # field types are strings under postponed annotations
-            kinds = {"int": int, "float": (int, float)}.get(f.type)
+            kinds = {"int": int, "float": (int, float), "str": str}.get(f.type)
             value = getattr(self, f.name)
             if kinds and (isinstance(value, bool) or not isinstance(value, kinds)):
                 raise ManifestError(f"{f.name} must be {f.type}, got {value!r}")
+        if not self.out_dir:
+            raise ManifestError(
+                "out_dir is not set; give it in the manifest or with --out")
         if self.profile not in ("baseline", "rddl", "both"):
             raise ManifestError(f"unknown profile: {self.profile!r}")
+        if not isinstance(self.tasks, list) or not self.tasks:
+            raise ManifestError(
+                f"tasks must be a non-empty list of task names, got {self.tasks!r}")
         for task in self.expanded_tasks():
             if task not in scenario.TASK_NAMES:
                 raise ManifestError(f"unknown task: {task!r}")
@@ -121,6 +127,9 @@ class RunManifest:
     @classmethod
     def load(cls, path) -> "RunManifest":
         data = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(data, dict):
+            raise ManifestError(
+                f"manifest must be a JSON object, got {type(data).__name__}")
         data.pop("deterministic", None)  # unused key of older manifests
         unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
@@ -129,14 +138,10 @@ class RunManifest:
 
 
 def _parse_graph(path, profile_name: str) -> KnowledgeGraph:
-    g = parse_ntriples(
+    return parse_ntriples(
         Path(path).read_text(encoding="utf-8"),
         relations=tuple(vocabulary(profile_name).relation_names()),
     )
-    if g.num_nodes:
-        g.namespace = g.node_iri(0).split(":", 1)[0]
-    g.meta["profile"] = profile_name
-    return g
 
 
 def _sha256(path: Path) -> str:
@@ -145,12 +150,11 @@ def _sha256(path: Path) -> str:
 
 class Pipeline:
     def __init__(self, manifest: RunManifest, echo=print):
+        manifest.validate()
         self.m = manifest
         self.out = Path(manifest.out_dir)
         self.force = False
         self.echo = echo
-        self.ran: list[str] = []
-        self.skipped: list[str] = []
 
     # -- stage bookkeeping ----------------------------------------------------
 
@@ -204,7 +208,6 @@ class Pipeline:
                    outputs: list[Path], fn) -> None:
         label = "/".join(p for p in (stage, task, profile) if p)
         if self._should_skip(stage, task, profile, outputs):
-            self.skipped.append(label)
             self.echo(f"[skip] {label}")
             return
         self.force = True
@@ -214,7 +217,6 @@ class Pipeline:
         except Exception as exc:
             raise StageError(label, exc) from exc
         self._mark_done(stage, task, profile, outputs)
-        self.ran.append(label)
 
     # -- stages -----------------------------------------------------------------
 
@@ -238,11 +240,12 @@ class Pipeline:
 
     def stage_scenarios(self, task: str) -> None:
         target = self.scenarios_dir(task)
-        outputs = [target / "manifest.tsv"]
+        kind = scenario.task_by_name(task)
+        outputs = [target / "manifest.tsv"] + scenario.lineage_files(
+            target, kind, self.m.scenarios_per_task)
 
         def build():
             db = self._database()
-            kind = scenario.task_by_name(task)
             suite = scenario.ScenarioSuite(db=db)
             suite.scenarios[task] = [
                 scenario.generate_scenario(db, kind, self.m.seed, idx)
@@ -252,43 +255,27 @@ class Pipeline:
 
         self._run_stage("gen-scenarios", task, "", outputs, build)
 
-    def _load_suite(self, task: str) -> scenario.ScenarioSuite:
-        return scenario.load_suite(self.scenarios_dir(task), db=self._database())
-
     def stage_build_kg(self, task: str, profile: str) -> None:
         kg = self.kg_dir(task, profile)
-        outputs = [kg / "train_base.nt", kg / "test.nt", kg / "ground_truth.csv",
-                   kg / "counts_train.txt", kg / "counts_test.txt", kg / "schema.nt"]
+        outputs = [kg / "train.nt", kg / "test.nt", kg / "ground_truth.csv",
+                   kg / "counts_train.txt", kg / "counts_test.txt",
+                   kg / "resolve_counts.txt", kg / "schema.nt"]
 
         def build():
             kg.mkdir(parents=True, exist_ok=True)
+            suite = scenario.load_suite(self.scenarios_dir(task), db=self._database())
             split = convert.split_train_test(
-                self._load_suite(task), task, profile, self.m.train_scenarios)
-            (kg / "train_base.nt").write_text(
-                serialize_ntriples(split.train), encoding="utf-8")
+                suite, task, profile, self.m.train_scenarios)
+            (kg / "train.nt").write_text(serialize_ntriples(split.train), encoding="utf-8")
             (kg / "test.nt").write_text(serialize_ntriples(split.test), encoding="utf-8")
             convert.write_ground_truth(kg / "ground_truth.csv", split)
             convert.write_report(kg / "counts_train.txt", split.train_report)
             convert.write_report(kg / "counts_test.txt", split.test_report)
+            convert.write_report(kg / "resolve_counts.txt", split.resolve_counts)
             (kg / "schema.nt").write_text(
                 export_profile(vocabulary(profile)), encoding="utf-8")
 
         self._run_stage("build-kg", task, profile, outputs, build)
-
-    def stage_resolve(self, task: str, profile: str) -> None:
-        kg = self.kg_dir(task, profile)
-        outputs = [kg / "train.nt", kg / "resolve_counts.txt"]
-
-        def build():
-            suite = self._load_suite(task)
-            scenarios = suite.scenarios_for(task)[:self.m.train_scenarios]
-            tuples = [t for s in scenarios for t in s.all_tuples()]
-            g = _parse_graph(kg / "train_base.nt", profile)
-            result = convert.resolve_lineage_detailed(g, tuples)
-            (kg / "train.nt").write_text(serialize_ntriples(g), encoding="utf-8")
-            convert.write_report(kg / "resolve_counts.txt", result.added)
-
-        self._run_stage("resolve-lineage", task, profile, outputs, build)
 
     def stage_sample(self, task: str, profile: str) -> None:
         kg = self.kg_dir(task, profile)
@@ -411,12 +398,10 @@ class Pipeline:
     # -- full run ------------------------------------------------------------------
 
     def run(self, only_stage: Optional[str] = None) -> None:
-        self.m.validate()
         self.out.mkdir(parents=True, exist_ok=True)
         self.m.save(self.out / "manifest.json")
         per_profile = {
             "build-kg": self.stage_build_kg,
-            "resolve-lineage": self.stage_resolve,
             "sample-paths": self.stage_sample,
             "train": self.stage_train,
             "evaluate": self.stage_evaluate,
@@ -435,8 +420,8 @@ class Pipeline:
 def run_pipeline(manifest: RunManifest, echo=print,
                  only_stage: Optional[str] = None) -> tuple[int, Optional[Path]]:
     """Returns (exit status, results path)."""
-    pipeline = Pipeline(manifest, echo=echo)
     try:
+        pipeline = Pipeline(manifest, echo=echo)
         pipeline.run(only_stage)
     except ManifestError as exc:
         echo(f"validation error: {exc}")
@@ -448,14 +433,9 @@ def run_pipeline(manifest: RunManifest, echo=print,
 
 
 def _build_manifest(args) -> RunManifest:
-    if args.manifest:
-        manifest = RunManifest.load(args.manifest)
-        if args.out:
-            manifest.out_dir = args.out
-    else:
-        if not args.out:
-            raise ManifestError("--out is required without --manifest")
-        manifest = RunManifest(out_dir=args.out)
+    manifest = RunManifest.load(args.manifest) if args.manifest else RunManifest()
+    if args.out:
+        manifest.out_dir = args.out
     if args.preset:
         for key, value in PRESETS[args.preset].items():
             setattr(manifest, key, value)

@@ -356,35 +356,24 @@ class SplitResult:
     ground_truth: list[tuple[int, int]]  # (dst row, src row) node ids in test graph
     train_report: dict[str, int]
     test_report: dict[str, int]
-
-    def ground_truth_iris(self) -> list[tuple[str, str]]:
-        return [
-            (self.test.node_iri(dst), self.test.node_iri(src))
-            for (dst, src) in self.ground_truth
-        ]
+    resolve_counts: dict[str, int]  # lineage edges added to train, per family
 
 
 def _executions_for(scenarios: Sequence[Scenario]) -> list[ExecutionRecord]:
-    records = []
-    for scenario in scenarios:
-        for spec in scenario.transformations:
-            records.append(ExecutionRecord(
-                name=f"{spec.output_name}_q",
-                sources=spec.sources,
-                output=spec.output_name,
-            ))
-    return records
+    return [ExecutionRecord(f"{spec.output_name}_q", spec.sources, spec.output_name)
+            for scenario in scenarios for spec in scenario.transformations]
 
 
 def split_train_test(suite, task_name: str, profile: str,
                      n_train: int) -> SplitResult:
-    """Build node-disjoint train/test graphs for one task.
+    """Build node-disjoint, lineage-resolved train/test graphs for one task.
 
-    Both graphs are populated with their scenarios' query executions.  The
-    train graph is left unresolved: its lineage is inserted later, from the
-    train scenarios' tuples.  The test graph gets the column, value and table
-    lineage families, and its rowDerivedFrom pairs, the prediction target,
-    are returned as ground truth instead of being inserted.
+    Each graph is populated with its scenarios' query executions and then
+    resolved from those scenarios' tuples.  The train graph gets all four
+    lineage families; ``train_report`` counts it before resolution and
+    ``resolve_counts`` the edges resolution added.  The test graph gets the
+    column, value and table families, and its rowDerivedFrom pairs, the
+    prediction target, are returned as ground truth instead of being inserted.
     """
     if suite.db is None:
         raise ConvertError("suite carries no database")
@@ -392,23 +381,26 @@ def split_train_test(suite, task_name: str, profile: str,
     if not 0 < n_train < len(scenarios):
         raise ConvertError(f"bad train split: {n_train} of {len(scenarios)}")
 
-    def populate(group: Sequence[Scenario], suffix: str):
+    def build(group: Sequence[Scenario], suffix: str, materialize: Sequence[str]):
         db, _ = execute_scenarios(suite.db, list(group))
         g = KnowledgeGraph()
-        return g, populate_kg(g, db, profile, executions=_executions_for(group),
-                              namespace=f"{profile}.{suffix}")
+        report = populate_kg(g, db, profile, executions=_executions_for(group),
+                             namespace=f"{profile}.{suffix}")
+        tuples = [t for scenario in group for t in scenario.all_tuples()]
+        return g, report, resolve_lineage_detailed(g, tuples, materialize)
 
-    train_g, train_report = populate(scenarios[:n_train], "train")
-    test_g, _ = populate(scenarios[n_train:], "test")
-    tuples = [t for scenario in scenarios[n_train:] for t in scenario.all_tuples()]
-    evidence = tuple(f for f in LINEAGE_PROPERTIES if f != "rowDerivedFrom")
-    resolution = resolve_lineage_detailed(test_g, tuples, materialize=evidence)
+    train_g, train_report, train_resolution = build(
+        scenarios[:n_train], "train", LINEAGE_PROPERTIES)
+    test_g, _, test_resolution = build(
+        scenarios[n_train:], "test",
+        tuple(f for f in LINEAGE_PROPERTIES if f != "rowDerivedFrom"))
     return SplitResult(
         train=train_g,
         test=test_g,
-        ground_truth=list(resolution.row_pairs),
+        ground_truth=list(test_resolution.row_pairs),
         train_report=train_report,
         test_report=population_report(test_g),
+        resolve_counts=train_resolution.added,
     )
 
 
@@ -419,8 +411,8 @@ def write_ground_truth(path, split: SplitResult) -> None:
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["src", "dst"])
-        for dst_iri, src_iri in split.ground_truth_iris():
-            writer.writerow([src_iri, dst_iri])
+        for dst, src in split.ground_truth:
+            writer.writerow([split.test.node_iri(src), split.test.node_iri(dst)])
 
 
 def read_ground_truth(path, g: KnowledgeGraph) -> list[tuple[int, int]]:

@@ -535,6 +535,23 @@ def _union_pairs(db: Database):
     return pairs
 
 
+def view_name(task: TransformKind, index: int, step: int) -> str:
+    """Name of the view that step ``step`` (1-based) of scenario ``index``
+    creates; ``save_suite`` stores the step's tuples under it."""
+    return f"{task.algebra[:3]}_{task.family[:4]}_s{index:02d}_t{step}"
+
+
+def lineage_file(directory, view: str) -> Path:
+    return Path(directory) / "lineage" / f"{view}.csv"
+
+
+def lineage_files(directory, task: TransformKind, count: int) -> list[Path]:
+    """The lineage CSVs ``save_suite`` writes for ``count`` scenarios of a task."""
+    return [lineage_file(directory, view_name(task, index, step))
+            for index in range(count)
+            for step in range(1, TRANSFORMATIONS_PER_SCENARIO + 1)]
+
+
 def generate_scenario(
     db: Database, task: TransformKind, seed: int, index: int
 ) -> Scenario:
@@ -545,7 +562,7 @@ def generate_scenario(
     specs: list[TransformationSpec] = []
     lineage: list[tuple[LineageTuple, ...]] = []
     for step in range(1, TRANSFORMATIONS_PER_SCENARIO + 1):
-        output_name = f"{task.algebra[:3]}_{task.family[:4]}_s{index:02d}_t{step}"
+        output_name = view_name(task, index, step)
         output_class = OUTPUT_CLASSES[
             (index * TRANSFORMATIONS_PER_SCENARIO + step - 1) % len(OUTPUT_CLASSES)
         ]
@@ -635,9 +652,8 @@ def save_suite(suite: ScenarioSuite, directory) -> None:
                         _pack_cols(spec.applied), filt, join,
                         spec.output_name, spec.output_class,
                     ]) + "\n")
-                    with (root / "lineage" / f"{spec.output_name}.csv").open(
-                        "w", newline="", encoding="utf-8"
-                    ) as lf:
+                    with lineage_file(root, spec.output_name).open(
+                            "w", newline="", encoding="utf-8") as lf:
                         writer = csv.writer(lf)
                         writer.writerow(["t1", "c1", "v1", "t2", "c2", "v2"])
                         for t in tuples:
@@ -681,9 +697,8 @@ def load_suite(directory, db: Optional[Database] = None) -> ScenarioSuite:
                 a=float(r["a"]), b=float(r["b"]), filter=filt, join_on=join,
                 output_name=r["output_name"], output_class=r["output_class"]))
             tuples = []
-            with (root / "lineage" / f"{r['output_name']}.csv").open(
-                newline="", encoding="utf-8"
-            ) as lf:
+            with lineage_file(root, r["output_name"]).open(
+                    newline="", encoding="utf-8") as lf:
                 reader = csv.reader(lf)
                 next(reader)
                 for row in reader:

@@ -54,8 +54,6 @@ GRAPH_ARTIFACT_DIGESTS = {
         "602b8d2ae9c666e7594c314083133be27a8b8c9e34156c6ef401953d9017402f",
     "selection-projection/baseline/kg/train.nt":
         "9c0f4a1793cd218c14b9798ee28e362014bbc152455d95856321c77b5e430785",
-    "selection-projection/baseline/kg/train_base.nt":
-        "d5e95a54dd991afd73f3ec4d15a5b01caf00be84489c79eb7fcd7df1548dce42",
     "selection-projection/rddl/kg/counts_test.txt":
         "76da441d55fe8d809ae27cb860f123f01062f5fd6c0bb55233de738625d90747",
     "selection-projection/rddl/kg/counts_train.txt":
@@ -70,8 +68,6 @@ GRAPH_ARTIFACT_DIGESTS = {
         "9c2b1fec7a78f27bfeca13bdcd26f6525675c15a3208f9e2c4981ac66e69d001",
     "selection-projection/rddl/kg/train.nt":
         "26379781d205d3bf30d042df561ad045834dfd74d7492cbd39c020944bba11e3",
-    "selection-projection/rddl/kg/train_base.nt":
-        "3e81c1a2821dec2b6d6008f2221750c0bf77a27a09a441a2c5440ed91ddb5b93",
 }
 
 
@@ -104,7 +100,7 @@ class TestValidation:
         ("learning_rate", float("nan")), ("learning_rate", float("inf")),
         ("epochs", 1.5), ("num_paths", 2.0), ("batch_size", True),
         ("seed", "0"), ("restart_prob", "0.2"), ("learning_rate", None),
-        ("learning_rate", False),
+        ("learning_rate", False), ("tasks", []), ("tasks", "selection-projection"),
     ])
     def test_rejects_before_any_stage(self, tmp_path, field, value):
         manifest = tiny_manifest(tmp_path, **{field: value})
@@ -114,6 +110,14 @@ class TestValidation:
         status, _ = run_pipeline(manifest, echo=logs.append)
         assert status == 1
         assert not any(line.startswith("[run ]") for line in logs)
+
+    def test_non_string_out_dir_rejected(self):
+        manifest = tiny_manifest("unused")
+        manifest.out_dir = 5
+        logs = []
+        status, _ = run_pipeline(manifest, echo=logs.append)
+        assert status == 1
+        assert logs == ["validation error: out_dir must be str, got 5"]
 
 
 class TestPipeline:
@@ -125,8 +129,8 @@ class TestPipeline:
     def test_artifacts_exist(self, completed_run):
         _, out, _, _, _ = completed_run
         kg = out / "selection-projection" / "rddl" / "kg"
-        for name in ("train_base.nt", "train.nt", "test.nt", "ground_truth.csv",
-                     "counts_train.txt", "counts_test.txt", "schema.nt"):
+        for name in ("train.nt", "test.nt", "ground_truth.csv", "counts_train.txt",
+                     "counts_test.txt", "resolve_counts.txt", "schema.nt"):
             assert (kg / name).is_file(), name
         samples = out / "selection-projection" / "rddl" / "samples"
         for name in ("train.txt", "eval_pos.txt", "eval_neg.txt", "vocab.txt"):
@@ -165,6 +169,23 @@ class TestPipeline:
         assert any(label.startswith("report") for label in ran)
         assert any(label.startswith("build-kg/") for label in skipped)  # upstream
 
+    def test_missing_lineage_file_reruns_gen_scenarios(self, tmp_path):
+        manifest = tiny_manifest(tmp_path)
+        status, _ = run_pipeline(manifest, echo=lambda *_: None,
+                                 only_stage="gen-scenarios")
+        assert status == 0
+        lineage = sorted((tmp_path / "selection-projection" / "scenarios"
+                          / "lineage").glob("*.csv"))
+        assert len(lineage) == 3 * 4  # scenarios x transformations
+        kept = lineage[-1].read_bytes()
+        lineage[-1].unlink()
+        logs = []
+        status, _ = run_pipeline(manifest, echo=logs.append,
+                                 only_stage="gen-scenarios")
+        assert status == 0
+        assert logs == ["[run ] gen-scenarios/selection-projection"]
+        assert lineage[-1].read_bytes() == kept
+
     def test_manifest_round_trip(self, tmp_path):
         manifest = tiny_manifest(tmp_path)
         manifest.save(tmp_path / "m.json")
@@ -200,7 +221,7 @@ class TestDeterminism:
 
     def test_graph_artifacts_pinned(self, tmp_path):
         manifest = tiny_manifest(tmp_path, profile="both")
-        for stage in ("gen-scenarios", "build-kg", "resolve-lineage"):
+        for stage in ("gen-scenarios", "build-kg"):
             status, _ = run_pipeline(manifest, echo=lambda *_: None, only_stage=stage)
             assert status == 0
         digests = {
@@ -225,6 +246,29 @@ class TestMainEntry:
         assert code == 1
         assert "unknown manifest key(s): epoch" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_manifest_without_out_dir_takes_out(self, tmp_path, capsys):
+        (tmp_path / "m.json").write_text(json.dumps(
+            {"seed": 1, "tasks": ["selection-projection"],
+             "scenarios_per_task": 3, "train_scenarios": 2}))
+        code = main(["gen-scenarios", "--manifest", str(tmp_path / "m.json")])
+        assert code == 1
+        assert "out_dir" in capsys.readouterr().err
+        out = tmp_path / "out"
+        code = main(["gen-scenarios", "--manifest", str(tmp_path / "m.json"),
+                     "--out", str(out)])
+        assert code == 0
+        assert json.loads((out / "manifest.json").read_text())["out_dir"] == str(out)
+        assert (out / "selection-projection" / "scenarios" / "manifest.tsv").is_file()
+
+    @pytest.mark.parametrize("text", ["[1]", '"x"', "null", '{"out_dir": 5}'])
+    def test_malformed_manifest_rejected(self, tmp_path, capsys, text):
+        (tmp_path / "m.json").write_text(text)
+        with pytest.raises(ManifestError):
+            RunManifest.load(tmp_path / "m.json").validate()
+        code = main(["run", "--manifest", str(tmp_path / "m.json")])
+        assert code == 1
+        assert "validation error" in capsys.readouterr().err
 
     def test_gen_scenarios_subcommand(self, tmp_path):
         code = main([

@@ -16,7 +16,7 @@ from lineagekg.convert import (
     write_ground_truth,
 )
 from lineagekg.kgstore import KnowledgeGraph, Literal, parse_ntriples, serialize_ntriples
-from lineagekg.ontology import ProfileError, validate_graph, vocabulary
+from lineagekg.ontology import LINEAGE_PROPERTIES, ProfileError, validate_graph, vocabulary
 from lineagekg.reldb import ColumnDef, Database, Relation, TableDef, northwind_fixture
 from lineagekg.scenario import LineageTuple, ScenarioSuite, generate_scenario, task_by_name
 
@@ -322,19 +322,9 @@ def suite():
     return suite
 
 
-def resolved_split(suite, profile):
-    """A 3-scenario train split with the train graph resolved from its
-    scenarios' tuples, as the pipeline's resolve-lineage stage does."""
-    name = "selection-projection"
-    split = split_train_test(suite, name, profile, 3)
-    resolve_lineage(split.train, [t for s in suite.scenarios_for(name)[:3]
-                                  for t in s.all_tuples()])
-    return split
-
-
 @pytest.fixture(scope="module")
 def split(suite):
-    return resolved_split(suite, "rddl")
+    return split_train_test(suite, "selection-projection", "rddl", 3)
 
 
 class TestSplit:
@@ -368,12 +358,18 @@ class TestSplit:
             rel = split.test.relation_id(family)
             assert sum(1 for _ in split.test.lookup(r=rel)) >= 1
 
-    def test_train_graph_left_unresolved(self, suite):
-        bare = split_train_test(suite, "selection-projection", "rddl", 3)
-        for family in ("rowDerivedFrom", "columnDerivedFrom",
-                       "valueDerivedFrom", "tableDerivedFrom"):
-            rel = bare.train.relation_id(family)
-            assert sum(1 for _ in bare.train.lookup(r=rel)) == 0
+    def test_train_graph_resolved_once(self, suite, split):
+        tuples = [t for s in suite.scenarios_for("selection-projection")[:3]
+                  for t in s.all_tuples()]
+        for family in LINEAGE_PROPERTIES:
+            rel = split.train.relation_id(family)
+            edges = sum(1 for _ in split.train.lookup(r=rel))
+            assert edges == split.resolve_counts[family] >= 1
+        again = split_train_test(suite, "selection-projection", "rddl", 3)
+        before = len(again.train)
+        assert resolve_lineage_detailed(again.train, tuples).added == {
+            family: 0 for family in LINEAGE_PROPERTIES}
+        assert len(again.train) == before
 
     @pytest.mark.parametrize("n_train", [0, 5])
     def test_bad_split_rejected(self, suite, n_train):
@@ -388,6 +384,6 @@ class TestSplit:
 
     def test_validates_under_profile(self, suite):
         for profile in ("baseline", "rddl"):
-            split = resolved_split(suite, profile)
+            split = split_train_test(suite, "selection-projection", profile, 3)
             assert validate_graph(vocabulary(profile), split.train) == []
             assert validate_graph(vocabulary(profile), split.test) == []

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from lineagekg.convert import resolve_lineage, split_train_test
+from lineagekg.convert import split_train_test
 from lineagekg.kgstore import KnowledgeGraph, Literal
 from lineagekg.paths import (
     NOPATH,
@@ -71,10 +71,7 @@ def converted():
     suite.scenarios[name] = [
         generate_scenario(db, task_by_name(name), 4, i) for i in range(4)
     ]
-    split = split_train_test(suite, name, "rddl", 3)
-    resolve_lineage(split.train, [t for s in suite.scenarios_for(name)[:3]
-                                  for t in s.all_tuples()])
-    return split
+    return split_train_test(suite, name, "rddl", 3)
 
 
 class TestEdgeVocabulary:
