@@ -281,25 +281,34 @@ class Pipeline:
         kg = self.kg_dir(task, profile)
         out = self.samples_dir(task, profile)
         outputs = [out / "train.txt", out / "eval_pos.txt", out / "eval_neg.txt",
-                   out / "vocab.txt"]
+                   out / "vocab.txt", out / "walk_stats.txt"]
 
         def build():
             out.mkdir(parents=True, exist_ok=True)
             cfg = self.m.sampler_config()
             train_g = _parse_graph(kg / "train.nt", profile).freeze()
             test_g = _parse_graph(kg / "test.nt", profile).freeze()
-            vocab = paths.EdgeVocabulary(train_g.relation_names())
-            if vocab.relation_names != test_g.relation_names():
+            if train_g.relation_names() != test_g.relation_names():
                 raise ManifestError("train/test relation registries differ")
+            sampler = paths.PathSampler(train_g, cfg)
             train_samples = list(paths.build_training_set(
-                train_g, cfg, k_negatives=self.m.k_negatives))
+                sampler, k_negatives=self.m.k_negatives))
             paths.save_samples(out / "train.txt", train_samples)
+            sampler.vocab.save(out / "vocab.txt")
+            stats = {"train": sampler.walk_stats()}
+            del sampler  # free the train graph's index before indexing the test graph
             ground_truth = convert.read_ground_truth(kg / "ground_truth.csv", test_g)
+            sampler = paths.PathSampler(test_g, cfg)
             pos, neg = paths.build_eval_set(
-                test_g, ground_truth, cfg, num_negatives=self.m.eval_negatives)
+                sampler, ground_truth, num_negatives=self.m.eval_negatives)
             paths.save_samples(out / "eval_pos.txt", pos)
             paths.save_samples(out / "eval_neg.txt", neg)
-            vocab.save(out / "vocab.txt")
+            stats["eval_pos"] = sampler.walk_stats(0, len(pos))
+            stats["eval_neg"] = sampler.walk_stats(len(pos))
+            convert.write_report(out / "walk_stats.txt", {
+                f"{part}.{key}": value
+                for part, counts in stats.items() for key, value in counts.items()
+            })
 
         self._run_stage("sample-paths", task, profile, outputs, build)
 

@@ -3,7 +3,10 @@
 Paths are sequences of relation-type tokens (forward or inverse traversal),
 never node identities, so samples built on one graph transfer to graphs with
 entirely new nodes.  Walks are random with restart; if nothing connects a
-pair, the degenerate [NOPATH, PAD, ...] encoding is used.
+pair, the degenerate [NOPATH, PAD, ...] encoding is used.  A walk step costs
+O(visited nodes), not O(degree): it draws among the current node's unblocked
+adjacency entries by stepping over the few blocked positions, which a
+per-node neighbour index finds.
 """
 
 from __future__ import annotations
@@ -71,8 +74,12 @@ class EdgeVocabulary:
     @classmethod
     def load(cls, path) -> "EdgeVocabulary":
         names = []
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
-            _, name = line.split("\t", 1)
+        for lineno, line in enumerate(
+            Path(path).read_text(encoding="utf-8").splitlines(), start=1
+        ):
+            _, tab, name = line.partition("\t")
+            if not tab:
+                raise PathError(f"line {lineno}: no tab between id and name")
             names.append(name)
         relation_names = [n for n in names[2::2]]
         vocab = cls(relation_names)
@@ -91,26 +98,61 @@ class PathSample:
 
 
 class PathSampler:
-    """Seeded random-walk path sampler over one (frozen) graph."""
+    """Seeded random-walk path sampler over one (frozen) graph.
+
+    Each ``sample_paths`` call appends its walks attempted and walks that
+    reached the target to ``walks_tried`` and ``walks_reached``.
+    """
 
     def __init__(self, g: KnowledgeGraph, cfg: SamplerConfig):
         self.g = g
         self.cfg = cfg
         self.vocab = EdgeVocabulary(g.relation_names())
-        # adjacency over node-to-node triples, both directions
-        self.adjacency: list[list[tuple[int, int, tuple]]] = [
+        # adjacency over node-to-node triples, both directions: (token, neighbour)
+        self.adjacency: list[list[tuple[int, int]]] = [
             [] for _ in range(g.num_nodes)
         ]
+        # per node: neighbour -> its last position in the adjacency list, and
+        # per position the previous one with the same neighbour (-1: none)
+        self.last: list[dict[int, int]] = [{} for _ in range(g.num_nodes)]
+        self.previous: list[list[int]] = [[] for _ in range(g.num_nodes)]
         for (s, r, o) in g.triples():
             if isinstance(o, Literal):
                 continue
-            key = (s, r, o)
-            self.adjacency[s].append((self.vocab.forward(r), o, key))
-            self.adjacency[o].append((self.vocab.inverse(r), s, key))
+            self._link(s, self.vocab.forward(r), o)
+            self._link(o, self.vocab.inverse(r), s)
+        self.walks_tried: list[int] = []
+        self.walks_reached: list[int] = []
+
+    def _link(self, node: int, token: int, neighbour: int) -> None:
+        last = self.last[node]
+        self.previous[node].append(last.get(neighbour, -1))
+        last[neighbour] = len(self.adjacency[node])
+        self.adjacency[node].append((token, neighbour))
+
+    def _positions(self, node: int, neighbour: int) -> Iterator[int]:
+        """Positions in node's adjacency list of the entries to neighbour."""
+        previous = self.previous[node]
+        i = self.last[node].get(neighbour, -1)
+        while i >= 0:
+            yield i
+            i = previous[i]
 
     def _walk(self, rng: random.Random, src: int, dst: int,
               excluded: Optional[tuple]) -> Optional[tuple[int, ...]]:
-        """One random simple walk (no node revisits) with restart."""
+        """One random simple walk (no node revisits) with restart.
+
+        A step draws uniformly among the current node's entries that lead to
+        an unvisited node and are not the excluded triple, with the same
+        ``randrange`` call as filtering the list would make: the draw is the
+        rank among unblocked entries, mapped to a position by stepping over
+        the sorted blocked positions.
+        """
+        ex_s = ex_o = -1
+        if excluded is not None:
+            ex_s, ex_r, ex_o = excluded
+            ex_forward = self.vocab.forward(ex_r)
+            ex_inverse = self.vocab.inverse(ex_r)
         position = src
         tokens: list[int] = []
         visited = {src}
@@ -119,16 +161,34 @@ class PathSampler:
                 position = src
                 tokens = []
                 visited = {src}
-            neighbors = [
-                n for n in self.adjacency[position]
-                if n[1] not in visited and (excluded is None or n[2] != excluded)
-            ]
-            if not neighbors:
+            entries = self.adjacency[position]
+            last = self.last[position]
+            previous = self.previous[position]
+            blocked: list[int] = []
+            for node in visited:  # _positions, inlined: it runs at every step
+                i = last.get(node, -1)
+                while i >= 0:
+                    blocked.append(i)
+                    i = previous[i]
+            # the excluded triple's entry, unless it leads to a visited node
+            # and is blocked already (always so for a self-loop)
+            if position == ex_s and ex_o not in visited:
+                blocked.extend(i for i in self._positions(position, ex_o)
+                               if entries[i][0] == ex_forward)
+            if position == ex_o and ex_s not in visited:
+                blocked.extend(i for i in self._positions(position, ex_s)
+                               if entries[i][0] == ex_inverse)
+            free = len(entries) - len(blocked)
+            if not free:
                 return None
-            token, nxt, _ = neighbors[rng.randrange(len(neighbors))]
+            pick = rng.randrange(free)
+            for i in sorted(blocked):
+                if i > pick:
+                    break
+                pick += 1
+            token, position = entries[pick]
             tokens.append(token)
-            visited.add(nxt)
-            position = nxt
+            visited.add(position)
             if position == dst:
                 return tuple(tokens)
         return None
@@ -141,13 +201,20 @@ class PathSampler:
         found: list[tuple[int, ...]] = []
         seen: set = set()
         budget = self.cfg.walk_budget * self.cfg.num_paths
-        for _ in range(budget):
+        tried, reached = budget, 0
+        for attempt in range(budget):
             walk = self._walk(rng, src, dst, excluded)
-            if walk is not None and walk not in seen:
+            if walk is None:
+                continue
+            reached += 1
+            if walk not in seen:
                 seen.add(walk)
                 found.append(walk)
                 if len(found) >= self.cfg.num_paths:
+                    tried = attempt + 1
                     break
+        self.walks_tried.append(tried)
+        self.walks_reached.append(reached)
         if not found:
             row = (NOPATH,) + (PAD,) * (self.cfg.max_length - 1)
             return tuple(row for _ in range(self.cfg.num_paths))
@@ -156,15 +223,25 @@ class PathSampler:
         ]
         return tuple(padded[i % len(padded)] for i in range(self.cfg.num_paths))
 
+    def walk_stats(self, start: int = 0, stop: Optional[int] = None) -> dict[str, int]:
+        """Counts over the ``sample_paths`` calls ``start:stop``: pairs, walks
+        attempted, walks that reached the target and NOPATH samples (pairs no
+        walk reached)."""
+        tried = self.walks_tried[start:stop]
+        reached = self.walks_reached[start:stop]
+        return {"pairs": len(tried), "walks_attempted": sum(tried),
+                "walks_reached": sum(reached), "nopath": reached.count(0)}
+
 
 def node_to_node_triples(g: KnowledgeGraph) -> list[tuple]:
     return [t for t in g.triples() if not isinstance(t[2], Literal)]
 
 
-def build_training_set(g: KnowledgeGraph, cfg: SamplerConfig,
+def build_training_set(sampler: PathSampler,
                        k_negatives: int = 1) -> Iterator[PathSample]:
-    """One positive plus k relation-corrupted negatives per node-to-node triple."""
-    sampler = PathSampler(g, cfg)
+    """One positive plus k relation-corrupted negatives per node-to-node triple
+    of the sampler's graph."""
+    g, cfg = sampler.g, sampler.cfg
     num_relations = g.num_relations
     if num_relations < 2 and k_negatives > 0:
         raise PathError("relation corruption needs at least two relations")
@@ -194,20 +271,20 @@ def row_nodes(g: KnowledgeGraph) -> list[int]:
 
 
 def build_eval_set(
-    g: KnowledgeGraph,
+    sampler: PathSampler,
     ground_truth: Sequence[tuple[int, int]],
-    cfg: SamplerConfig,
     num_negatives: int = 4000,
 ) -> tuple[list[PathSample], list[PathSample]]:
-    """Positives for every ground-truth pair plus sampled row-pair negatives.
+    """Positives for every ground-truth pair plus sampled row-pair negatives
+    over the sampler's graph, sampled in that order.
 
     Negative pairs are distinct, exclude self-pairs and any pair related by a
     ground-truth edge in either direction.
     """
     if not ground_truth:
         raise PathError("ground truth is empty")
+    g, cfg = sampler.g, sampler.cfg
     target_rel = g.relation_id("rowDerivedFrom")
-    sampler = PathSampler(g, cfg)
     rng = random.Random(f"{cfg.seed}:eval")
 
     positives = []
@@ -277,8 +354,13 @@ def load_samples(path, num_paths: int, max_length: int) -> list[PathSample]:
         parts = line.split()
         if len(parts) != 2 + num_paths * max_length:
             raise PathError(f"line {lineno}: bad token count {len(parts)}")
-        label, relation = int(parts[0]), int(parts[1])
-        flat = [int(p) for p in parts[2:]]
+        try:
+            values = [int(p) for p in parts]
+        except ValueError:
+            raise PathError(f"line {lineno}: non-integer field") from None
+        label, relation, flat = values[0], values[1], values[2:]
+        if label not in (0, 1):
+            raise PathError(f"line {lineno}: label {label} is not 0 or 1")
         paths = tuple(
             tuple(flat[i * max_length:(i + 1) * max_length])
             for i in range(num_paths)

@@ -70,6 +70,28 @@ GRAPH_ARTIFACT_DIGESTS = {
         "26379781d205d3bf30d042df561ad045834dfd74d7492cbd39c020944bba11e3",
 }
 
+# sha256 of the sample files sample-paths writes for tiny_manifest(profile="both").
+# The sampler is seeded per pair and pure Python, so a change to the walk step
+# that alters the draw sequence alters these bytes.
+SAMPLE_ARTIFACT_DIGESTS = {
+    "selection-projection/baseline/samples/eval_neg.txt":
+        "6cd864437f0ec7632e2c89df2257b660a48475f03003a383e1be41921dcdfc07",
+    "selection-projection/baseline/samples/eval_pos.txt":
+        "9d6d19a3b08f23a4c581fcdf12e9c45c6c3b98cb58e3050a094692b20ee34e26",
+    "selection-projection/baseline/samples/train.txt":
+        "bebb752034b130c019efcd22ae749aa61abe5f5e007c626967b64008efbb10e8",
+    "selection-projection/baseline/samples/vocab.txt":
+        "6c4c532bb15e388491493c12872a62c0a7a324a0267e1a08455a2158e3394a76",
+    "selection-projection/rddl/samples/eval_neg.txt":
+        "fbd50608e4d6100f342eb731ba54aee4e98d72ca8677bb9aeec1cc90d10cb9a5",
+    "selection-projection/rddl/samples/eval_pos.txt":
+        "d3d79db3091cd46991e6be7acee79e2de0790e56330ead2f37285fe3f522900d",
+    "selection-projection/rddl/samples/train.txt":
+        "b2bbea885c6df5dcfcf52aa6f58d4167d178c9e0e1397d0b304f130b47c3dde5",
+    "selection-projection/rddl/samples/vocab.txt":
+        "f496b2be5dfc490a587ad049a82f3ffb44b9527005aeccc5efe4819d7afee45a",
+}
+
 
 class TestValidation:
     def test_unknown_task_fails_before_stages(self, tmp_path):
@@ -133,11 +155,31 @@ class TestPipeline:
                      "counts_test.txt", "resolve_counts.txt", "schema.nt"):
             assert (kg / name).is_file(), name
         samples = out / "selection-projection" / "rddl" / "samples"
-        for name in ("train.txt", "eval_pos.txt", "eval_neg.txt", "vocab.txt"):
+        for name in ("train.txt", "eval_pos.txt", "eval_neg.txt", "vocab.txt",
+                     "walk_stats.txt"):
             assert (samples / name).is_file(), name
         assert (out / "selection-projection" / "rddl" / "model" / "checkpoint.bin").is_file()
         assert (out / "results.tsv").is_file()
         assert (out / "report.txt").is_file()
+
+    def test_walk_stats_match_samples(self, completed_run):
+        manifest, out, _, _, _ = completed_run
+        samples = out / "selection-projection" / "rddl" / "samples"
+        stats = dict(line.split("=") for line in
+                     (samples / "walk_stats.txt").read_text().splitlines())
+        stats = {key: int(value) for key, value in stats.items()}
+        budget = manifest.walk_budget * manifest.num_paths
+        for part in ("train", "eval_pos", "eval_neg"):
+            lines = (samples / f"{part}.txt").read_text().splitlines()
+            if part == "train":  # one positive, then k negatives, per pair
+                lines = lines[::1 + manifest.k_negatives]
+            nopath = sum(1 for line in lines if line.split()[2] == "1")
+            assert stats[f"{part}.pairs"] == len(lines) > 0
+            assert stats[f"{part}.nopath"] == nopath
+            assert (stats[f"{part}.walks_reached"]
+                    <= stats[f"{part}.walks_attempted"]
+                    <= budget * len(lines))
+        assert stats["eval_neg.pairs"] == manifest.eval_negatives
 
     def test_results_row_shape(self, completed_run):
         _, out, _, results_path, _ = completed_run
@@ -230,6 +272,19 @@ class TestDeterminism:
             for path in tmp_path.rglob("kg/*")
         }
         assert digests == GRAPH_ARTIFACT_DIGESTS
+
+    def test_sample_artifacts_pinned(self, tmp_path):
+        manifest = tiny_manifest(tmp_path, profile="both")
+        for stage in ("gen-scenarios", "build-kg", "sample-paths"):
+            status, _ = run_pipeline(manifest, echo=lambda *_: None, only_stage=stage)
+            assert status == 0
+        digests = {
+            path.relative_to(tmp_path).as_posix():
+                hashlib.sha256(path.read_bytes()).hexdigest()
+            for name in ("train", "eval_pos", "eval_neg", "vocab")
+            for path in tmp_path.rglob(f"samples/{name}.txt")
+        }
+        assert digests == SAMPLE_ARTIFACT_DIGESTS
 
 
 class TestMainEntry:

@@ -89,6 +89,11 @@ class TestEdgeVocabulary:
         loaded = EdgeVocabulary.load(tmp_path / "vocab.txt")
         assert loaded.names == vocab.names
 
+    def test_line_without_tab_rejected(self, tmp_path):
+        (tmp_path / "vocab.txt").write_text("0\t<pad>\n1 <nopath>\n", encoding="utf-8")
+        with pytest.raises(PathError, match="line 2"):
+            EdgeVocabulary.load(tmp_path / "vocab.txt")
+
 
 class TestSamplePaths:
     def test_unique_path_repeated_to_fill_slots(self):
@@ -143,17 +148,102 @@ class TestSamplePaths:
         assert runs[0] == runs[1]
 
 
+class FilteredListSampler(PathSampler):
+    """Reference walk step: rebuild the filtered neighbour list at every step
+    and draw from it.  The indexed step must make the same draws."""
+
+    def __init__(self, g, cfg):
+        super().__init__(g, cfg)
+        self.keyed = [[] for _ in range(g.num_nodes)]
+        for (s, r, o) in g.triples():
+            if isinstance(o, Literal):
+                continue
+            key = (s, r, o)
+            self.keyed[s].append((self.vocab.forward(r), o, key))
+            self.keyed[o].append((self.vocab.inverse(r), s, key))
+
+    def _walk(self, rng, src, dst, excluded):
+        position = src
+        tokens = []
+        visited = {src}
+        for _ in range(self.cfg.max_length):
+            if tokens and rng.random() < self.cfg.restart_prob:
+                position = src
+                tokens = []
+                visited = {src}
+            neighbors = [
+                n for n in self.keyed[position]
+                if n[1] not in visited and (excluded is None or n[2] != excluded)
+            ]
+            if not neighbors:
+                return None
+            token, nxt, _ = neighbors[rng.randrange(len(neighbors))]
+            tokens.append(token)
+            visited.add(nxt)
+            position = nxt
+            if position == dst:
+                return tuple(tokens)
+        return None
+
+
+def random_multigraph(rng):
+    """A small dense graph with parallel edges of different relations between
+    one pair, a self-loop and a literal-valued triple."""
+    g = KnowledgeGraph()
+    rels = [g.add_relation(f"r{i}") for i in range(3)]
+    nodes = [g.add_node(f"t:n{i}") for i in range(rng.randint(4, 8))]
+    a, b = rng.sample(nodes, 2)
+    g.add_triple(a, rels[0], b)
+    g.add_triple(a, rels[1], b)
+    g.add_triple(b, rels[2], a)
+    g.add_triple(rng.choice(nodes), rng.choice(rels), a)
+    loop = rng.choice(nodes)
+    g.add_triple(loop, rng.choice(rels), loop)
+    g.add_triple(rng.choice(nodes), rels[0], Literal("v", "string"))
+    for _ in range(rng.randint(len(nodes), 3 * len(nodes))):
+        g.add_triple(rng.choice(nodes), rng.choice(rels), rng.choice(nodes))
+    return g.freeze()
+
+
+class TestWalkStepMatchesFilteredList:
+    @pytest.mark.parametrize("restart_prob", [0.0, 0.5, 1.0])
+    def test_same_paths_and_rng_state(self, restart_prob):
+        cases = 0
+        for graph_seed in range(25):
+            g = random_multigraph(random.Random(graph_seed))
+            cfg = SamplerConfig(num_paths=3, max_length=4, walk_budget=5,
+                                restart_prob=restart_prob, seed=graph_seed)
+            fast, slow = PathSampler(g, cfg), FilteredListSampler(g, cfg)
+            triples = node_to_node_triples(g)
+            pick = random.Random(f"pairs:{graph_seed}")
+            # every triple excluded from its own pair (the training case, which
+            # includes the self-loop), then random pairs with a random or no
+            # excluded triple, so the walk also reaches excluded endpoints
+            # other than its source
+            calls = [(s, o, (s, r, o)) for (s, r, o) in triples]
+            calls += [(pick.randrange(g.num_nodes), pick.randrange(g.num_nodes),
+                       pick.choice(triples + [None])) for _ in range(30)]
+            for index, (src, dst, excluded) in enumerate(calls):
+                rng_fast = random.Random(f"{graph_seed}:{index}")
+                rng_slow = random.Random(f"{graph_seed}:{index}")
+                assert (fast.sample_paths(src, dst, rng_fast, excluded)
+                        == slow.sample_paths(src, dst, rng_slow, excluded))
+                assert rng_fast.getstate() == rng_slow.getstate()
+                cases += 1
+        assert cases > 25 * 30
+
+
 class TestTrainingSet:
     def test_sample_count_is_twice_triples(self):
         g, src, dst, island = chain_graph()
         g.add_triple(island, g.relation_id("hasCellValue"), src)
         cfg = SamplerConfig(num_paths=2, max_length=4, walk_budget=4, seed=0)
-        samples = list(build_training_set(g, cfg, k_negatives=1))
+        samples = list(build_training_set(PathSampler(g, cfg), k_negatives=1))
         assert len(samples) == 2 * len(node_to_node_triples(g))
 
     def test_negative_relation_differs(self, converted):
         cfg = SamplerConfig(num_paths=3, max_length=6, walk_budget=4, seed=1)
-        stream = build_training_set(converted.train, cfg, k_negatives=2)
+        stream = build_training_set(PathSampler(converted.train, cfg), k_negatives=2)
         for _ in range(60):
             positive = next(stream)
             assert positive.label == 1
@@ -167,7 +257,7 @@ class TestTrainingSet:
         g = converted.train
         cfg = SamplerConfig(num_paths=3, max_length=6, walk_budget=8, seed=2)
         vocab = EdgeVocabulary(g.relation_names())
-        stream = build_training_set(g, cfg)
+        stream = build_training_set(PathSampler(g, cfg))
         for sample in list(stream)[:400]:
             if sample.label != 1:
                 continue
@@ -177,15 +267,15 @@ class TestTrainingSet:
 
     def test_deterministic_stream(self, converted):
         cfg = SamplerConfig(num_paths=3, max_length=6, walk_budget=6, seed=3)
-        a = list(build_training_set(converted.train, cfg))
-        b = list(build_training_set(converted.train, cfg))
+        a = list(build_training_set(PathSampler(converted.train, cfg)))
+        b = list(build_training_set(PathSampler(converted.train, cfg)))
         assert a == b
 
 
 class TestEvalSet:
     def test_counts_and_exclusions(self, converted):
         cfg = SamplerConfig(num_paths=3, max_length=6, walk_budget=8, seed=0)
-        pos, neg = build_eval_set(converted.test, converted.ground_truth, cfg,
+        pos, neg = build_eval_set(PathSampler(converted.test, cfg), converted.ground_truth,
                                   num_negatives=100)
         assert len(pos) == len(converted.ground_truth)
         assert len(neg) == 100
@@ -201,7 +291,7 @@ class TestEvalSet:
         linked = set(converted.ground_truth) | {
             (s, d) for (d, s) in converted.ground_truth
         }
-        pos, neg = build_eval_set(converted.test, converted.ground_truth, cfg,
+        pos, neg = build_eval_set(PathSampler(converted.test, cfg), converted.ground_truth,
                                   num_negatives=50)
         assert len({id(s) for s in neg}) == 50
         assert rows  # sanity: row nodes exist
@@ -213,13 +303,13 @@ class TestEvalSet:
     def test_too_many_negatives_requested(self, converted):
         cfg = SamplerConfig(num_paths=3, max_length=6, walk_budget=2, seed=0)
         with pytest.raises(PathError, match="negatives requested"):
-            build_eval_set(converted.test, converted.ground_truth, cfg,
+            build_eval_set(PathSampler(converted.test, cfg), converted.ground_truth,
                            num_negatives=10 ** 9)
 
     def test_empty_ground_truth_rejected(self, converted):
         cfg = SamplerConfig(seed=0)
         with pytest.raises(PathError):
-            build_eval_set(converted.test, [], cfg, num_negatives=10)
+            build_eval_set(PathSampler(converted.test, cfg), [], num_negatives=10)
 
 
 class TestInductiveness:
@@ -231,7 +321,7 @@ class TestInductiveness:
         g = converted.train
         vocab = EdgeVocabulary(g.relation_names())
         cfg = SamplerConfig(num_paths=3, max_length=6, walk_budget=4, seed=0)
-        for sample in list(build_training_set(g, cfg))[:200]:
+        for sample in list(build_training_set(PathSampler(g, cfg)))[:200]:
             for path in sample.paths:
                 assert len(path) == cfg.max_length
                 assert all(0 <= t < vocab.size for t in path)
@@ -250,5 +340,16 @@ class TestSampleFiles:
 
     def test_bad_token_count(self, tmp_path):
         (tmp_path / "bad.txt").write_text("1 0 2 3\n", encoding="utf-8")
+        with pytest.raises(PathError, match="line 1"):
+            load_samples(tmp_path / "bad.txt", num_paths=2, max_length=3)
+
+    def test_label_outside_0_1_rejected(self, tmp_path):
+        (tmp_path / "bad.txt").write_text(
+            "1 0 2 3 0 5 0 0\n2 0 2 3 0 5 0 0\n", encoding="utf-8")
+        with pytest.raises(PathError, match="line 2"):
+            load_samples(tmp_path / "bad.txt", num_paths=2, max_length=3)
+
+    def test_non_integer_field_rejected(self, tmp_path):
+        (tmp_path / "bad.txt").write_text("1 0 2 x 0 5 0 0\n", encoding="utf-8")
         with pytest.raises(PathError, match="line 1"):
             load_samples(tmp_path / "bad.txt", num_paths=2, max_length=3)
