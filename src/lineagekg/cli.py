@@ -3,7 +3,9 @@ resolved) -> sample-paths -> train -> evaluate -> report.
 
 Every stage writes its artifacts plus a checksum sidecar and is skipped on
 re-runs while its recorded inputs and outputs are unchanged; once any stage
-actually runs, every downstream stage runs too.
+actually runs, every downstream stage runs too.  The sidecar also records the
+stage's wall seconds (and, for sample-paths, the processes it sampled in),
+which no skip decision and no artifact reads.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import hashlib
 import json
 import math
 import sys
+import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
@@ -193,12 +196,13 @@ class Pipeline:
         return True
 
     def _mark_done(self, stage: str, task: str, profile: str,
-                   outputs: list[Path]) -> None:
+                   outputs: list[Path], telemetry: dict) -> None:
         record = {
             "config": self._config_digest(stage, task, profile),
             "outputs": {
                 str(p.relative_to(self.out)): _sha256(p) for p in outputs
             },
+            **telemetry,
         }
         ok_path = self._ok_path(stage, task, profile)
         ok_path.parent.mkdir(parents=True, exist_ok=True)
@@ -212,11 +216,13 @@ class Pipeline:
             return
         self.force = True
         self.echo(f"[run ] {label}")
+        start = time.perf_counter()
         try:
-            fn()
+            telemetry = fn() or {}
         except Exception as exc:
             raise StageError(label, exc) from exc
-        self._mark_done(stage, task, profile, outputs)
+        telemetry["seconds"] = round(time.perf_counter() - start, 3)
+        self._mark_done(stage, task, profile, outputs, telemetry)
 
     # -- stages -----------------------------------------------------------------
 
@@ -296,6 +302,7 @@ class Pipeline:
             paths.save_samples(out / "train.txt", train_samples)
             sampler.vocab.save(out / "vocab.txt")
             stats = {"train": sampler.walk_stats()}
+            processes = sampler.processes
             del sampler  # free the train graph's index before indexing the test graph
             ground_truth = convert.read_ground_truth(kg / "ground_truth.csv", test_g)
             sampler = paths.PathSampler(test_g, cfg)
@@ -309,6 +316,8 @@ class Pipeline:
                 f"{part}.{key}": value
                 for part, counts in stats.items() for key, value in counts.items()
             })
+            # caller-side only: the artifacts must not depend on the CPU count
+            return {"processes": max(processes, sampler.processes)}
 
         self._run_stage("sample-paths", task, profile, outputs, build)
 

@@ -7,19 +7,32 @@ pair, the degenerate [NOPATH, PAD, ...] encoding is used.  A walk step costs
 O(visited nodes), not O(degree): it draws among the current node's unblocked
 adjacency entries by stepping over the few blocked positions, which a
 per-node neighbour index finds.
+
+The training and eval sets sample their pairs on every usable CPU.  Pair i
+runs in share i % P of P = min(usable CPUs, pairs) processes: this process
+runs share 0 and forked children run the others, each sending its results
+back over a pipe.  The output cannot depend on P: every pair walks with its
+own rng, seeded by the pair's index alone, on a sampler nobody else mutates,
+and the results and walk counts are merged back in pair order.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
 import random
+import signal
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
 from .kgstore import RDF_TYPE, KnowledgeGraph, Literal
 
 PAD = 0
 NOPATH = 1
+
+T = TypeVar("T")
 
 
 class PathError(Exception):
@@ -101,7 +114,9 @@ class PathSampler:
     """Seeded random-walk path sampler over one (frozen) graph.
 
     Each ``sample_paths`` call appends its walks attempted and walks that
-    reached the target to ``walks_tried`` and ``walks_reached``.
+    reached the target to ``walks_tried`` and ``walks_reached``;
+    ``processes`` is the most processes one training or eval set ran in
+    (1 + forked children).
     """
 
     def __init__(self, g: KnowledgeGraph, cfg: SamplerConfig):
@@ -123,6 +138,7 @@ class PathSampler:
             self._link(o, self.vocab.inverse(r), s)
         self.walks_tried: list[int] = []
         self.walks_reached: list[int] = []
+        self.processes = 1
 
     def _link(self, node: int, token: int, neighbour: int) -> None:
         last = self.last[node]
@@ -233,6 +249,102 @@ class PathSampler:
                 "walks_reached": sum(reached), "nopath": reached.count(0)}
 
 
+def _processes(pairs: int) -> int:
+    """One process per usable CPU, at most one per pair, and at least one."""
+    if not hasattr(os, "fork"):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), pairs))
+
+
+def _run_share(sampler: PathSampler, pair: Callable[[int], T],
+               indices: range) -> tuple:
+    """``(results, None)`` with one ``(pair(i), walks tried, walks reached)``
+    per index, in order, or ``(None, (i, exception))`` for the first pair that
+    raised.  The walk counts of each pair are taken off the sampler again."""
+    results = []
+    for index in indices:
+        mark = len(sampler.walks_tried)
+        try:
+            value = pair(index)
+        except Exception as exc:  # re-raised by _map_pairs
+            return None, (index, exc)
+        results.append((value, sampler.walks_tried[mark:],
+                        sampler.walks_reached[mark:]))
+        del sampler.walks_tried[mark:], sampler.walks_reached[mark:]
+    return results, None
+
+
+def _map_pairs(sampler: PathSampler, count: int,
+               pair: Callable[[int], T]) -> list[T]:
+    """``[pair(i) for i in range(count)]``, with pair i run in share i % P.
+
+    This process runs share 0, and forked children run the others; where
+    ``os.fork`` is missing or fails, this process runs those shares too.  The
+    walk counts are appended to the sampler in pair order, and the exception
+    of the first failing pair (in pair order) is raised, as a serial loop
+    would.  Children send their share back pickled over a pipe and leave with
+    ``os._exit``, so they run none of this process's cleanup; they are always
+    reaped.
+    """
+    processes = _processes(count)
+    shares: list = [None] * processes
+    children: dict[int, tuple[int, object]] = {}  # share -> (pid, pipe reader)
+    try:
+        for share in range(1, processes):
+            read_fd, write_fd = os.pipe()
+            try:
+                with warnings.catch_warnings():
+                    # the child runs no thread-using library code (3.12+ warns)
+                    warnings.simplefilter("ignore", DeprecationWarning)
+                    pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                break
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(read_fd)
+                    outcome = _run_share(sampler, pair, range(share, count, processes))
+                    with os.fdopen(write_fd, "wb") as fh:
+                        pickle.dump(outcome, fh, pickle.HIGHEST_PROTOCOL)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_fd)
+            children[share] = (pid, os.fdopen(read_fd, "rb"))
+        sampler.processes = max(sampler.processes, 1 + len(children))
+        for share in range(processes):
+            if share not in children:
+                shares[share] = _run_share(sampler, pair, range(share, count, processes))
+        for share, (pid, reader) in list(children.items()):
+            with reader:
+                data = reader.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[share]
+            if code != 0:
+                raise PathError(f"path-sampling process {pid} exited with code {code}")
+            shares[share] = pickle.loads(data)
+    finally:
+        for pid, reader in children.values():
+            reader.close()
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            os.waitpid(pid, 0)
+    failures = [failure for _, failure in shares if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    values = []
+    for index in range(count):
+        value, tried, reached = shares[index % processes][0][index // processes]
+        sampler.walks_tried.extend(tried)
+        sampler.walks_reached.extend(reached)
+        values.append(value)
+    return values
+
+
 def node_to_node_triples(g: KnowledgeGraph) -> list[tuple]:
     return [t for t in g.triples() if not isinstance(t[2], Literal)]
 
@@ -245,15 +357,23 @@ def build_training_set(sampler: PathSampler,
     num_relations = g.num_relations
     if num_relations < 2 and k_negatives > 0:
         raise PathError("relation corruption needs at least two relations")
-    for index, (s, r, o) in enumerate(node_to_node_triples(g)):
+    triples = node_to_node_triples(g)
+
+    def pair(index: int) -> tuple:
+        s, r, o = triples[index]
         rng = random.Random(f"{cfg.seed}:train:{index}")
         paths = sampler.sample_paths(s, o, rng, excluded=(s, r, o))
+        corrupted = []
+        for _ in range(k_negatives):  # drawn after the walks, from the same rng
+            relation = rng.randrange(num_relations - 1)
+            corrupted.append(relation + 1 if relation >= r else relation)
+        return paths, corrupted
+
+    for (_, r, _), (paths, corrupted) in zip(
+            triples, _map_pairs(sampler, len(triples), pair)):
         yield PathSample(paths=paths, relation=r, label=1)
-        for _ in range(k_negatives):
-            corrupted = rng.randrange(num_relations - 1)
-            if corrupted >= r:
-                corrupted += 1
-            yield PathSample(paths=paths, relation=corrupted, label=0)
+        for relation in corrupted:
+            yield PathSample(paths=paths, relation=relation, label=0)
 
 
 def row_nodes(g: KnowledgeGraph) -> list[int]:
@@ -276,7 +396,7 @@ def build_eval_set(
     num_negatives: int = 4000,
 ) -> tuple[list[PathSample], list[PathSample]]:
     """Positives for every ground-truth pair plus sampled row-pair negatives
-    over the sampler's graph, sampled in that order.
+    over the sampler's graph.
 
     Negative pairs are distinct, exclude self-pairs and any pair related by a
     ground-truth edge in either direction.
@@ -286,12 +406,6 @@ def build_eval_set(
     g, cfg = sampler.g, sampler.cfg
     target_rel = g.relation_id("rowDerivedFrom")
     rng = random.Random(f"{cfg.seed}:eval")
-
-    positives = []
-    for idx, (dst, src) in enumerate(ground_truth):
-        pair_rng = random.Random(f"{cfg.seed}:eval:pos:{idx}")
-        paths = sampler.sample_paths(dst, src, pair_rng)
-        positives.append(PathSample(paths=paths, relation=target_rel, label=1))
 
     rows = row_nodes(g)
     linked = set(ground_truth) | {(s, d) for (d, s) in ground_truth}
@@ -326,12 +440,19 @@ def build_eval_set(
             chosen_set.add((a, b))
             chosen.append((a, b))
 
-    negatives = []
-    for idx, (a, b) in enumerate(chosen):
-        pair_rng = random.Random(f"{cfg.seed}:eval:neg:{idx}")
-        paths = sampler.sample_paths(a, b, pair_rng)
-        negatives.append(PathSample(paths=paths, relation=target_rel, label=0))
-    return positives, negatives
+    # positives then negatives, each walked with the rng of its own index
+    pairs = [(dst, src, f"{cfg.seed}:eval:pos:{idx}")
+             for idx, (dst, src) in enumerate(ground_truth)]
+    pairs += [(a, b, f"{cfg.seed}:eval:neg:{idx}") for idx, (a, b) in enumerate(chosen)]
+
+    def pair(index: int) -> tuple:
+        src, dst, seed = pairs[index]
+        return sampler.sample_paths(src, dst, random.Random(seed))
+
+    samples = [PathSample(paths=paths, relation=target_rel,
+                          label=int(index < len(ground_truth)))
+               for index, paths in enumerate(_map_pairs(sampler, len(pairs), pair))]
+    return samples[:len(ground_truth)], samples[len(ground_truth):]
 
 
 # -- flat text serialization -----------------------------------------------------

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 
 import pytest
 
@@ -198,6 +199,29 @@ class TestPipeline:
         assert status == 0
         assert all(not line.startswith("[run ]") for line in logs if line.startswith("["))
 
+    def test_sidecars_record_seconds_and_processes(self, completed_run):
+        _, out, _, _, _ = completed_run
+        records = {path.name: json.loads(path.read_text())
+                   for path in out.rglob(".stage_*.ok")}
+        assert len(records) == 6
+        for name, record in records.items():
+            assert isinstance(record["seconds"], float) and record["seconds"] >= 0
+            assert ("processes" in record) == (name == ".stage_sample-paths.ok")
+        assert records[".stage_sample-paths.ok"]["processes"] >= 1
+
+    def test_rerun_ignores_recorded_seconds_and_processes(self, completed_run):
+        manifest, out, _, _, _ = completed_run
+        for path in out.rglob(".stage_*.ok"):
+            record = json.loads(path.read_text())
+            record["seconds"] = -1.0
+            if "processes" in record:
+                record["processes"] = 99
+            path.write_text(json.dumps(record))
+        logs = []
+        status, _ = run_pipeline(manifest, echo=logs.append)
+        assert status == 0
+        assert all(not line.startswith("[run ]") for line in logs if line.startswith("["))
+
     def test_stage_isolation(self, completed_run):
         manifest, out, _, _, _ = completed_run
         (out / "selection-projection" / "rddl" / "model" / "checkpoint.bin").unlink()
@@ -285,6 +309,21 @@ class TestDeterminism:
             for path in tmp_path.rglob(f"samples/{name}.txt")
         }
         assert digests == SAMPLE_ARTIFACT_DIGESTS
+
+    def test_samples_independent_of_process_count(self, tmp_path, monkeypatch):
+        trees = []
+        for cpus in (1, 3):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+            out = tmp_path / str(cpus)
+            manifest = tiny_manifest(out)
+            for stage in ("gen-scenarios", "build-kg", "sample-paths"):
+                status, _ = run_pipeline(manifest, echo=lambda *_: None, only_stage=stage)
+                assert status == 0
+            sidecar = json.loads(next(out.rglob(".stage_sample-paths.ok")).read_text())
+            assert sidecar["processes"] == cpus
+            trees.append({path.relative_to(out): path.read_bytes()
+                          for path in out.rglob("samples/*")})
+        assert len(trees[0]) == 5 and trees[0] == trees[1]
 
 
 class TestMainEntry:

@@ -1,10 +1,11 @@
 import dataclasses
+import os
 import random
 
 import pytest
 
 from lineagekg.convert import split_train_test
-from lineagekg.kgstore import KnowledgeGraph, Literal
+from lineagekg.kgstore import KnowledgeGraph, Literal, UnknownNodeError
 from lineagekg.paths import (
     NOPATH,
     PAD,
@@ -310,6 +311,146 @@ class TestEvalSet:
         cfg = SamplerConfig(seed=0)
         with pytest.raises(PathError):
             build_eval_set(PathSampler(converted.test, cfg), [], num_negatives=10)
+
+
+def use_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def fail_at(monkeypatch, failures):
+    """Make sample_paths raise when it walks for one of the given excluded
+    triples (training pairs), or, for an int, end the forked child that walks
+    it with that exit code."""
+    sample_paths = PathSampler.sample_paths
+    caller = os.getpid()
+
+    def patched(self, src, dst, rng, excluded=None):
+        failure = failures.get(excluded)
+        if isinstance(failure, int):
+            assert os.getpid() != caller, "that pair runs in this process"
+            os._exit(failure)
+        if failure is not None:
+            raise failure
+        return sample_paths(self, src, dst, rng, excluded)
+
+    monkeypatch.setattr(PathSampler, "sample_paths", patched)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestProcesses:
+    def build_both(self, converted, cpus, monkeypatch):
+        use_cpus(monkeypatch, cpus)
+        cfg = SamplerConfig(num_paths=3, max_length=6, walk_budget=3, seed=6)
+        train_sampler = PathSampler(converted.train, cfg)
+        train = list(build_training_set(train_sampler, k_negatives=2))
+        eval_sampler = PathSampler(converted.test, cfg)
+        pos, neg = build_eval_set(eval_sampler, converted.ground_truth,
+                                  num_negatives=40)
+        return (train, train_sampler.walks_tried, train_sampler.walks_reached,
+                pos, neg, eval_sampler.walks_tried, eval_sampler.walks_reached,
+                train_sampler.processes, eval_sampler.processes)
+
+    def test_same_samples_and_walk_stats_for_any_process_count(
+            self, converted, monkeypatch):
+        serial = self.build_both(converted, 1, monkeypatch)
+        forked = self.build_both(converted, 3, monkeypatch)
+        assert serial[-2:] == (1, 1) and forked[-2:] == (3, 3)
+        assert forked[:-2] == serial[:-2]
+        assert_no_child_left()
+        # the serial loop the builders replace: each pair walks with its own rng
+        cfg = SamplerConfig(num_paths=3, max_length=6, walk_budget=3, seed=6)
+        loop = PathSampler(converted.train, cfg)
+        paths = [loop.sample_paths(s, o, random.Random(f"6:train:{i}"), (s, r, o))
+                 for i, (s, r, o) in enumerate(node_to_node_triples(converted.train))]
+        assert [sample.paths for sample in forked[0][::3]] == paths
+        assert forked[1:3] == (loop.walks_tried, loop.walks_reached)
+        assert len(set(loop.walks_tried)) > 1 and len(set(loop.walks_reached)) > 1
+        loop = PathSampler(converted.test, cfg)
+        for i, (d, s) in enumerate(converted.ground_truth):
+            loop.sample_paths(d, s, random.Random(f"6:eval:pos:{i}"))
+        assert forked[5][:len(loop.walks_tried)] == loop.walks_tried
+        assert forked[6][:len(loop.walks_reached)] == loop.walks_reached
+
+    def test_fork_missing_or_failing_runs_every_share_here(
+            self, converted, monkeypatch):
+        serial = self.build_both(converted, 1, monkeypatch)
+
+        def no_fork():
+            raise OSError("fork failed")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert self.build_both(converted, 3, monkeypatch) == serial
+        monkeypatch.delattr(os, "fork")
+        assert self.build_both(converted, 3, monkeypatch) == serial
+
+    def test_fewer_pairs_than_processes(self, monkeypatch):
+        g, src, dst, island = chain_graph()
+        cfg = SamplerConfig(num_paths=2, max_length=4, walk_budget=4, seed=0)
+        runs = []
+        for cpus in (1, 8):
+            use_cpus(monkeypatch, cpus)
+            sampler = PathSampler(g, cfg)
+            runs.append((list(build_training_set(sampler)), sampler.walk_stats(),
+                         sampler.processes))
+        assert runs[0][2] == 1 and runs[1][2] == 2  # one process per pair
+        assert runs[0][:2] == runs[1][:2]
+        assert runs[0][1]["pairs"] == 2
+
+    def test_graph_without_node_to_node_triples(self, monkeypatch):
+        use_cpus(monkeypatch, 3)
+        g = KnowledgeGraph()
+        rel = g.add_relation("exactValue")
+        g.add_relation("hasCellValue")
+        g.add_triple(g.add_node("t:a"), rel, Literal("v", "string"))
+        sampler = PathSampler(g, SamplerConfig(seed=0))
+        assert list(build_training_set(sampler)) == []
+        assert sampler.walk_stats()["pairs"] == 0
+
+    def test_child_exception_reraised(self, converted, monkeypatch):
+        triples = node_to_node_triples(converted.train)
+        use_cpus(monkeypatch, 3)
+        fail_at(monkeypatch, {triples[4]: PathError("walk failed at pair 4")})
+        cfg = SamplerConfig(num_paths=1, max_length=4, walk_budget=1, seed=0)
+        with pytest.raises(PathError, match="^walk failed at pair 4$"):
+            list(build_training_set(PathSampler(converted.train, cfg)))
+        assert_no_child_left()
+
+    def test_first_failing_pair_in_pair_order_is_raised(self, converted, monkeypatch):
+        # pair 2 fails in share 2 and pair 3 in this process's share 0: a
+        # serial loop meets pair 2 first
+        triples = node_to_node_triples(converted.train)
+        use_cpus(monkeypatch, 3)
+        fail_at(monkeypatch, {triples[2]: PathError("first"),
+                              triples[3]: KeyError("later")})
+        cfg = SamplerConfig(num_paths=1, max_length=4, walk_budget=1, seed=0)
+        with pytest.raises(PathError, match="^first$"):
+            list(build_training_set(PathSampler(converted.train, cfg)))
+        assert_no_child_left()
+
+    def test_unknown_ground_truth_node_reraised(self, converted, monkeypatch):
+        use_cpus(monkeypatch, 3)
+        bad = converted.test.num_nodes
+        ground_truth = list(converted.ground_truth)
+        ground_truth[1] = (ground_truth[1][0], bad)  # pair 1 runs in a child
+        cfg = SamplerConfig(num_paths=1, max_length=4, walk_budget=1, seed=0)
+        with pytest.raises(UnknownNodeError, match=f"unknown node: {bad}"):
+            build_eval_set(PathSampler(converted.test, cfg), ground_truth,
+                           num_negatives=10)
+        assert_no_child_left()
+
+    def test_child_that_dies_is_reported(self, converted, monkeypatch):
+        # share 1 dies; share 2's child is still unread, so it is killed and reaped
+        triples = node_to_node_triples(converted.train)
+        use_cpus(monkeypatch, 3)
+        fail_at(monkeypatch, {triples[1]: 3})
+        cfg = SamplerConfig(num_paths=1, max_length=4, walk_budget=1, seed=0)
+        with pytest.raises(PathError, match="exited with code 3"):
+            list(build_training_set(PathSampler(converted.train, cfg)))
+        assert_no_child_left()
 
 
 class TestInductiveness:
