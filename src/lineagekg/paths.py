@@ -390,6 +390,24 @@ def row_nodes(g: KnowledgeGraph) -> list[int]:
     return rows
 
 
+def _transitive_closure(pairs: Sequence[tuple[int, int]]) -> set[tuple[int, int]]:
+    """Every (a, c) joined by a chain of pairs (a, b), (b, ...), ..., (..., c)."""
+    successors: dict[int, list[int]] = {}
+    for a, b in pairs:
+        successors.setdefault(a, []).append(b)
+    closure = set()
+    for start in successors:
+        reached: set[int] = set()
+        stack = list(successors[start])
+        while stack:
+            node = stack.pop()
+            if node not in reached:
+                reached.add(node)
+                stack.extend(successors.get(node, ()))
+        closure.update((start, node) for node in reached)
+    return closure
+
+
 def build_eval_set(
     sampler: PathSampler,
     ground_truth: Sequence[tuple[int, int]],
@@ -398,8 +416,8 @@ def build_eval_set(
     """Positives for every ground-truth pair plus sampled row-pair negatives
     over the sampler's graph.
 
-    Negative pairs are distinct, exclude self-pairs and any pair related by a
-    ground-truth edge in either direction.
+    Negative pairs are distinct, exclude self-pairs and any pair linked by a
+    chain of ground-truth edges in either direction.
     """
     if not ground_truth:
         raise PathError("ground truth is empty")
@@ -408,7 +426,8 @@ def build_eval_set(
     rng = random.Random(f"{cfg.seed}:eval")
 
     rows = row_nodes(g)
-    linked = set(ground_truth) | {(s, d) for (d, s) in ground_truth}
+    linked = _transitive_closure(ground_truth)
+    linked |= {(s, d) for (d, s) in linked}
     n = len(rows)
     if n < 2:
         raise PathError("not enough row nodes for negatives")

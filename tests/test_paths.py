@@ -5,7 +5,7 @@ import random
 import pytest
 
 from lineagekg.convert import split_train_test
-from lineagekg.kgstore import KnowledgeGraph, Literal, UnknownNodeError
+from lineagekg.kgstore import RDF_TYPE, KnowledgeGraph, Literal, UnknownNodeError
 from lineagekg.paths import (
     NOPATH,
     PAD,
@@ -301,6 +301,51 @@ class TestEvalSet:
             assert d in rows and s in rows
         assert linked
 
+    def test_negatives_exclude_transitively_linked_pairs(self, monkeypatch):
+        # a derives from b and b from c, so a and c are linked too; d is free
+        g = KnowledgeGraph()
+        type_rel = g.add_relation(RDF_TYPE)
+        g.add_relation("rowDerivedFrom")
+        row_class = g.add_node("t:Row")
+        a, b, c, d = (g.add_node(f"t:{name}") for name in "abcd")
+        for row in (a, b, c, d):
+            g.add_triple(row, type_rel, row_class)
+        ground_truth = [(a, b), (b, c)]
+        cfg = SamplerConfig(num_paths=1, max_length=2, walk_budget=1, seed=0)
+        with pytest.raises(PathError, match="only 6 distinct non-linked row pairs"):
+            build_eval_set(PathSampler(g, cfg), ground_truth, num_negatives=7)
+        use_cpus(monkeypatch, 1)
+        sampler = RecordingSampler(g, cfg)
+        build_eval_set(sampler, ground_truth, num_negatives=6)
+        assert set(sampler.pairs[2:]) == {(a, d), (d, a), (b, d), (d, b),
+                                          (c, d), (d, c)}
+
+    @pytest.mark.parametrize("task", ["selection-projection", "selection-linear",
+                                      "selection-nonlinear"])
+    def test_no_transitively_linked_negatives_at_paper_scale(self, task, monkeypatch):
+        # paper preset, rddl profile, seed 0: its ground truth chains rows
+        db = northwind_fixture(rows_per_table=50, seed=0)
+        suite = ScenarioSuite(db=db)
+        suite.scenarios[task] = [
+            generate_scenario(db, task_by_name(task), 0, i) for i in range(20)]
+        split = split_train_test(suite, task, "rddl", 17)
+        linked = set(split.ground_truth)
+        while True:  # transitive closure by repeated composition
+            derived = {(x, z) for (x, y) in linked for (y2, z) in split.ground_truth
+                       if y == y2}
+            if derived <= linked:
+                break
+            linked |= derived
+        assert len(linked) > len(split.ground_truth)
+        use_cpus(monkeypatch, 1)
+        sampler = RecordingSampler(
+            split.test, SamplerConfig(num_paths=1, walk_budget=1, seed=0))
+        build_eval_set(sampler, split.ground_truth, num_negatives=4000)
+        negatives = sampler.pairs[len(split.ground_truth):]
+        assert len(negatives) == 4000
+        assert not [(x, y) for (x, y) in negatives
+                    if (x, y) in linked or (y, x) in linked]
+
     def test_too_many_negatives_requested(self, converted):
         cfg = SamplerConfig(num_paths=3, max_length=6, walk_budget=2, seed=0)
         with pytest.raises(PathError, match="negatives requested"):
@@ -339,6 +384,18 @@ def fail_at(monkeypatch, failures):
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+class RecordingSampler(PathSampler):
+    """Records the (src, dst) pair of every sample_paths call in this process."""
+
+    def __init__(self, g, cfg):
+        super().__init__(g, cfg)
+        self.pairs = []
+
+    def sample_paths(self, src, dst, rng, excluded=None):
+        self.pairs.append((src, dst))
+        return super().sample_paths(src, dst, rng, excluded)
 
 
 class TestProcesses:
