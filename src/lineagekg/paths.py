@@ -250,8 +250,9 @@ class PathSampler:
 
 
 def _processes(pairs: int) -> int:
-    """One process per usable CPU, at most one per pair, and at least one."""
-    if not hasattr(os, "fork"):
+    """One process per usable CPU, at most one per pair, and at least one;
+    one where ``os.fork`` or ``os.sched_getaffinity`` (Linux) is missing."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
     return max(1, min(len(os.sched_getaffinity(0)), pairs))
 
@@ -278,13 +279,12 @@ def _map_pairs(sampler: PathSampler, count: int,
                pair: Callable[[int], T]) -> list[T]:
     """``[pair(i) for i in range(count)]``, with pair i run in share i % P.
 
-    This process runs share 0, and forked children run the others; where
-    ``os.fork`` is missing or fails, this process runs those shares too.  The
-    walk counts are appended to the sampler in pair order, and the exception
-    of the first failing pair (in pair order) is raised, as a serial loop
-    would.  Children send their share back pickled over a pipe and leave with
-    ``os._exit``, so they run none of this process's cleanup; they are always
-    reaped.
+    This process runs share 0, and forked children run the others; where a
+    fork fails, this process runs those shares too.  The walk counts are
+    appended to the sampler in pair order, and the exception of the first
+    failing pair (in pair order) is raised, as a serial loop would.  Children
+    send their share back pickled over a pipe and leave with ``os._exit``, so
+    they run none of this process's cleanup; they are always reaped.
     """
     processes = _processes(count)
     shares: list = [None] * processes
