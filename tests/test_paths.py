@@ -407,30 +407,34 @@ class TestProcesses:
         eval_sampler = PathSampler(converted.test, cfg)
         pos, neg = build_eval_set(eval_sampler, converted.ground_truth,
                                   num_negatives=40)
-        return (train, train_sampler.walks_tried, train_sampler.walks_reached,
-                pos, neg, eval_sampler.walks_tried, eval_sampler.walks_reached,
-                train_sampler.processes, eval_sampler.processes)
+        return {"train": train, "train_tried": train_sampler.walks_tried,
+                "train_reached": train_sampler.walks_reached, "pos": pos, "neg": neg,
+                "eval_tried": eval_sampler.walks_tried,
+                "eval_reached": eval_sampler.walks_reached,
+                "processes": (train_sampler.processes, eval_sampler.processes)}
 
     def test_same_samples_and_walk_stats_for_any_process_count(
             self, converted, monkeypatch):
         serial = self.build_both(converted, 1, monkeypatch)
         forked = self.build_both(converted, 3, monkeypatch)
-        assert serial[-2:] == (1, 1) and forked[-2:] == (3, 3)
-        assert forked[:-2] == serial[:-2]
+        assert serial.pop("processes") == (1, 1)
+        assert forked.pop("processes") == (3, 3)
+        assert forked == serial
         assert_no_child_left()
         # the serial loop the builders replace: each pair walks with its own rng
         cfg = SamplerConfig(num_paths=3, max_length=6, walk_budget=3, seed=6)
         loop = PathSampler(converted.train, cfg)
         paths = [loop.sample_paths(s, o, random.Random(f"6:train:{i}"), (s, r, o))
                  for i, (s, r, o) in enumerate(node_to_node_triples(converted.train))]
-        assert [sample.paths for sample in forked[0][::3]] == paths
-        assert forked[1:3] == (loop.walks_tried, loop.walks_reached)
+        assert [sample.paths for sample in forked["train"][::3]] == paths
+        assert forked["train_tried"] == loop.walks_tried
+        assert forked["train_reached"] == loop.walks_reached
         assert len(set(loop.walks_tried)) > 1 and len(set(loop.walks_reached)) > 1
         loop = PathSampler(converted.test, cfg)
         for i, (d, s) in enumerate(converted.ground_truth):
             loop.sample_paths(d, s, random.Random(f"6:eval:pos:{i}"))
-        assert forked[5][:len(loop.walks_tried)] == loop.walks_tried
-        assert forked[6][:len(loop.walks_reached)] == loop.walks_reached
+        assert forked["eval_tried"][:len(loop.walks_tried)] == loop.walks_tried
+        assert forked["eval_reached"][:len(loop.walks_reached)] == loop.walks_reached
 
     def test_fork_missing_or_failing_runs_every_share_here(
             self, converted, monkeypatch):
