@@ -7,14 +7,19 @@ similarity between the fused path representation and the target relation
 embedding.  Arithmetic is 64-bit; gradients are analytic and checked against
 finite differences in the tests.
 
-A batch of B samples runs as one (B*P, T) token matrix: every path of every
-sample is a row, PAD-padded to the batch's longest path, and each LSTM
-direction makes one pass over all rows, computing at each step only the rows
-whose token there is not PAD.  The forward pass keeps just the carried hidden
-and cell states; the backward pass recomputes each step's gates from them, so
-a batch's activations stay a few (B*P, T, h) arrays.  Pooling, fusion and the
-cosine are vectorised over the batch; ``forward`` and ``backward`` are
-batches of one.
+A batch of B samples pads its B*P paths to the batch's longest path, and the
+LSTM stack runs once per *distinct* padded path: relation-type paths repeat
+heavily (every NOPATH path is the same row): at the desk preset a train batch
+of 96 paths holds about 30 distinct rows and an eval batch under 10.  Each LSTM direction
+makes one pass over those rows, computing at each step only the rows whose
+token there is not PAD.  The forward pass keeps just the carried hidden and
+cell states; the backward pass recomputes each step's gates from them, so a
+batch's activations stay a few (rows, T, h) arrays.  Pooled vectors are
+gathered back to one per path before fusion, and the backward pass sums the
+pooled gradients of a row's copies before running the LSTM back once; as that
+pass is linear in its upstream gradient, this equals running every copy up to
+the order of float additions.  Fusion and the cosine are vectorised over the
+batch; ``forward`` and ``backward`` are batches of one.
 
 PAD positions carry hidden and cell state through unchanged and are masked out
 of pooling, so appending extra padding never changes a score.
@@ -138,15 +143,18 @@ class _DirectionTrace:
 class ForwardCache:
     """Everything required to reproduce the analytic gradients of a batch.
 
-    Path rows are sample-major: row ``b * P + p`` holds path ``p`` of sample
-    ``b``; per-sample arrays have a leading batch axis of length B.
+    The LSTM rows are the batch's U distinct padded paths, in ``tokens``.
+    ``inverse`` maps the sample-major path rows to them: path ``p`` of sample
+    ``b`` is LSTM row ``inverse[b * P + p]``.  Per-sample arrays have a
+    leading batch axis of length B.
     """
 
     def __init__(self):
-        self.tokens: np.ndarray = None  # (B*P, T)
+        self.tokens: np.ndarray = None  # (U, T)
+        self.inverse: np.ndarray = None  # (B*P,)
         self.traces: list[tuple[_DirectionTrace, _DirectionTrace]] = []
-        self.top_shape: tuple[int, int, int] = (0, 0, 0)  # (B*P, T, 2h)
-        self.pool_argmax: np.ndarray = None  # (B*P, 2h)
+        self.top_shape: tuple[int, int, int] = (0, 0, 0)  # (U, T, 2h)
+        self.pool_argmax: np.ndarray = None  # (U, 2h)
         self.x_cat: np.ndarray = None  # (B, P*2h)
         self.p: np.ndarray = None  # (B, fusion_dim)
         self.p_norm: np.ndarray = None  # (B,)
@@ -226,7 +234,9 @@ def forward_batch(params: Parameters, samples: Sequence[PathSample]
     if not samples:
         raise ModelError("empty batch")
     cache = ForwardCache()
-    cache.tokens = _path_tokens(cfg, samples)
+    cache.tokens, inverse = np.unique(_path_tokens(cfg, samples), axis=0,
+                                      return_inverse=True)
+    cache.inverse = inverse.reshape(-1)  # numpy 2.0.0 returns it in another shape
     cache.relations = np.array([s.relation for s in samples], dtype=np.int64)
     mask = cache.tokens != PAD
     rows, T = mask.shape
@@ -249,7 +259,7 @@ def forward_batch(params: Parameters, samples: Sequence[PathSample]
         np.where(mask[:, :, None], current, -np.inf), axis=1)
     pooled = np.take_along_axis(current, cache.pool_argmax[:, None, :], axis=1)[:, 0]
 
-    cache.x_cat = pooled.reshape(len(samples), -1)
+    cache.x_cat = pooled[cache.inverse].reshape(len(samples), -1)
     u = cache.x_cat @ params.arrays["fusion_W"] + params.arrays["fusion_b"]
     cache.p = np.tanh(u)
     r_vec = params.arrays["rel_emb"][cache.relations]
@@ -339,7 +349,10 @@ def backward_batch(params: Parameters, cache: ForwardCache, labels: Sequence[int
     du = dp * (1.0 - cache.p ** 2)
     grads["fusion_W"] += cache.x_cat.T @ du
     grads["fusion_b"] += du.sum(axis=0)
-    d_pooled = (du @ params.arrays["fusion_W"].T).reshape(cache.pool_argmax.shape)
+    # each copy of a distinct path adds its pooled gradient to that path's row
+    d_pooled = np.zeros(cache.pool_argmax.shape)
+    np.add.at(d_pooled, cache.inverse,
+              (du @ params.arrays["fusion_W"].T).reshape(len(cache.inverse), -1))
     d_current = np.zeros(cache.top_shape)
     np.put_along_axis(d_current, cache.pool_argmax[:, None, :], d_pooled[:, None, :],
                       axis=1)
@@ -370,6 +383,7 @@ def backward(params: Parameters, cache: ForwardCache, label: int) -> dict[str, n
 @dataclass
 class TrainResult:
     epoch_losses: list[float]
+    lstm_rows: int  # distinct paths the LSTM ran, summed over all batches
 
 
 def train(params: Parameters, samples: Sequence[PathSample],
@@ -388,6 +402,7 @@ def train(params: Parameters, samples: Sequence[PathSample],
     adam_v = params.zeros_like()
     grads = params.zeros_like()
     step = 0
+    lstm_rows = 0
     epoch_losses: list[float] = []
     indices = list(range(len(samples)))
     for epoch in range(cfg.epochs):
@@ -398,6 +413,7 @@ def train(params: Parameters, samples: Sequence[PathSample],
         for start in range(0, len(indices), cfg.batch_size):
             batch = [samples[idx] for idx in indices[start:start + cfg.batch_size]]
             probs, cache = forward_batch(params, batch)
+            lstm_rows += len(cache.tokens)
             batch_loss = 0.0
             for prob, sample in zip(probs.tolist(), batch):
                 batch_loss += bce_loss(prob, sample.label)
@@ -430,16 +446,18 @@ def train(params: Parameters, samples: Sequence[PathSample],
             total += batch_loss * len(batch)
             count += len(batch)
         epoch_losses.append(total / count)
-    return TrainResult(epoch_losses)
+    return TrainResult(epoch_losses, lstm_rows)
 
 
 def predict(params: Parameters, samples: Sequence[PathSample]) -> list[float]:
     """Scores in input order, computed in batches of the config's batch size.
 
-    Each distinct (paths, relation) input is scored once.  A row's rounding
-    can depend on the rows batched with it, so this is what makes equal
-    inputs, such as a positive and a negative with the same paths, tie
-    exactly, as ranking metrics expect.
+    Each distinct (paths, relation) input is scored once, and within a batch
+    ``forward_batch`` runs the LSTM once per distinct path, so eval sets,
+    whose negatives are mostly NOPATH, cost a few LSTM rows per batch.  A
+    score's rounding can depend on the inputs batched with it, so scoring each
+    input once is what makes equal inputs, such as a positive and a negative
+    with the same paths, tie exactly, as ranking metrics expect.
     """
     inputs = list(dict.fromkeys((s.paths, s.relation) for s in samples))
     size = params.cfg.batch_size

@@ -65,6 +65,34 @@ def max_relative_error(analytic, numeric):
     return worst
 
 
+def mean_loss_grad_error(params, batch, eps=1e-4):
+    """Largest relative error of the batch's analytic mean-loss gradients
+    against central finite differences over every parameter coordinate."""
+    labels = [s.label for s in batch]
+
+    def mean_loss():
+        probs, _ = forward_batch(params, batch)
+        return sum(bce_loss(p, y) for p, y in zip(probs.tolist(), labels)) / len(batch)
+
+    _, cache = forward_batch(params, batch)
+    analytic = {name: g / len(batch) for name, g in
+                backward_batch(params, cache, labels, params.zeros_like()).items()}
+    numeric = {}
+    for name, arr in params.arrays.items():
+        grad = np.zeros_like(arr)
+        flat, grad_flat = arr.reshape(-1), grad.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + eps
+            loss_plus = mean_loss()
+            flat[i] = orig - eps
+            loss_minus = mean_loss()
+            flat[i] = orig
+            grad_flat[i] = (loss_plus - loss_minus) / (2 * eps)
+        numeric[name] = grad
+    return max_relative_error(analytic, numeric)
+
+
 class TestForward:
     def test_output_in_open_unit_interval(self):
         params = init_parameters(tiny_config())
@@ -211,31 +239,47 @@ class TestBatch:
         batch = [tiny_sample(relation=2, label=1),
                  PathSample(paths=((6, PAD, 7, 2), (3,), (4, 5)), relation=2, label=0),
                  PathSample(paths=((5, 4), (PAD,), (2, 2, 2, 2)), relation=0, label=1)]
-        labels = [s.label for s in batch]
+        assert mean_loss_grad_error(params, batch) <= 1e-3
 
-        def mean_loss():
-            probs, _ = forward_batch(params, batch)
-            return sum(bce_loss(p, y) for p, y in zip(probs.tolist(), labels)) / 3
-
+    def test_mean_loss_with_repeated_paths_matches_finite_differences(self):
+        params = init_parameters(tiny_config(seed=7, layers=2))
+        nopath = (NOPATH,)
+        # paths repeated within and across samples, NOPATH rows and lengths 1-5
+        batch = [PathSample(paths=((2, 3, 4), nopath, nopath), relation=2, label=1),
+                 PathSample(paths=(nopath, nopath, nopath), relation=1, label=0),
+                 PathSample(paths=((2, 3, 4), (5,), (6, 7, 2, 3, 4)), relation=2, label=0),
+                 PathSample(paths=((5,), (2, 3, 4), nopath), relation=3, label=1)]
         _, cache = forward_batch(params, batch)
-        analytic = {name: g / 3 for name, g in
-                    backward_batch(params, cache, labels, params.zeros_like()).items()}
-        numeric = {}
-        eps = 1e-4
-        for name, arr in params.arrays.items():
-            grad = np.zeros_like(arr)
-            flat, grad_flat = arr.reshape(-1), grad.reshape(-1)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + eps
-                loss_plus = mean_loss()
-                flat[i] = orig - eps
-                loss_minus = mean_loss()
-                flat[i] = orig
-                grad_flat[i] = (loss_plus - loss_minus) / (2 * eps)
-            numeric[name] = grad
-        assert max_relative_error(analytic, numeric) <= 1e-3
+        assert len(cache.tokens) == 4  # of 12 path rows
+        # at eps=1e-4 this two-layer batch's truncation error alone reaches 3e-3
+        assert mean_loss_grad_error(params, batch, eps=1e-5) <= 1e-3
 
+    def test_lstm_runs_each_distinct_path_once(self):
+        params = init_parameters(tiny_config())
+        batch = [PathSample(paths=((2, 3), (4,), (NOPATH,)), relation=1, label=1),
+                 PathSample(paths=((4,), (NOPATH,), (NOPATH,)), relation=2, label=0),
+                 PathSample(paths=((2, 3), (2, 3, 5), (NOPATH,)), relation=1, label=1)]
+        _, cache = forward_batch(params, batch)
+        padded = [tuple(path) + (PAD,) * (3 - len(path))
+                  for s in batch for path in s.paths]
+        assert cache.tokens.shape == (len(set(padded)), 3) == (4, 3)
+        assert [tuple(row) for row in cache.tokens[cache.inverse].tolist()] == padded
+
+    def test_equal_inputs_in_one_batch_tie(self):
+        params = init_parameters(tiny_config(layers=2))
+        other = PathSample(paths=((5, 6), (NOPATH,), (7,)), relation=1, label=0)
+        probs, _ = forward_batch(params, [tiny_sample(), other, tiny_sample(), other])
+        assert probs[0] == probs[2] and probs[1] == probs[3]
+
+    def test_duplicate_sample_doubles_gradients(self):
+        params = init_parameters(tiny_config(seed=5, layers=2))
+        _, cache = forward_batch(params, [tiny_sample()])
+        once = backward_batch(params, cache, [1], params.zeros_like())
+        _, cache = forward_batch(params, [tiny_sample(), tiny_sample()])
+        twice = backward_batch(params, cache, [1, 1], params.zeros_like())
+        for name in once:
+            np.testing.assert_allclose(twice[name], 2 * once[name], rtol=1e-12,
+                                       atol=1e-12, err_msg=name)
     def test_path_count_sizes_fusion_and_is_checked(self):
         params = init_parameters(tiny_config(num_paths=2))
         assert params.arrays["fusion_W"].shape == (2 * 2 * 4, 6)
