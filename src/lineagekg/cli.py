@@ -4,8 +4,11 @@ resolved) -> sample-paths -> train -> evaluate -> report.
 Every stage writes its artifacts plus a checksum sidecar and is skipped on
 re-runs while its recorded inputs and outputs are unchanged; once any stage
 actually runs, every downstream stage runs too.  The sidecar also records the
-stage's wall seconds (and, for sample-paths, the processes it sampled in),
-which no skip decision and no artifact reads.
+stage's wall seconds and what it counted: build-kg its graphs' triples and the
+lineage edges resolution added per family, sample-paths the processes it
+sampled in, train its samples, per-epoch losses, and the path rows of its
+batches next to the distinct rows the LSTM ran.  No skip decision and no
+artifact reads these.
 """
 
 from __future__ import annotations
@@ -280,6 +283,8 @@ class Pipeline:
             convert.write_report(kg / "resolve_counts.txt", split.resolve_counts)
             (kg / "schema.nt").write_text(
                 export_profile(vocabulary(profile)), encoding="utf-8")
+            return {"train_triples": len(split.train), "test_triples": len(split.test),
+                    "resolve_counts": split.resolve_counts}
 
         self._run_stage("build-kg", task, profile, outputs, build)
 
@@ -353,6 +358,9 @@ class Pipeline:
             lines = [f"epoch {i} mean_loss {loss!r}"
                      for i, loss in enumerate(result.epoch_losses)]
             (out / "losses.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+            return {"samples": len(samples), "epoch_losses": result.epoch_losses,
+                    "path_rows": len(samples) * cfg.num_paths * cfg.epochs,
+                    "lstm_rows": result.lstm_rows}
 
         self._run_stage("train", task, profile, outputs, build)
 

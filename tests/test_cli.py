@@ -222,6 +222,45 @@ class TestPipeline:
         assert status == 0
         assert all(not line.startswith("[run ]") for line in logs if line.startswith("["))
 
+    def test_sidecars_record_graph_and_train_counts(self, completed_run):
+        manifest, out, _, _, _ = completed_run
+        cell = out / "selection-projection" / "rddl"
+        graph = json.loads((cell / ".stage_build-kg.ok").read_text())
+        for part in ("train", "test"):
+            triples = (cell / "kg" / f"{part}.nt").read_text().splitlines()
+            assert graph[f"{part}_triples"] == len(triples) > 0
+        resolved = dict(line.split("=") for line in
+                        (cell / "kg" / "resolve_counts.txt").read_text().splitlines())
+        assert graph["resolve_counts"] == {k: int(v) for k, v in resolved.items()}
+        train = json.loads((cell / ".stage_train.ok").read_text())
+        samples = len((cell / "samples" / "train.txt").read_text().splitlines())
+        assert train["samples"] == samples
+        assert [f"epoch {i} mean_loss {loss!r}"
+                for i, loss in enumerate(train["epoch_losses"])] == (
+            cell / "model" / "losses.txt").read_text().splitlines()
+        assert train["path_rows"] == samples * manifest.num_paths * manifest.epochs
+        # every NOPATH path is one row, so a batch holds fewer distinct paths
+        assert 0 < train["lstm_rows"] < train["path_rows"]
+
+    def test_rerun_ignores_recorded_graph_and_train_counts(self, completed_run):
+        manifest, out, _, _, _ = completed_run
+        cell = out / "selection-projection" / "rddl"
+        edits = {
+            ".stage_build-kg.ok": dict(train_triples=-1, test_triples=-1,
+                                       resolve_counts={}),
+            ".stage_train.ok": dict(samples=-1, epoch_losses=[], path_rows=-1,
+                                    lstm_rows=-1),
+        }
+        for name, fields in edits.items():
+            record = json.loads((cell / name).read_text())
+            assert set(fields) <= set(record)
+            record.update(fields)
+            (cell / name).write_text(json.dumps(record))
+        logs = []
+        status, _ = run_pipeline(manifest, echo=logs.append)
+        assert status == 0
+        assert all(not line.startswith("[run ]") for line in logs if line.startswith("["))
+
     def test_stage_isolation(self, completed_run):
         manifest, out, _, _, _ = completed_run
         (out / "selection-projection" / "rddl" / "model" / "checkpoint.bin").unlink()
