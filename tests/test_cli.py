@@ -37,10 +37,70 @@ def completed_run(tmp_path_factory):
     return manifest, out, status, results, logs
 
 
-# sha256 of every graph artifact of tiny_manifest(profile="both").  The graph
-# stages are pure Python (no BLAS rounding), and a change to graph building or
-# lineage resolution that alters these bytes alters every downstream result.
+# sha256 of every graph artifact of tiny_manifest(profile="both") over these
+# tasks: selection, join and union views, with projected and computed columns.
+# The graph stages are pure Python (no BLAS rounding), and a change to graph
+# building or lineage resolution that alters these bytes alters every
+# downstream result.
+PINNED_GRAPH_TASKS = ["selection-projection", "selection-nonlinear", "join-nonlinear",
+                      "union-linear"]
 GRAPH_ARTIFACT_DIGESTS = {
+    "join-nonlinear/baseline/kg/counts_test.txt":
+        "c5c2645d7be68f232b016d3b6e595158cdcdfe52f7df63ac6db52735ae6123cc",
+    "join-nonlinear/baseline/kg/counts_train.txt":
+        "9eebd7c21113504357ee51406540b810b009859a0e41ba6c81ed62de6e64fa5f",
+    "join-nonlinear/baseline/kg/ground_truth.csv":
+        "06030ebc72be3b3440754b94720e85c4b27dbff475da5b91662eca7367c13f7b",
+    "join-nonlinear/baseline/kg/resolve_counts.txt":
+        "36233e1258e02b02f90d59d3641f22bc751c243679cebe4d9c41342bd1755ce8",
+    "join-nonlinear/baseline/kg/schema.nt":
+        "6fc661da54140f65a283d59309731ce4b56d83c1fe9c366b6eefa60995936e5d",
+    "join-nonlinear/baseline/kg/test.nt":
+        "ed9278ef4a605bbde37d4c90c97da305d9907a18aa24f7a4a743d5b3186d3ff8",
+    "join-nonlinear/baseline/kg/train.nt":
+        "1046bf3a8067651cfc0d81fa4a685d42edb617ec5651d0a34298a24d4a9e8d5f",
+    "join-nonlinear/rddl/kg/counts_test.txt":
+        "df52bc87414beffa34f146209a62eccd86812a8ffb8f53aab706780d71eabd18",
+    "join-nonlinear/rddl/kg/counts_train.txt":
+        "9a4141bbf11ebecbff7396795bbc1842798de750dfdcdb4ac71e7f017509e17a",
+    "join-nonlinear/rddl/kg/ground_truth.csv":
+        "d489a5e2a37d7cba619772fba7f2708387ad9a414030fefad50753544ece40d9",
+    "join-nonlinear/rddl/kg/resolve_counts.txt":
+        "36233e1258e02b02f90d59d3641f22bc751c243679cebe4d9c41342bd1755ce8",
+    "join-nonlinear/rddl/kg/schema.nt":
+        "f81c19b3ff942fe86006860e67fab0ef84fd1cddd33196a744f11ca76a1ee9cf",
+    "join-nonlinear/rddl/kg/test.nt":
+        "ebaedd032f37d378da78f30c392aa0b1d4afcf3c4110274d5c2d2f7e0a1c147c",
+    "join-nonlinear/rddl/kg/train.nt":
+        "e63b670c3652e90b1a4405f2997843821b9f6808d3a0c68b4b8fbda07996f27f",
+    "selection-nonlinear/baseline/kg/counts_test.txt":
+        "93f8ce5a699c08ec9edf260b78778cd22be3c14a73099e34e001cacaa0cad83b",
+    "selection-nonlinear/baseline/kg/counts_train.txt":
+        "8a397855f20cd0994748ee4e2230fbc7b19fa2f61275028bc2405c09d298c86b",
+    "selection-nonlinear/baseline/kg/ground_truth.csv":
+        "6a5b4740e5b0802941b743df38844ebf9b6f3fcac30884197bc70dd5aa51a2d3",
+    "selection-nonlinear/baseline/kg/resolve_counts.txt":
+        "571c3a9b0facac916df34079247b663383e1a5f1d6abadd78830a4b23efe1868",
+    "selection-nonlinear/baseline/kg/schema.nt":
+        "6fc661da54140f65a283d59309731ce4b56d83c1fe9c366b6eefa60995936e5d",
+    "selection-nonlinear/baseline/kg/test.nt":
+        "f5a0803c7c106e7bfb6f91303d76e4e5e4ef502a475fb0bced38f9bf18984059",
+    "selection-nonlinear/baseline/kg/train.nt":
+        "1f85c1d6551f9dd85648041ce8664ec8a7a06c0c834075f52d8e764648068c55",
+    "selection-nonlinear/rddl/kg/counts_test.txt":
+        "546307da2f6d4432a90121ef165768410f8c1f292bce846745dc306e4f7f2a8a",
+    "selection-nonlinear/rddl/kg/counts_train.txt":
+        "22b415354116682a8101bb0aa206cf96c42999a96d7a9d07af69c75f327750b6",
+    "selection-nonlinear/rddl/kg/ground_truth.csv":
+        "f2355fdae6aab56721b1b5dc9d3ec588a33354f4d057ed2b35f24353d55946af",
+    "selection-nonlinear/rddl/kg/resolve_counts.txt":
+        "571c3a9b0facac916df34079247b663383e1a5f1d6abadd78830a4b23efe1868",
+    "selection-nonlinear/rddl/kg/schema.nt":
+        "f81c19b3ff942fe86006860e67fab0ef84fd1cddd33196a744f11ca76a1ee9cf",
+    "selection-nonlinear/rddl/kg/test.nt":
+        "3516c563d692375f5aae1d00ad67f21a85803522424e47916993006f15ab7678",
+    "selection-nonlinear/rddl/kg/train.nt":
+        "ac3edfbba23f1872455c3d31f2d348c785c80f81f8838280c3b6a43b01fbfb4d",
     "selection-projection/baseline/kg/counts_test.txt":
         "5ca9ef7a81cd3d05bba17058e9b816128f5bafa8ec6b754599120dd5b990c94a",
     "selection-projection/baseline/kg/counts_train.txt":
@@ -69,6 +129,34 @@ GRAPH_ARTIFACT_DIGESTS = {
         "9c2b1fec7a78f27bfeca13bdcd26f6525675c15a3208f9e2c4981ac66e69d001",
     "selection-projection/rddl/kg/train.nt":
         "26379781d205d3bf30d042df561ad045834dfd74d7492cbd39c020944bba11e3",
+    "union-linear/baseline/kg/counts_test.txt":
+        "864180dcea261f4329ba1a15d60d05d9390835bcf8e610fe15539820f8456b1f",
+    "union-linear/baseline/kg/counts_train.txt":
+        "f1b7aa52b3a84a0f4a9fcc8aa6d0383cf9e160b8d4081f2493354e84f4685549",
+    "union-linear/baseline/kg/ground_truth.csv":
+        "834033f9e93ea166326f4e80c5151f283f8500b29bf6a1fe6bd5e698a3ef9a6b",
+    "union-linear/baseline/kg/resolve_counts.txt":
+        "5b11d1a10202b1607c66223d9034698b1c885d357a5fa46f049ed66b6f73a926",
+    "union-linear/baseline/kg/schema.nt":
+        "6fc661da54140f65a283d59309731ce4b56d83c1fe9c366b6eefa60995936e5d",
+    "union-linear/baseline/kg/test.nt":
+        "ad74712951aaea14ab1bd06620589846af7ea2c4dea01fa8508b4fa91179fbe6",
+    "union-linear/baseline/kg/train.nt":
+        "4b475ea27533395311d6f24a532f0d733053b41a939c461a603f068f0a9631e6",
+    "union-linear/rddl/kg/counts_test.txt":
+        "7268fb660ad4a358cb07053b80a99a197e5777d69d50778e6e5b6602315b3008",
+    "union-linear/rddl/kg/counts_train.txt":
+        "4b9a19806a75eebe6a2dbbb0c0e39fe1f941f8381197a06d904ffbf64ccb5f71",
+    "union-linear/rddl/kg/ground_truth.csv":
+        "3527c8d6f9e643db7dbd1b766e59bb0b46e89f361faa7646149148fd49dab498",
+    "union-linear/rddl/kg/resolve_counts.txt":
+        "5b11d1a10202b1607c66223d9034698b1c885d357a5fa46f049ed66b6f73a926",
+    "union-linear/rddl/kg/schema.nt":
+        "f81c19b3ff942fe86006860e67fab0ef84fd1cddd33196a744f11ca76a1ee9cf",
+    "union-linear/rddl/kg/test.nt":
+        "d87fa89c28b01ac39511c6bda583e565e749e1cb7a9f8383f44964e8c5c274c4",
+    "union-linear/rddl/kg/train.nt":
+        "1f28cb27a637290408f96577be4a0fb931fcd8582d9822d27a0d14246b8ca86a",
 }
 
 # sha256 of the sample files sample-paths writes for tiny_manifest(profile="both").
@@ -325,7 +413,7 @@ class TestDeterminism:
 
 
     def test_graph_artifacts_pinned(self, tmp_path):
-        manifest = tiny_manifest(tmp_path, profile="both")
+        manifest = tiny_manifest(tmp_path, profile="both", tasks=PINNED_GRAPH_TASKS)
         for stage in ("gen-scenarios", "build-kg"):
             status, _ = run_pipeline(manifest, echo=lambda *_: None, only_stage=stage)
             assert status == 0
