@@ -3,9 +3,12 @@
 Population walks views first, then tables.  View columns are named bare and
 table columns are prefixed with the table name (the published procedure's
 asymmetry, kept verbatim), so views with a column of the same name share one
-Column node.  Lineage resolution looks each tuple's values up in the graph's
-indexes and links every (source row, target row) pair whose rows belong to
-the objects the tuple names.
+Column node.  Lineage resolution indexes the graph once per call, in one pass
+over its triples (each object's columns and rows, each column's literal kind,
+and the (row, cell) pairs of each (column, value)), then looks each tuple's
+values up in that index and links every (source row, target row) pair whose
+rows belong to the objects the tuple names.  Row pairs come out in first-match
+order: tuple by tuple, dst rows × src rows, each side in cell insertion order.
 """
 
 from __future__ import annotations
@@ -235,34 +238,74 @@ def population_report(g: KnowledgeGraph) -> dict[str, int]:
 class LineageResolution:
     row_pairs: list[tuple[int, int]]  # (dst, src), in first-match order
     added: dict[str, int]  # new edges per lineage family
+    tuples_matched: int  # tuples whose source and target both matched rows
 
 
 def _locals_index(g: KnowledgeGraph) -> dict[str, int]:
     return {g.local_name(node_id): node_id for node_id in range(g.num_nodes)}
 
 
-def _find_column(g: KnowledgeGraph, obj_node: int, table: str, column: str,
-                 has_column: int) -> Optional[int]:
-    wanted = {sanitize(column), f"{sanitize(table)}_{sanitize(column)}"}
-    for candidate in g.objects_of(obj_node, has_column):
-        if g.local_name(candidate) in wanted:
-            return candidate
-    return None
+class _GraphIndex:
+    """What resolution reads of a graph, gathered in one pass over its triples.
+
+    ``columns`` maps an object to its columns by local name, each with its
+    position in the object's hasColumn order; ``rows`` maps an object to its
+    rows; ``kinds`` maps a column to the literal kind of its first cell, in
+    belongsToColumn order, that has a literal; ``cells`` maps (column, literal)
+    to the (row, cell) pairs holding that value, in exactValue then
+    hasCellValue insertion order.
+    """
+
+    def __init__(self, g: KnowledgeGraph):
+        has_column, has_row, has_cell, belongs, exact = (
+            g.relation_id(name) for name in
+            ("hasColumn", "hasRow", "hasCellValue", "belongsToColumn", "exactValue"))
+        self.columns: dict[int, dict[str, tuple[int, int]]] = {}
+        self.rows: dict[int, set[int]] = {}
+        cell_rows: dict[int, list[int]] = {}
+        cell_columns: dict[int, list[int]] = {}
+        column_cells: dict[int, list[int]] = {}
+        cell_literal: dict[int, Literal] = {}  # each cell's first literal
+        values: list[tuple[int, Literal]] = []  # (cell, literal), insertion order
+        for (s, r, o) in g.triples():
+            if r == exact:
+                if isinstance(o, Literal):
+                    values.append((s, o))
+                    cell_literal.setdefault(s, o)
+            elif r == belongs:
+                column_cells.setdefault(o, []).append(s)
+                cell_columns.setdefault(s, []).append(o)
+            elif r == has_cell:
+                cell_rows.setdefault(o, []).append(s)
+            elif r == has_row:
+                self.rows.setdefault(s, set()).add(o)
+            elif r == has_column:
+                names = self.columns.setdefault(s, {})
+                names.setdefault(g.local_name(o), (len(names), o))
+        self.kinds: dict[int, str] = {}
+        for column, cells in column_cells.items():
+            kind = next((cell_literal[c].kind for c in cells if c in cell_literal), None)
+            if kind is not None:
+                self.kinds[column] = kind
+        self.cells: dict[tuple[int, Literal], list[tuple[int, int]]] = {}
+        for cell, literal in values:
+            for column in cell_columns.get(cell, ()):
+                self.cells.setdefault((column, literal), []).extend(
+                    (row, cell) for row in cell_rows.get(cell, ()))
+
+    def column(self, obj_node: int, table: str, column: str) -> Optional[int]:
+        """The object's first column, in hasColumn order, named bare or table-prefixed."""
+        names = self.columns.get(obj_node, {})
+        found = [names[name] for name in
+                 (sanitize(column), f"{sanitize(table)}_{sanitize(column)}")
+                 if name in names]
+        return min(found)[1] if found else None
 
 
-def _match_rows(g: KnowledgeGraph, obj_node: int, col_node: int, value: str,
-                rels: dict) -> list[tuple[int, int]]:
+def _match_rows(index: _GraphIndex, obj_node: int, col_node: int,
+                value: str) -> list[tuple[int, int]]:
     """Rows (and their cells) of obj whose cell in col has the exact value."""
-    if not g.has_triple(obj_node, rels["hasColumn"], col_node):
-        return []
-    kind = None
-    for (cell, _, _) in g.lookup(r=rels["belongsToColumn"], o=col_node):
-        for lit in g.objects_of(cell, rels["exactValue"]):
-            if isinstance(lit, Literal):
-                kind = lit.kind
-                break
-        if kind:
-            break
+    kind = index.kinds.get(col_node)
     if kind is None:
         return []
     try:
@@ -270,10 +313,8 @@ def _match_rows(g: KnowledgeGraph, obj_node: int, col_node: int, value: str,
     except ValueError:
         return []
     # views share Column nodes, so a cell of col may sit in another object's row
-    return [(r, x) for (x, _, _) in g.lookup(r=rels["exactValue"], o=literal)
-            if g.has_triple(x, rels["belongsToColumn"], col_node)
-            for r in g.subjects_of(rels["hasCellValue"], x)
-            if g.has_triple(obj_node, rels["hasRow"], r)]
+    rows = index.rows.get(obj_node, ())
+    return [(r, x) for (r, x) in index.cells.get((col_node, literal), ()) if r in rows]
 
 
 def resolve_lineage_detailed(
@@ -283,17 +324,21 @@ def resolve_lineage_detailed(
 ) -> LineageResolution:
     """Match each tuple against the graph and link the satisfying pairs.
 
-    Only the edge families listed in ``materialize`` are inserted; the
-    matched row pairs are reported regardless, in first-match order, so a
-    caller can withhold rowDerivedFrom edges and keep them as ground truth.
+    The graph is indexed once per call (see ``_GraphIndex``), so a tuple costs
+    O(its matches).  A tuple's rows are the named object's rows whose cell in
+    the named column equals the value, read as the kind of the column's first
+    valued cell.  ``row_pairs`` lists the matched (dst row, src row) pairs in
+    first-match order, deduplicated; within a tuple, dst rows × src rows, each
+    side in cell insertion order.  Only the edge families listed in
+    ``materialize`` are inserted, in that same order, and each
+    columnDerivedFrom and tableDerivedFrom edge (with the rddl role types) once
+    per call; the row pairs are reported regardless, so a caller can withhold
+    rowDerivedFrom edges and keep them as ground truth.
     """
     for family in materialize:
         if family not in LINEAGE_PROPERTIES:
             raise ConvertError(f"unknown lineage family: {family!r}")
-    rels = {name: g.relation_id(name)
-            for name in ("hasColumn", "hasRow", "hasCellValue", "belongsToColumn",
-                         "exactValue")
-            + LINEAGE_PROPERTIES}
+    rels = {family: g.relation_id(family) for family in LINEAGE_PROPERTIES}
     rdf_type = g.relation_id(RDF_TYPE)
     locals_index = _locals_index(g)
     profile_name = g.meta.get("profile")
@@ -306,9 +351,13 @@ def resolve_lineage_detailed(
             if node is None:
                 node = g.add_node(f"{g.namespace}:{role}")
             role_nodes[role] = node
+    index = _GraphIndex(g)
 
     added = {family: 0 for family in LINEAGE_PROPERTIES}
     row_pairs: dict[tuple[int, int], None] = {}  # insertion-ordered set
+    linked_columns: set[tuple[int, int]] = set()
+    linked_tables: set[tuple[int, int]] = set()
+    tuples_matched = 0
 
     def link(family: str, pairs: list[tuple[int, int]]) -> None:
         if family in materialize:
@@ -320,25 +369,31 @@ def resolve_lineage_detailed(
         dst_obj = locals_index.get(sanitize(t.t2))
         if src_obj is None or dst_obj is None:
             raise ConvertError(f"unresolvable table in tuple {t}")
-        c1 = _find_column(g, src_obj, t.t1, t.c1, rels["hasColumn"])
-        c2 = _find_column(g, dst_obj, t.t2, t.c2, rels["hasColumn"])
+        c1 = index.column(src_obj, t.t1, t.c1)
+        c2 = index.column(dst_obj, t.t2, t.c2)
         if c1 is None or c2 is None:
             raise ConvertError(f"unresolvable column in tuple {t}")
-        src_matches = _match_rows(g, src_obj, c1, t.v1, rels)
-        dst_matches = _match_rows(g, dst_obj, c2, t.v2, rels)
+        src_matches = _match_rows(index, src_obj, c1, t.v1)
+        dst_matches = _match_rows(index, dst_obj, c2, t.v2)
         if not src_matches or not dst_matches:
             continue
+        tuples_matched += 1
         pairs = [(dr, sr) for (dr, _) in dst_matches for (sr, _) in src_matches]
         row_pairs.update(dict.fromkeys(pairs))
         link("rowDerivedFrom", pairs)
-        link("columnDerivedFrom", [(c2, c1)])
+        # later copies of a column or table edge would be no-ops
+        if (c2, c1) not in linked_columns:
+            linked_columns.add((c2, c1))
+            link("columnDerivedFrom", [(c2, c1)])
         link("valueDerivedFrom",
              [(dx, sx) for (_, dx) in dst_matches for (_, sx) in src_matches])
-        link("tableDerivedFrom", [(dst_obj, src_obj)])
-        if "tableDerivedFrom" in materialize and role_nodes:
-            g.add_triple(dst_obj, rdf_type, role_nodes["SourceDataCandidate"])
-            g.add_triple(src_obj, rdf_type, role_nodes["TargetDataCandidate"])
-    return LineageResolution(list(row_pairs), added)
+        if (dst_obj, src_obj) not in linked_tables:
+            linked_tables.add((dst_obj, src_obj))
+            link("tableDerivedFrom", [(dst_obj, src_obj)])
+            if "tableDerivedFrom" in materialize and role_nodes:
+                g.add_triple(dst_obj, rdf_type, role_nodes["SourceDataCandidate"])
+                g.add_triple(src_obj, rdf_type, role_nodes["TargetDataCandidate"])
+    return LineageResolution(list(row_pairs), added, tuples_matched)
 
 
 def resolve_lineage(g: KnowledgeGraph, tuples: Iterable[LineageTuple]) -> int:

@@ -15,7 +15,13 @@ from lineagekg.convert import (
     split_train_test,
     write_ground_truth,
 )
-from lineagekg.kgstore import KnowledgeGraph, Literal, parse_ntriples, serialize_ntriples
+from lineagekg.kgstore import (
+    KnowledgeGraph,
+    Literal,
+    canonical_lexical,
+    parse_ntriples,
+    serialize_ntriples,
+)
 from lineagekg.ontology import LINEAGE_PROPERTIES, ProfileError, validate_graph, vocabulary
 from lineagekg.reldb import ColumnDef, Database, Relation, TableDef, northwind_fixture
 from lineagekg.scenario import LineageTuple, ScenarioSuite, generate_scenario, task_by_name
@@ -79,6 +85,135 @@ def graph_row_edges(g):
         (g.node_iri(s), g.node_iri(o))
         for (s, _, o) in g.lookup(r=rel)
     }
+
+
+def scan_resolve(g, tuples, materialize=LINEAGE_PROPERTIES):
+    """Oracle: resolution as a per-tuple scan of the live graph.
+
+    Each tuple walks its objects' hasColumn triples for the column, then filters
+    every cell holding an equal literal; the resolver indexes the graph once
+    instead and must agree on row pairs (order included), counts and triples.
+    """
+    rels = {name: g.relation_id(name)
+            for name in ("hasColumn", "hasRow", "hasCellValue", "belongsToColumn",
+                         "exactValue") + LINEAGE_PROPERTIES}
+    rdf_type = g.relation_id("rdf:type")
+    locals_index = {g.local_name(node): node for node in range(g.num_nodes)}
+    role_nodes = {}
+    if g.meta["profile"] == "rddl":
+        for role in ("SourceDataCandidate", "TargetDataCandidate"):
+            node = locals_index.get(role)
+            role_nodes[role] = g.add_node(f"{g.namespace}:{role}") if node is None else node
+
+    def find_column(obj, table, column):
+        wanted = {sanitize(column), f"{sanitize(table)}_{sanitize(column)}"}
+        for candidate in g.objects_of(obj, rels["hasColumn"]):
+            if g.local_name(candidate) in wanted:
+                return candidate
+        return None
+
+    def match_rows(obj, col, value):
+        if not g.has_triple(obj, rels["hasColumn"], col):
+            return []
+        kind = None
+        for (cell, _, _) in g.lookup(r=rels["belongsToColumn"], o=col):
+            for lit in g.objects_of(cell, rels["exactValue"]):
+                if isinstance(lit, Literal):
+                    kind = lit.kind
+                    break
+            if kind:
+                break
+        if kind is None:
+            return []
+        try:
+            literal = Literal(canonical_lexical(value, kind), kind)
+        except ValueError:
+            return []
+        return [(r, x) for (x, _, _) in g.lookup(r=rels["exactValue"], o=literal)
+                if g.has_triple(x, rels["belongsToColumn"], col)
+                for r in g.subjects_of(rels["hasCellValue"], x)
+                if g.has_triple(obj, rels["hasRow"], r)]
+
+    added = {family: 0 for family in LINEAGE_PROPERTIES}
+    row_pairs = {}
+
+    def link(family, pairs):
+        if family in materialize:
+            for (dst, src) in pairs:
+                added[family] += g.add_triple(dst, rels[family], src)
+
+    for t in tuples:
+        src_obj = locals_index[sanitize(t.t1)]
+        dst_obj = locals_index[sanitize(t.t2)]
+        c1 = find_column(src_obj, t.t1, t.c1)
+        c2 = find_column(dst_obj, t.t2, t.c2)
+        src_matches = match_rows(src_obj, c1, t.v1)
+        dst_matches = match_rows(dst_obj, c2, t.v2)
+        if not src_matches or not dst_matches:
+            continue
+        pairs = [(dr, sr) for (dr, _) in dst_matches for (sr, _) in src_matches]
+        row_pairs.update(dict.fromkeys(pairs))
+        link("rowDerivedFrom", pairs)
+        link("columnDerivedFrom", [(c2, c1)])
+        link("valueDerivedFrom",
+             [(dx, sx) for (_, dx) in dst_matches for (_, sx) in src_matches])
+        link("tableDerivedFrom", [(dst_obj, src_obj)])
+        if "tableDerivedFrom" in materialize and role_nodes:
+            g.add_triple(dst_obj, rdf_type, role_nodes["SourceDataCandidate"])
+            g.add_triple(src_obj, rdf_type, role_nodes["TargetDataCandidate"])
+    return list(row_pairs), added
+
+
+# lexicals per dtype: canonical and non-canonical forms of equal values, and
+# forms that do not parse as the column's kind
+LEXICALS = {
+    "integer": ["1", "007", "7", "0", "-0", "12", "abc"],
+    "decimal": ["1.5", "1.50", "2", "2.0", "0.1", "abc"],
+    "boolean": ["true", "TRUE", "1", "false", "0", "False", "maybe"],
+    "varchar": ["a", "b", "007", "1", "TRUE"],
+}
+
+
+def random_lineage_db(rng):
+    """Tables Src and Dst and views V1, V2, W of random dtypes and lexicals.
+
+    Every column may hold NULLs and ``n`` holds only NULLs.  The views share
+    the bare ``x`` Column node, possibly with different dtypes, and W has both a
+    bare ``x`` and a ``W_x`` column, in random order, so the tuple column ``x``
+    names two of W's columns.
+    """
+    def relation(name, column_names, object_class, keyed):
+        columns = [ColumnDef("k", "integer", is_pk=True)] if keyed else []
+        for c in column_names:
+            dtype = rng.choice(sorted(LEXICALS))
+            columns.append(ColumnDef(c, dtype, length=10 if dtype == "varchar" else None,
+                                     nullable=True))
+        columns.append(ColumnDef("n", "integer", nullable=True))
+        rows = []
+        for i in range(rng.randrange(1, 7)):
+            row = [str(i)] if keyed else []
+            row += [None if rng.random() < 0.2 else rng.choice(LEXICALS[c.dtype])
+                    for c in columns[len(row):-1]]
+            rows.append(tuple(row) + (None,))
+        return Relation(TableDef(name, tuple(columns)), rows, object_class)
+
+    w_columns = ["x", "W_x"]
+    rng.shuffle(w_columns)
+    return Database(
+        tables={name: relation(name, ["u", "v"], "Table", True) for name in ("Src", "Dst")},
+        views={"V1": relation("V1", ["x", "y"], "View", False),
+               "V2": relation("V2", ["x"], "MaterializedView", False),
+               "W": relation("W", w_columns, "View", False)},
+    )
+
+
+def random_tuples(rng, db, count):
+    def side():
+        rel = db.relation(rng.choice(sorted(db.relation_names())))
+        col = rng.choice(rel.table.columns)
+        values = [v for dtype in LEXICALS for v in LEXICALS[dtype]]
+        return rel.name, col.name, rng.choice(values)
+    return [LineageTuple(*side(), *side()) for _ in range(count)]
 
 
 class TestResolveType:
@@ -310,6 +445,46 @@ class TestResolveLineage:
             resolve_lineage(g, tuples)
             assert graph_row_edges(g) == brute_force_row_edges(db, tuples, "rddl")
 
+
+    def test_indexed_resolution_matches_graph_scan(self):
+        rng = random.Random(10)
+        families = (LINEAGE_PROPERTIES,
+                    tuple(f for f in LINEAGE_PROPERTIES if f != "rowDerivedFrom"))
+        matched = 0
+        for trial in range(60):
+            db = random_lineage_db(rng)
+            tuples = random_tuples(rng, db, rng.randrange(1, 25))
+            profile = rng.choice(["baseline", "rddl"])
+            materialize = families[trial % 2]
+            indexed, scanned = self.build(db, profile), self.build(db, profile)
+            result = resolve_lineage_detailed(indexed, tuples, materialize)
+            row_pairs, added = scan_resolve(scanned, tuples, materialize)
+            assert result.row_pairs == row_pairs
+            assert result.added == added
+            assert list(indexed.triples()) == list(scanned.triples())
+            assert serialize_ntriples(indexed) == serialize_ntriples(scanned)
+            matched += result.tuples_matched
+        assert matched > 0
+
+    @pytest.mark.parametrize("order", [("W_x", "x"), ("x", "W_x")])
+    def test_first_candidate_column_wins(self, order):
+        # tuple column "x" names both W.x (bare) and W.W_x (prefixed)
+        values = {"W_x": "a", "x": "b"}
+        view = Relation(TableDef("W", tuple(ColumnDef(c, "varchar", length=10) for c in order)),
+                        [tuple(values[c] for c in order)], "View")
+        db = two_table_db([("1", "a")], [])
+        db.views["W"] = view
+        result = resolve_lineage_detailed(
+            self.build(db), [LineageTuple("Src", "v", "a", "W", "x", "a")])
+        assert len(result.row_pairs) == (order[0] == "W_x")
+        assert result.tuples_matched == (order[0] == "W_x")
+
+    def test_all_null_column_matches_nothing(self):
+        db = two_table_db([("1", None)], [("1", None)])
+        result = resolve_lineage_detailed(
+            self.build(db), [LineageTuple("Src", "v", "", "Dst", "w", ""),
+                             LineageTuple("Src", "k", "01", "Dst", "k", "1")])
+        assert result.row_pairs and result.tuples_matched == 1
 
 @pytest.fixture(scope="module")
 def suite():
