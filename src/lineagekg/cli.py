@@ -284,7 +284,11 @@ class Pipeline:
             (kg / "schema.nt").write_text(
                 export_profile(vocabulary(profile)), encoding="utf-8")
             return {"train_triples": len(split.train), "test_triples": len(split.test),
-                    "resolve_counts": split.resolve_counts}
+                    "train_nodes": split.train.num_nodes,
+                    "test_nodes": split.test.num_nodes,
+                    "resolve_counts": split.resolve_counts,
+                    "train_tuples_matched": split.train_tuples_matched,
+                    "test_tuples_matched": split.test_tuples_matched}
 
         self._run_stage("build-kg", task, profile, outputs, build)
 

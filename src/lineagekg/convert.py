@@ -412,6 +412,8 @@ class SplitResult:
     train_report: dict[str, int]
     test_report: dict[str, int]
     resolve_counts: dict[str, int]  # lineage edges added to train, per family
+    train_tuples_matched: int  # tuples whose source and target both matched rows
+    test_tuples_matched: int
 
 
 def _executions_for(scenarios: Sequence[Scenario]) -> list[ExecutionRecord]:
@@ -429,6 +431,8 @@ def split_train_test(suite, task_name: str, profile: str,
     ``resolve_counts`` the edges resolution added.  The test graph gets the
     column, value and table families, and its rowDerivedFrom pairs, the
     prediction target, are returned as ground truth instead of being inserted.
+    ``train_tuples_matched`` and ``test_tuples_matched`` count each graph's
+    tuples whose source and target both matched rows.
     """
     if suite.db is None:
         raise ConvertError("suite carries no database")
@@ -456,6 +460,8 @@ def split_train_test(suite, task_name: str, profile: str,
         train_report=train_report,
         test_report=population_report(test_g),
         resolve_counts=train_resolution.added,
+        train_tuples_matched=train_resolution.tuples_matched,
+        test_tuples_matched=test_resolution.tuples_matched,
     )
 
 

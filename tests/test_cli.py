@@ -12,7 +12,9 @@ from lineagekg.cli import (
     main,
     run_pipeline,
 )
+from lineagekg.kgstore import parse_ntriples
 from lineagekg.metrics import read_results
+from lineagekg.scenario import load_suite
 
 
 def tiny_manifest(out_dir, **overrides):
@@ -320,6 +322,14 @@ class TestPipeline:
         resolved = dict(line.split("=") for line in
                         (cell / "kg" / "resolve_counts.txt").read_text().splitlines())
         assert graph["resolve_counts"] == {k: int(v) for k, v in resolved.items()}
+        for part in ("train", "test"):
+            parsed = parse_ntriples((cell / "kg" / f"{part}.nt").read_text())
+            assert graph[f"{part}_nodes"] == parsed.num_nodes > 0
+        # the generator keeps only transformations whose every tuple resolves
+        suite = load_suite(out / "selection-projection" / "scenarios")
+        tuples = [len(s.all_tuples()) for s in suite.scenarios_for("selection-projection")]
+        assert graph["train_tuples_matched"] == sum(tuples[:manifest.train_scenarios]) > 0
+        assert graph["test_tuples_matched"] == sum(tuples[manifest.train_scenarios:]) > 0
         train = json.loads((cell / ".stage_train.ok").read_text())
         samples = len((cell / "samples" / "train.txt").read_text().splitlines())
         assert train["samples"] == samples
@@ -335,7 +345,9 @@ class TestPipeline:
         cell = out / "selection-projection" / "rddl"
         edits = {
             ".stage_build-kg.ok": dict(train_triples=-1, test_triples=-1,
-                                       resolve_counts={}),
+                                       train_nodes=-1, test_nodes=-1,
+                                       resolve_counts={}, train_tuples_matched=-1,
+                                       test_tuples_matched=-1),
             ".stage_train.ok": dict(samples=-1, epoch_losses=[], path_rows=-1,
                                     lstm_rows=-1),
         }
