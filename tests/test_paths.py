@@ -206,6 +206,33 @@ def random_multigraph(rng):
     return g.freeze()
 
 
+def star_graph(degree):
+    """A centre node with ``degree`` leaves, one edge each, alternating the
+    relation and the direction, so the centre has ``degree`` adjacency entries."""
+    g = KnowledgeGraph()
+    rels = [g.add_relation(f"r{i}") for i in range(2)]
+    centre = g.add_node("t:centre")
+    for index in range(degree):
+        leaf = g.add_node(f"t:leaf{index}")
+        if index % 2:
+            g.add_triple(leaf, rels[index % 4 // 2], centre)
+        else:
+            g.add_triple(centre, rels[index % 4 // 2], leaf)
+    return g.freeze(), centre
+
+
+def assert_same_draws(g, cfg, calls, seed_prefix):
+    """The indexed sampler and FilteredListSampler return the same paths for
+    every (src, dst, excluded) call, and leave their rngs in the same state."""
+    fast, slow = PathSampler(g, cfg), FilteredListSampler(g, cfg)
+    for index, (src, dst, excluded) in enumerate(calls):
+        rng_fast = random.Random(f"{seed_prefix}:{index}")
+        rng_slow = random.Random(f"{seed_prefix}:{index}")
+        assert (fast.sample_paths(src, dst, rng_fast, excluded)
+                == slow.sample_paths(src, dst, rng_slow, excluded)), (src, dst, excluded)
+        assert rng_fast.getstate() == rng_slow.getstate(), (src, dst, excluded)
+
+
 class TestWalkStepMatchesFilteredList:
     @pytest.mark.parametrize("restart_prob", [0.0, 0.5, 1.0])
     def test_same_paths_and_rng_state(self, restart_prob):
@@ -214,7 +241,6 @@ class TestWalkStepMatchesFilteredList:
             g = random_multigraph(random.Random(graph_seed))
             cfg = SamplerConfig(num_paths=3, max_length=4, walk_budget=5,
                                 restart_prob=restart_prob, seed=graph_seed)
-            fast, slow = PathSampler(g, cfg), FilteredListSampler(g, cfg)
             triples = node_to_node_triples(g)
             pick = random.Random(f"pairs:{graph_seed}")
             # every triple excluded from its own pair (the training case, which
@@ -224,14 +250,43 @@ class TestWalkStepMatchesFilteredList:
             calls = [(s, o, (s, r, o)) for (s, r, o) in triples]
             calls += [(pick.randrange(g.num_nodes), pick.randrange(g.num_nodes),
                        pick.choice(triples + [None])) for _ in range(30)]
-            for index, (src, dst, excluded) in enumerate(calls):
-                rng_fast = random.Random(f"{graph_seed}:{index}")
-                rng_slow = random.Random(f"{graph_seed}:{index}")
-                assert (fast.sample_paths(src, dst, rng_fast, excluded)
-                        == slow.sample_paths(src, dst, rng_slow, excluded))
-                assert rng_fast.getstate() == rng_slow.getstate()
-                cases += 1
+            assert_same_draws(g, cfg, calls, graph_seed)
+            cases += len(calls)
         assert cases > 25 * 30
+
+    @pytest.mark.parametrize("max_length", [1, 2])
+    @pytest.mark.parametrize("restart_prob", [0.0, 0.5, 1.0])
+    def test_star_draws_at_every_power_of_two(self, max_length, restart_prob):
+        # the centre draws among degree or degree - 1 entries, so the draw
+        # runs on each side of 2**k for k up to 10; with max_length=2 a walk
+        # from a leaf draws among 1 entry, then steps over the entry back
+        degrees = [*range(1, 71), 127, 128, 129, 255, 256, 257, 1023, 1024, 1025]
+        for degree in degrees:
+            g, centre = star_graph(degree)
+            cfg = SamplerConfig(num_paths=3, max_length=max_length, walk_budget=4,
+                                restart_prob=restart_prob, seed=degree)
+            triples = node_to_node_triples(g)
+            pick = random.Random(f"star:{degree}")
+            calls = []
+            for (s, r, o) in pick.sample(triples, min(3, degree)):
+                leaf = o if s == centre else s
+                calls += [(centre, leaf, (s, r, o)), (centre, leaf, None),
+                          (leaf, pick.choice([s, o]) if degree == 1
+                           else pick.randrange(1, degree + 1), (s, r, o))]
+            assert_same_draws(g, cfg, calls, f"star:{degree}")
+
+    def test_real_graph_training_and_eval_pairs(self, converted):
+        # an rddl graph with its CellValue and Row class hubs, default sampler
+        cfg = SamplerConfig(seed=0)
+        assert cfg.max_length == 6 and cfg.restart_prob == 0.2
+        triples = node_to_node_triples(converted.train)
+        assert_same_draws(converted.train, cfg,
+                          [(s, o, (s, r, o)) for (s, r, o) in triples], "train")
+        rows = row_nodes(converted.test)
+        pick = random.Random("rows")
+        pairs = [tuple(pick.sample(rows, 2)) for _ in range(200)]
+        assert_same_draws(converted.test, cfg,
+                          [(a, b, None) for (a, b) in pairs], "eval")
 
 
 class TestTrainingSet:
