@@ -6,7 +6,15 @@ entirely new nodes.  Walks are random with restart; if nothing connects a
 pair, the degenerate [NOPATH, PAD, ...] encoding is used.  A walk step costs
 O(visited nodes), not O(degree): it draws among the current node's unblocked
 adjacency entries by stepping over the few blocked positions, which a
-per-node neighbour index finds.
+per-node neighbour index finds.  The draw is ``rng.randrange(free)`` inlined
+as the getrandbits rejection loop that CPython's ``randrange(n)`` runs for
+``n > 0`` (``Random._randbelow_with_getrandbits``), so a step makes the same
+rng calls without two Python frames.  That helper is private; the inlined loop
+was checked against ``randrange`` (values and final rng state) on CPython
+3.9-3.13, and ``TestWalkStepMatchesFilteredList`` in ``tests/test_paths.py``
+compares every walk and rng state with a sampler that filters the neighbour
+list and calls ``randrange``, on random multigraphs, on star graphs whose
+draws straddle each power of two up to 1024, and on a converted rddl graph.
 
 The training and eval sets sample their pairs on every usable CPU.  Pair i
 runs in share i % P of P = min(usable CPUs, pairs) processes: this process
@@ -146,42 +154,42 @@ class PathSampler:
         last[neighbour] = len(self.adjacency[node])
         self.adjacency[node].append((token, neighbour))
 
-    def _positions(self, node: int, neighbour: int) -> Iterator[int]:
-        """Positions in node's adjacency list of the entries to neighbour."""
-        previous = self.previous[node]
-        i = self.last[node].get(neighbour, -1)
-        while i >= 0:
-            yield i
-            i = previous[i]
-
     def _walk(self, rng: random.Random, src: int, dst: int,
               excluded: Optional[tuple]) -> Optional[tuple[int, ...]]:
         """One random simple walk (no node revisits) with restart.
 
         A step draws uniformly among the current node's entries that lead to
-        an unvisited node and are not the excluded triple, with the same
-        ``randrange`` call as filtering the list would make: the draw is the
-        rank among unblocked entries, mapped to a position by stepping over
-        the sorted blocked positions.
+        an unvisited node and are not the excluded triple, with the same rng
+        calls as ``rng.randrange`` over the filtered list would make: the draw
+        is the rank among unblocked entries, mapped to a position by stepping
+        over the sorted blocked positions (usually one: the entry back to the
+        previous node).  The draw is ``randrange(free)`` inlined as the
+        getrandbits rejection loop of ``Random._randbelow_with_getrandbits``;
+        the module docstring names the versions and tests that check it.
+        ``visited`` is a list: a simple walk's nodes are distinct.
         """
         ex_s = ex_o = -1
         if excluded is not None:
             ex_s, ex_r, ex_o = excluded
             ex_forward = self.vocab.forward(ex_r)
             ex_inverse = self.vocab.inverse(ex_r)
+        adjacency, last_of, previous_of = self.adjacency, self.last, self.previous
+        restart_prob = self.cfg.restart_prob
+        random_, getrandbits = rng.random, rng.getrandbits
         position = src
         tokens: list[int] = []
-        visited = {src}
+        visited = [src]  # distinct, as the walk is simple
         for _ in range(self.cfg.max_length):
-            if tokens and rng.random() < self.cfg.restart_prob:
+            if tokens and random_() < restart_prob:
                 position = src
                 tokens = []
-                visited = {src}
-            entries = self.adjacency[position]
-            last = self.last[position]
-            previous = self.previous[position]
+                visited = [src]
+            entries = adjacency[position]
+            last = last_of[position]
+            previous = previous_of[position]
+            # positions of the entries to visited nodes
             blocked: list[int] = []
-            for node in visited:  # _positions, inlined: it runs at every step
+            for node in visited:
                 i = last.get(node, -1)
                 while i >= 0:
                     blocked.append(i)
@@ -189,24 +197,37 @@ class PathSampler:
             # the excluded triple's entry, unless it leads to a visited node
             # and is blocked already (always so for a self-loop)
             if position == ex_s and ex_o not in visited:
-                blocked.extend(i for i in self._positions(position, ex_o)
-                               if entries[i][0] == ex_forward)
+                i = last.get(ex_o, -1)
+                while i >= 0:
+                    if entries[i][0] == ex_forward:
+                        blocked.append(i)
+                    i = previous[i]
             if position == ex_o and ex_s not in visited:
-                blocked.extend(i for i in self._positions(position, ex_s)
-                               if entries[i][0] == ex_inverse)
+                i = last.get(ex_s, -1)
+                while i >= 0:
+                    if entries[i][0] == ex_inverse:
+                        blocked.append(i)
+                    i = previous[i]
             free = len(entries) - len(blocked)
             if not free:
                 return None
-            pick = rng.randrange(free)
-            for i in sorted(blocked):
-                if i > pick:
-                    break
-                pick += 1
+            k = free.bit_length()
+            pick = getrandbits(k)
+            while pick >= free:
+                pick = getrandbits(k)
+            if len(blocked) == 1:
+                if blocked[0] <= pick:
+                    pick += 1
+            elif blocked:
+                for i in sorted(blocked):
+                    if i > pick:
+                        break
+                    pick += 1
             token, position = entries[pick]
             tokens.append(token)
-            visited.add(position)
             if position == dst:
                 return tuple(tokens)
+            visited.append(position)
         return None
 
     def sample_paths(self, src: int, dst: int, rng: random.Random,
