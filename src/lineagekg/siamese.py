@@ -70,11 +70,19 @@ class ModelConfig:
 
 
 class Parameters:
-    """All trainable tensors, keyed by name in a fixed declared order."""
+    """All trainable tensors, keyed by name in a fixed declared order.
+
+    The tensors are copied into one flat float64 vector, ``flat``, and
+    ``arrays`` holds views into it, so an update of ``flat`` updates every
+    tensor and an in-place update of a tensor updates ``flat``.
+    """
 
     def __init__(self, cfg: ModelConfig, arrays: dict[str, np.ndarray]):
         self.cfg = cfg
-        self.arrays = arrays
+        self.flat = np.concatenate(
+            [np.asarray(a, dtype=np.float64).reshape(-1) for a in arrays.values()])
+        self._shapes = {name: np.shape(a) for name, a in arrays.items()}
+        self.arrays = self.views(self.flat)
 
     @staticmethod
     def tensor_names(cfg: ModelConfig) -> list[str]:
@@ -86,14 +94,24 @@ class Parameters:
         names += ["fusion_W", "fusion_b"]
         return names
 
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Per-tensor views into a vector laid out like ``flat``."""
+        views = {}
+        start = 0
+        for name, shape in self._shapes.items():
+            stop = start + math.prod(shape)
+            views[name] = flat[start:stop].reshape(shape)
+            start = stop
+        return views
+
     def zeros_like(self) -> dict[str, np.ndarray]:
-        return {name: np.zeros_like(a) for name, a in self.arrays.items()}
+        return self.views(np.zeros_like(self.flat))
 
     def all_finite(self) -> bool:
-        return all(np.isfinite(a).all() for a in self.arrays.values())
+        return bool(np.isfinite(self.flat).all())
 
     def copy(self) -> "Parameters":
-        return Parameters(self.cfg, {k: a.copy() for k, a in self.arrays.items()})
+        return Parameters(self.cfg, self.arrays)
 
 
 def init_parameters(cfg: ModelConfig) -> Parameters:
@@ -398,9 +416,11 @@ def train(params: Parameters, samples: Sequence[PathSample],
     cfg = cfg or params.cfg
     if not samples:
         raise ModelError("empty training stream")
-    adam_m = params.zeros_like()
-    adam_v = params.zeros_like()
-    grads = params.zeros_like()
+    adam_m = np.zeros_like(params.flat)
+    adam_v = np.zeros_like(params.flat)
+    grad_flat = np.zeros_like(params.flat)
+    scratch = np.empty_like(params.flat)
+    grads = params.views(grad_flat)
     step = 0
     lstm_rows = 0
     epoch_losses: list[float] = []
@@ -422,8 +442,7 @@ def train(params: Parameters, samples: Sequence[PathSample],
                 raise RuntimeError(
                     f"NaN loss at epoch {epoch} batch {start // cfg.batch_size}"
                 )
-            for g in grads.values():
-                g.fill(0.0)
+            grad_flat.fill(0.0)
             backward_batch(params, cache, [s.label for s in batch], grads)
             del cache  # keep one batch's activations alive at a time
             scale = 1.0 / len(batch)
@@ -431,13 +450,25 @@ def train(params: Parameters, samples: Sequence[PathSample],
             lr = cfg.learning_rate
             bias1 = 1.0 - _ADAM_BETA1 ** step
             bias2 = 1.0 - _ADAM_BETA2 ** step
-            for name, array in params.arrays.items():
-                g = grads[name] * scale
-                adam_m[name] = _ADAM_BETA1 * adam_m[name] + (1 - _ADAM_BETA1) * g
-                adam_v[name] = _ADAM_BETA2 * adam_v[name] + (1 - _ADAM_BETA2) * g * g
-                m_hat = adam_m[name] / bias1
-                v_hat = adam_v[name] / bias2
-                array -= lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
+            # in place over the flat vectors, with the same operations in the
+            # same order per element as one update per tensor; grad_flat ends
+            # as the step and is zeroed before the next batch
+            g = grad_flat
+            g *= scale
+            np.multiply(g, 1 - _ADAM_BETA1, out=scratch)
+            adam_m *= _ADAM_BETA1
+            adam_m += scratch
+            np.multiply(g, 1 - _ADAM_BETA2, out=scratch)
+            scratch *= g
+            adam_v *= _ADAM_BETA2
+            adam_v += scratch
+            np.divide(adam_v, bias2, out=scratch)
+            np.sqrt(scratch, out=scratch)
+            scratch += _ADAM_EPS  # sqrt(v_hat) + eps
+            np.divide(adam_m, bias1, out=g)
+            g *= lr
+            g /= scratch  # lr * m_hat / (sqrt(v_hat) + eps)
+            params.flat -= g
             if not params.all_finite():
                 raise RuntimeError(
                     f"non-finite parameters after epoch {epoch}"
@@ -502,5 +533,5 @@ def load_checkpoint(path) -> Parameters:
             raw = fh.read(count * 8)
             if len(raw) != count * 8:
                 raise ModelError(f"truncated tensor block: {name}")
-            arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape)
     return Parameters(cfg, arrays)

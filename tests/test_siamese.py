@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 
 import numpy as np
 import pytest
@@ -91,6 +92,47 @@ def mean_loss_grad_error(params, batch, eps=1e-4):
             grad_flat[i] = (loss_plus - loss_minus) / (2 * eps)
         numeric[name] = grad
     return max_relative_error(analytic, numeric)
+
+
+def varied_samples(count):
+    """Samples with paths of different tokens and lengths, and both labels."""
+    return [PathSample(paths=((2 + i % 6, 3 + i % 5, 0), (5, 2 + i % 3, 4), (1, 0, 0)),
+                       relation=i % 4, label=i % 2) for i in range(count)]
+
+
+def per_tensor_train(params, samples, cfg):
+    """Oracle: ``train`` with Adam run tensor by tensor, as separate arrays;
+    returns the epoch losses."""
+    adam_m, adam_v = params.zeros_like(), params.zeros_like()
+    step = 0
+    epoch_losses = []
+    indices = list(range(len(samples)))
+    for epoch in range(cfg.epochs):
+        random.Random(f"{cfg.seed}:epoch:{epoch}").shuffle(indices)
+        total = 0.0
+        for start in range(0, len(indices), cfg.batch_size):
+            batch = [samples[idx] for idx in indices[start:start + cfg.batch_size]]
+            probs, cache = forward_batch(params, batch)
+            batch_loss = 0.0
+            for prob, sample in zip(probs.tolist(), batch):
+                batch_loss += bce_loss(prob, sample.label)
+            batch_loss /= len(batch)
+            grads = backward_batch(params, cache, [s.label for s in batch],
+                                   params.zeros_like())
+            scale = 1.0 / len(batch)
+            step += 1
+            bias1 = 1.0 - 0.9 ** step
+            bias2 = 1.0 - 0.999 ** step
+            for name, array in params.arrays.items():
+                g = grads[name] * scale
+                adam_m[name] = 0.9 * adam_m[name] + (1 - 0.9) * g
+                adam_v[name] = 0.999 * adam_v[name] + (1 - 0.999) * g * g
+                m_hat = adam_m[name] / bias1
+                v_hat = adam_v[name] / bias2
+                array -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
+            total += batch_loss * len(batch)
+        epoch_losses.append(total / len(samples))
+    return epoch_losses
 
 
 class TestForward:
@@ -344,6 +386,35 @@ class TestTrain:
             finals.append({k: v.copy() for k, v in params.arrays.items()})
         for name in finals[0]:
             assert np.array_equal(finals[0][name], finals[1][name])
+
+    def test_flat_adam_matches_per_tensor_loop(self, tmp_path):
+        cfg = tiny_config(layers=2, batch_size=8, epochs=2, seed=3)
+        samples = varied_samples(40)
+        params, expected = init_parameters(cfg), init_parameters(cfg)
+        losses = train(params, samples, cfg).epoch_losses
+        assert losses == per_tensor_train(expected, samples, cfg)
+        save_checkpoint(params, tmp_path / "flat.bin")
+        save_checkpoint(expected, tmp_path / "loop.bin")
+        assert (tmp_path / "flat.bin").read_bytes() == (tmp_path / "loop.bin").read_bytes()
+
+    def test_copied_and_loaded_params_are_views_of_their_flat_vector(self, tmp_path):
+        cfg = tiny_config(layers=2, batch_size=8, epochs=1, seed=4)
+        params = init_parameters(cfg)
+        save_checkpoint(params, tmp_path / "model.bin")
+        copied, loaded = params.copy(), load_checkpoint(tmp_path / "model.bin")
+        for other in (copied, loaded):
+            assert not np.shares_memory(other.flat, params.flat)
+            for name, array in other.arrays.items():
+                assert array.base is other.flat and array.flags.writeable
+                assert np.array_equal(array, params.arrays[name])
+        # each trains in place like the original
+        trained = []
+        for index, other in enumerate((params, copied, loaded)):
+            train(other, varied_samples(24), cfg)
+            save_checkpoint(other, tmp_path / f"trained{index}.bin")
+            trained.append((tmp_path / f"trained{index}.bin").read_bytes())
+        assert trained[0] == trained[1] == trained[2]
+        assert trained[0] != (tmp_path / "model.bin").read_bytes()
 
     def test_params_stay_finite(self):
         cfg = tiny_config(epochs=2, seed=2)
