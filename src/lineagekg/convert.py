@@ -330,7 +330,7 @@ def resolve_lineage_detailed(
     valued cell.  ``row_pairs`` lists the matched (dst row, src row) pairs in
     first-match order, deduplicated; within a tuple, dst rows × src rows, each
     side in cell insertion order.  Only the edge families listed in
-    ``materialize`` are inserted, in that same order, and each
+    ``materialize`` are inserted, in that same order, and each rowDerivedFrom,
     columnDerivedFrom and tableDerivedFrom edge (with the rddl role types) once
     per call; the row pairs are reported regardless, so a caller can withhold
     rowDerivedFrom edges and keep them as ground truth.
@@ -378,9 +378,12 @@ def resolve_lineage_detailed(
         if not src_matches or not dst_matches:
             continue
         tuples_matched += 1
-        pairs = [(dr, sr) for (dr, _) in dst_matches for (sr, _) in src_matches]
-        row_pairs.update(dict.fromkeys(pairs))
-        link("rowDerivedFrom", pairs)
+        # a known pair was linked when first met: another copy is a no-op
+        new_pairs = [pair for pair in dict.fromkeys(
+            (dr, sr) for (dr, _) in dst_matches for (sr, _) in src_matches)
+            if pair not in row_pairs]
+        row_pairs.update(dict.fromkeys(new_pairs))
+        link("rowDerivedFrom", new_pairs)
         # later copies of a column or table edge would be no-ops
         if (c2, c1) not in linked_columns:
             linked_columns.add((c2, c1))
