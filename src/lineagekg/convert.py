@@ -378,10 +378,9 @@ def resolve_lineage_detailed(
         if not src_matches or not dst_matches:
             continue
         tuples_matched += 1
-        # a known pair was linked when first met: another copy is a no-op
-        new_pairs = [pair for pair in dict.fromkeys(
-            (dr, sr) for (dr, _) in dst_matches for (sr, _) in src_matches)
-            if pair not in row_pairs]
+        # a pair met before was linked then: another copy would be a no-op
+        new_pairs = [(dr, sr) for (dr, _) in dst_matches for (sr, _) in src_matches
+                     if (dr, sr) not in row_pairs]
         row_pairs.update(dict.fromkeys(new_pairs))
         link("rowDerivedFrom", new_pairs)
         # later copies of a column or table edge would be no-ops

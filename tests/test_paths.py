@@ -212,13 +212,13 @@ def star_graph(degree):
     g = KnowledgeGraph()
     rels = [g.add_relation(f"r{i}") for i in range(2)]
     centre = g.add_node("t:centre")
-    for index in range(degree):
-        leaf = g.add_node(f"t:leaf{index}")
+    leaves = [g.add_node(f"t:leaf{index}") for index in range(degree)]
+    for index, leaf in enumerate(leaves):
         if index % 2:
             g.add_triple(leaf, rels[index % 4 // 2], centre)
         else:
             g.add_triple(centre, rels[index % 4 // 2], leaf)
-    return g.freeze(), centre
+    return g.freeze(), centre, leaves
 
 
 def assert_same_draws(g, cfg, calls, seed_prefix):
@@ -262,7 +262,7 @@ class TestWalkStepMatchesFilteredList:
         # from a leaf draws among 1 entry, then steps over the entry back
         degrees = [*range(1, 71), 127, 128, 129, 255, 256, 257, 1023, 1024, 1025]
         for degree in degrees:
-            g, centre = star_graph(degree)
+            g, centre, leaves = star_graph(degree)
             cfg = SamplerConfig(num_paths=3, max_length=max_length, walk_budget=4,
                                 restart_prob=restart_prob, seed=degree)
             triples = node_to_node_triples(g)
@@ -271,8 +271,7 @@ class TestWalkStepMatchesFilteredList:
             for (s, r, o) in pick.sample(triples, min(3, degree)):
                 leaf = o if s == centre else s
                 calls += [(centre, leaf, (s, r, o)), (centre, leaf, None),
-                          (leaf, pick.choice([s, o]) if degree == 1
-                           else pick.randrange(1, degree + 1), (s, r, o))]
+                          (leaf, pick.choice(leaves), (s, r, o))]
             assert_same_draws(g, cfg, calls, f"star:{degree}")
 
     def test_real_graph_training_and_eval_pairs(self, converted):
