@@ -419,7 +419,7 @@ def train(params: Parameters, samples: Sequence[PathSample],
     adam_m = np.zeros_like(params.flat)
     adam_v = np.zeros_like(params.flat)
     grad_flat = np.zeros_like(params.flat)
-    scratch = np.empty_like(params.flat)
+    work = np.empty_like(params.flat)
     grads = params.views(grad_flat)
     step = 0
     lstm_rows = 0
@@ -455,19 +455,19 @@ def train(params: Parameters, samples: Sequence[PathSample],
             # as the step and is zeroed before the next batch
             g = grad_flat
             g *= scale
-            np.multiply(g, 1 - _ADAM_BETA1, out=scratch)
+            np.multiply(g, 1 - _ADAM_BETA1, out=work)
             adam_m *= _ADAM_BETA1
-            adam_m += scratch
-            np.multiply(g, 1 - _ADAM_BETA2, out=scratch)
-            scratch *= g
+            adam_m += work
+            np.multiply(g, 1 - _ADAM_BETA2, out=work)
+            work *= g
             adam_v *= _ADAM_BETA2
-            adam_v += scratch
-            np.divide(adam_v, bias2, out=scratch)
-            np.sqrt(scratch, out=scratch)
-            scratch += _ADAM_EPS  # sqrt(v_hat) + eps
+            adam_v += work
+            np.divide(adam_v, bias2, out=work)
+            np.sqrt(work, out=work)
+            work += _ADAM_EPS  # sqrt(v_hat) + eps
             np.divide(adam_m, bias1, out=g)
             g *= lr
-            g /= scratch  # lr * m_hat / (sqrt(v_hat) + eps)
+            g /= work  # lr * m_hat / (sqrt(v_hat) + eps)
             params.flat -= g
             if not params.all_finite():
                 raise RuntimeError(
