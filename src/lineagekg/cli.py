@@ -90,6 +90,10 @@ class RunManifest:
         for task in self.expanded_tasks():
             if task not in scenario.TASK_NAMES:
                 raise ManifestError(f"unknown task: {task!r}")
+        if len(set(self.tasks)) != len(self.tasks):
+            raise ManifestError(f"tasks must not repeat a name, got {self.tasks!r}")
+        if self.seed < 0:
+            raise ManifestError(f"seed must be >= 0, got {self.seed}")
         if not 0 < self.train_scenarios < self.scenarios_per_task:
             raise ManifestError(
                 f"train_scenarios must split {self.scenarios_per_task} scenarios"

@@ -398,11 +398,6 @@ def resolve_lineage_detailed(
     return LineageResolution(list(row_pairs), added, tuples_matched)
 
 
-def resolve_lineage(g: KnowledgeGraph, tuples: Iterable[LineageTuple]) -> int:
-    """Insert all four lineage families; returns new rowDerivedFrom edges."""
-    return resolve_lineage_detailed(g, tuples).added["rowDerivedFrom"]
-
-
 # -- inductive train/test split ---------------------------------------------------
 
 

@@ -1,9 +1,8 @@
-"""Typed triple store with index lookups and N-Triples I/O.
+"""Typed triple store with pattern lookups and N-Triples I/O.
 
-Nodes are interned to dense integer ids; triples are kept with set
-semantics in insertion order so that iteration is deterministic across
-runs, and each is also filed under its subject and under its object.
-Objects are either node ids or typed literals.
+Nodes are interned to dense integer ids; triples are kept once, with set
+semantics in insertion order, so that iteration is deterministic across
+runs.  Objects are either node ids or typed literals.
 """
 
 from __future__ import annotations
@@ -81,7 +80,7 @@ Triple = tuple  # (subject id, relation id, Object)
 
 
 class KnowledgeGraph:
-    """Triple set with dense node/relation registries, indexed by subject and object."""
+    """Insertion-ordered triple set with dense node and relation registries."""
 
     def __init__(self, namespace: str = ""):
         self.namespace = namespace
@@ -90,9 +89,6 @@ class KnowledgeGraph:
         self._rel_names: list[str] = []
         self._rel_ids: dict[str, int] = {}
         self._triples: dict[Triple, None] = {}  # insertion-ordered set
-        # each triple once per endpoint, in insertion order
-        self._by_subject: dict[int, list[Triple]] = {}
-        self._by_object: dict[Object, list[Triple]] = {}
         self._frozen = False
         self.meta: dict = {}
 
@@ -127,9 +123,6 @@ class KnowledgeGraph:
     @property
     def num_nodes(self) -> int:
         return len(self._iris)
-
-    def iris(self) -> list[str]:
-        return list(self._iris)
 
     def add_relation(self, name: str) -> int:
         existing = self._rel_ids.get(name)
@@ -182,12 +175,7 @@ class KnowledgeGraph:
             return False
         self._check_mutable()
         self._triples[triple] = None
-        self._by_subject.setdefault(s, []).append(triple)
-        self._by_object.setdefault(o, []).append(triple)
         return True
-
-    def has_triple(self, s: int, r: int, o: Object) -> bool:
-        return (s, r, o) in self._triples
 
     def triples(self) -> Iterator[Triple]:
         return iter(self._triples)
@@ -201,14 +189,9 @@ class KnowledgeGraph:
 
     def lookup(self, s: Optional[int] = None, r: Optional[int] = None,
                o: Optional[Object] = None) -> Iterator[Triple]:
-        """Iterate triples matching the bound positions (None = wildcard)."""
-        if s is not None:
-            candidates = self._by_subject.get(s, ())
-        elif o is not None:
-            candidates = self._by_object.get(o, ())
-        else:
-            candidates = self._triples
-        for triple in candidates:
+        """Iterate triples matching the bound positions (None = wildcard),
+        scanning every triple in insertion order."""
+        for triple in self._triples:
             if s is not None and triple[0] != s:
                 continue
             if r is not None and triple[1] != r:
@@ -216,12 +199,6 @@ class KnowledgeGraph:
             if o is not None and triple[2] != o:
                 continue
             yield triple
-
-    def subjects_of(self, r: int, o: Object) -> list[int]:
-        return [t[0] for t in self.lookup(r=r, o=o)]
-
-    def objects_of(self, s: int, r: int) -> list[Object]:
-        return [t[2] for t in self.lookup(s=s, r=r)]
 
 
 # -- N-Triples serialization -------------------------------------------------

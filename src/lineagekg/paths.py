@@ -79,9 +79,6 @@ class EdgeVocabulary:
     def inverse(self, rel_id: int) -> int:
         return 3 + 2 * rel_id
 
-    def token_name(self, token: int) -> str:
-        return self.names[token]
-
     def decode(self, token: int) -> Optional[tuple[int, bool]]:
         """(relation id, is_inverse) for edge tokens, None for PAD/NOPATH."""
         if token < 2:

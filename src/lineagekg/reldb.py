@@ -1,20 +1,18 @@
-"""In-memory relational model with CSV ingestion and a Northwind-style fixture.
+"""In-memory relational model and a Northwind-style fixture.
 
 Cell values are canonical lexical strings (see :mod:`lineagekg.kgstore`), so
 database-to-graph conversion and lineage matching reduce to exact string
-equality.  The NULL marker in CSV files is the empty field.
+equality.  SQL NULL is None.
 """
 
 from __future__ import annotations
 
-import csv
 import datetime
 import random
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Optional
 
-from .kgstore import canonical_lexical, render_decimal
+from .kgstore import render_decimal
 
 DTYPES = ("integer", "decimal", "varchar", "boolean", "date")
 
@@ -30,15 +28,6 @@ DTYPE_KINDS = {
 
 class SchemaError(Exception):
     pass
-
-
-def canonical_cell(value: Optional[str], dtype: str) -> Optional[str]:
-    """Canonicalize one cell; None stays None (SQL NULL)."""
-    if value is None:
-        return None
-    if dtype == "date":
-        return datetime.date.fromisoformat(value).isoformat()
-    return canonical_lexical(value, DTYPE_KINDS[dtype])
 
 
 @dataclass(frozen=True)
@@ -217,139 +206,6 @@ class Database:
         found = self.problems()
         if found:
             raise SchemaError("; ".join(found))
-
-
-# -- CSV loading / export -----------------------------------------------------
-
-_SCHEMA_HEADER = ["table", "column", "dtype", "length", "nullable", "is_pk", "is_fk"]
-_FKS_HEADER = ["name", "table", "column", "ref_table", "ref_column"]
-
-
-def _parse_bool(text: str, where: str) -> bool:
-    low = text.strip().lower()
-    if low in ("true", "1"):
-        return True
-    if low in ("false", "0", ""):
-        return False
-    raise SchemaError(f"{where}: bad boolean {text!r}")
-
-
-def load_database(directory) -> Database:
-    """Load schema.csv, fks.csv and one data CSV per table."""
-    root = Path(directory)
-    schema_path = root / "schema.csv"
-    fks_path = root / "fks.csv"
-    if not schema_path.is_file():
-        raise SchemaError(f"missing file: {schema_path}")
-    if not fks_path.is_file():
-        raise SchemaError(f"missing file: {fks_path}")
-
-    columns_by_table: dict[str, list[ColumnDef]] = {}
-    with schema_path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _SCHEMA_HEADER:
-            raise SchemaError(f"schema.csv: bad header {header!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(_SCHEMA_HEADER):
-                raise SchemaError(f"schema.csv line {lineno}: bad arity")
-            table, column, dtype, length, nullable, is_pk, is_fk = row
-            columns_by_table.setdefault(table, []).append(
-                ColumnDef(
-                    name=column,
-                    dtype=dtype,
-                    length=int(length) if length else None,
-                    nullable=_parse_bool(nullable, f"schema.csv line {lineno}"),
-                    is_pk=_parse_bool(is_pk, f"schema.csv line {lineno}"),
-                    is_fk=_parse_bool(is_fk, f"schema.csv line {lineno}"),
-                )
-            )
-
-    fks_by_table: dict[str, list[ForeignKeyDef]] = {}
-    with fks_path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _FKS_HEADER:
-            raise SchemaError(f"fks.csv: bad header {header!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(_FKS_HEADER):
-                raise SchemaError(f"fks.csv line {lineno}: bad arity")
-            name, table, column, ref_table, ref_column = row
-            fks_by_table.setdefault(table, []).append(
-                ForeignKeyDef(name, column, ref_table, ref_column)
-            )
-
-    tables: dict[str, Relation] = {}
-    for table_name, columns in columns_by_table.items():
-        table_def = TableDef(
-            table_name, tuple(columns), tuple(fks_by_table.get(table_name, ()))
-        )
-        data_path = root / f"{table_name}.csv"
-        if not data_path.is_file():
-            raise SchemaError(f"missing file: {data_path}")
-        rows: list[tuple] = []
-        with data_path.open(newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            expected = [c.name for c in columns]
-            if header != expected:
-                raise SchemaError(f"{data_path.name}: bad header {header!r}")
-            for lineno, raw in enumerate(reader, start=2):
-                if len(raw) != len(columns):
-                    raise SchemaError(
-                        f"table {table_name!r} row {lineno - 2}: arity"
-                        f" {len(raw)} != {len(columns)}"
-                    )
-                cells = []
-                for col, text in zip(columns, raw):
-                    if text == "":
-                        cells.append(None)
-                    else:
-                        try:
-                            cells.append(canonical_cell(text, col.dtype))
-                        except ValueError as exc:
-                            raise SchemaError(
-                                f"table {table_name!r} row {lineno - 2}"
-                                f" column {col.name!r}: {exc}"
-                            ) from None
-                rows.append(tuple(cells))
-        tables[table_name] = Relation(table_def, rows)
-
-    db = Database(tables=tables)
-    db.validate()
-    return db
-
-
-def export_database(db: Database, directory) -> None:
-    """Write schema.csv, fks.csv and per-table data CSVs (tables only)."""
-    root = Path(directory)
-    root.mkdir(parents=True, exist_ok=True)
-    with (root / "schema.csv").open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_SCHEMA_HEADER)
-        for rel in db.tables.values():
-            for c in rel.table.columns:
-                writer.writerow([
-                    rel.name,
-                    c.name,
-                    c.dtype,
-                    "" if c.length is None else str(c.length),
-                    "true" if c.nullable else "false",
-                    "true" if c.is_pk else "false",
-                    "true" if c.is_fk else "false",
-                ])
-    with (root / "fks.csv").open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_FKS_HEADER)
-        for rel in db.tables.values():
-            for fk in rel.table.foreign_keys:
-                writer.writerow([fk.name, rel.name, fk.column, fk.ref_table, fk.ref_column])
-    for rel in db.tables.values():
-        with (root / f"{rel.name}.csv").open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([c.name for c in rel.table.columns])
-            for row in rel.rows:
-                writer.writerow(["" if v is None else v for v in row])
 
 
 # -- Northwind-style fixture ---------------------------------------------------

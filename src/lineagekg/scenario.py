@@ -593,18 +593,6 @@ def generate_scenario(
     return Scenario(scenario_id, task, tuple(specs), tuple(lineage))
 
 
-def generate_suite(db: Database, seed: int, scenarios_per_task: int = 20) -> ScenarioSuite:
-    """Deterministic scenario suite over all 9 tasks."""
-    db.validate()
-    suite = ScenarioSuite(db=db)
-    for task in TASKS:
-        suite.scenarios[task.name] = [
-            generate_scenario(db, task, seed, idx)
-            for idx in range(scenarios_per_task)
-        ]
-    return suite
-
-
 def execute_scenarios(db: Database, scenarios: list[Scenario]) -> tuple[Database, dict]:
     """Re-execute scenarios on a copy of db; returns the augmented database and
     captured lineage keyed by output name."""

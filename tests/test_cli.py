@@ -214,6 +214,7 @@ class TestValidation:
         ("epochs", 1.5), ("num_paths", 2.0), ("batch_size", True),
         ("seed", "0"), ("restart_prob", "0.2"), ("learning_rate", None),
         ("learning_rate", False), ("tasks", []), ("tasks", "selection-projection"),
+        ("tasks", ["selection-projection", "selection-projection"]), ("seed", -5),
     ])
     def test_rejects_before_any_stage(self, tmp_path, field, value):
         manifest = tiny_manifest(tmp_path, **{field: value})

@@ -8,7 +8,6 @@ from lineagekg.convert import (
     ExecutionRecord,
     populate_kg,
     read_ground_truth,
-    resolve_lineage,
     resolve_lineage_detailed,
     resolve_type,
     sanitize,
@@ -79,6 +78,11 @@ def brute_force_row_edges(db, tuples, namespace):
     return edges
 
 
+def resolve_lineage(g, tuples):
+    """Insert all four lineage families; returns new rowDerivedFrom edges."""
+    return resolve_lineage_detailed(g, tuples).added["rowDerivedFrom"]
+
+
 def graph_row_edges(g):
     rel = g.relation_id("rowDerivedFrom")
     return {
@@ -107,17 +111,17 @@ def scan_resolve(g, tuples, materialize=LINEAGE_PROPERTIES):
 
     def find_column(obj, table, column):
         wanted = {sanitize(column), f"{sanitize(table)}_{sanitize(column)}"}
-        for candidate in g.objects_of(obj, rels["hasColumn"]):
+        for (_, _, candidate) in g.lookup(s=obj, r=rels["hasColumn"]):
             if g.local_name(candidate) in wanted:
                 return candidate
         return None
 
     def match_rows(obj, col, value):
-        if not g.has_triple(obj, rels["hasColumn"], col):
+        if not any(g.lookup(obj, rels["hasColumn"], col)):
             return []
         kind = None
         for (cell, _, _) in g.lookup(r=rels["belongsToColumn"], o=col):
-            for lit in g.objects_of(cell, rels["exactValue"]):
+            for (_, _, lit) in g.lookup(s=cell, r=rels["exactValue"]):
                 if isinstance(lit, Literal):
                     kind = lit.kind
                     break
@@ -130,9 +134,9 @@ def scan_resolve(g, tuples, materialize=LINEAGE_PROPERTIES):
         except ValueError:
             return []
         return [(r, x) for (x, _, _) in g.lookup(r=rels["exactValue"], o=literal)
-                if g.has_triple(x, rels["belongsToColumn"], col)
-                for r in g.subjects_of(rels["hasCellValue"], x)
-                if g.has_triple(obj, rels["hasRow"], r)]
+                if any(g.lookup(x, rels["belongsToColumn"], col))
+                for (r, _, _) in g.lookup(r=rels["hasCellValue"], o=x)
+                if any(g.lookup(obj, rels["hasRow"], r))]
 
     added = {family: 0 for family in LINEAGE_PROPERTIES}
     row_pairs = {}
@@ -504,7 +508,9 @@ def split(suite):
 
 class TestSplit:
     def test_node_iris_disjoint(self, split):
-        assert set(split.train.iris()) & set(split.test.iris()) == set()
+        def iris(g):
+            return {g.node_iri(node) for node in range(g.num_nodes)}
+        assert iris(split.train) & iris(split.test) == set()
 
     def test_test_graph_has_no_row_lineage_but_ground_truth(self, suite, split):
         rel = split.test.relation_id("rowDerivedFrom")

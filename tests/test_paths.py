@@ -79,8 +79,8 @@ class TestEdgeVocabulary:
     def test_tokens_cover_both_directions(self):
         vocab = EdgeVocabulary(["rdf:type", "hasColumn"])
         assert vocab.size == 2 + 4
-        assert vocab.token_name(vocab.forward(1)) == "hasColumn"
-        assert vocab.token_name(vocab.inverse(1)) == "~hasColumn"
+        assert vocab.names[vocab.forward(1)] == "hasColumn"
+        assert vocab.names[vocab.inverse(1)] == "~hasColumn"
         assert vocab.decode(PAD) is None and vocab.decode(NOPATH) is None
         assert vocab.decode(vocab.inverse(0)) == (0, True)
 

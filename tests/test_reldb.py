@@ -7,9 +7,6 @@ from lineagekg.reldb import (
     Relation,
     SchemaError,
     TableDef,
-    canonical_cell,
-    export_database,
-    load_database,
     northwind_fixture,
 )
 
@@ -39,19 +36,6 @@ class TestColumnDef:
                      (ForeignKeyDef("FK_T", "a", "U", "id"),))
 
 
-class TestCanonicalCell:
-    def test_null_passthrough(self):
-        assert canonical_cell(None, "decimal") is None
-
-    def test_decimal(self):
-        assert canonical_cell("012.50", "decimal") == "12.5"
-
-    def test_date(self):
-        assert canonical_cell("1996-07-04", "date") == "1996-07-04"
-        with pytest.raises(ValueError):
-            canonical_cell("04/07/1996", "date")
-
-
 class TestDatabaseValidation:
     def test_duplicate_pk(self):
         db = tiny_db()
@@ -73,44 +57,6 @@ class TestDatabaseValidation:
         )
         db = Database(tables={"Orders": Relation(orders, [("1", "9")])})
         assert any("missing table" in p for p in db.problems())
-
-
-class TestCsvRoundTrip:
-    def test_empty_table(self, tmp_path):
-        widgets = TableDef("Widgets", (ColumnDef("id", "integer", is_pk=True),))
-        db = Database(tables={"Widgets": Relation(widgets, [])})
-        export_database(db, tmp_path)
-        loaded = load_database(tmp_path)
-        assert list(loaded.tables) == ["Widgets"]
-        assert loaded.tables["Widgets"].rows == []
-
-    def test_arity_error_names_row(self, tmp_path):
-        db = tiny_db()
-        export_database(db, tmp_path)
-        with (tmp_path / "Widgets.csv").open("a", encoding="utf-8") as fh:
-            fh.write("3\n")
-        with pytest.raises(SchemaError, match="'Widgets' row 2"):
-            load_database(tmp_path)
-
-    def test_missing_schema_file(self, tmp_path):
-        with pytest.raises(SchemaError, match="missing file"):
-            load_database(tmp_path)
-
-    def test_round_trip_structural_equality(self, tmp_path):
-        db = northwind_fixture(rows_per_table=12, seed=5)
-        export_database(db, tmp_path)
-        loaded = load_database(tmp_path)
-        assert set(loaded.tables) == set(db.tables)
-        for name, rel in db.tables.items():
-            other = loaded.tables[name]
-            assert other.table == rel.table
-            assert other.rows == rel.rows
-
-    def test_null_round_trips_as_empty_field(self, tmp_path):
-        db = tiny_db()
-        export_database(db, tmp_path)
-        loaded = load_database(tmp_path)
-        assert loaded.tables["Widgets"].rows[1] == ("2", None)
 
 
 class TestNorthwindFixture:
@@ -148,10 +94,3 @@ class TestNorthwindFixture:
         db = northwind_fixture(10, 0)
         ship = db.tables["Orders"].column_values("ShipCity")
         assert any(v is None for v in ship)
-
-    def test_csv_export_deterministic(self, tmp_path):
-        a_dir, b_dir = tmp_path / "a", tmp_path / "b"
-        export_database(northwind_fixture(8, 2), a_dir)
-        export_database(northwind_fixture(8, 2), b_dir)
-        for path in sorted(a_dir.iterdir()):
-            assert path.read_bytes() == (b_dir / path.name).read_bytes()

@@ -8,14 +8,23 @@ from lineagekg.scenario import (
     TASKS,
     FilterSpec,
     ScenarioError,
+    ScenarioSuite,
     TransformationSpec,
     execute_transformation,
     generate_scenario,
-    generate_suite,
     load_suite,
     save_suite,
     task_by_name,
 )
+
+
+def generate_suite(db, seed, scenarios_per_task):
+    """Scenario suite over all 9 tasks, scenarios 0..scenarios_per_task-1 each."""
+    suite = ScenarioSuite(db=db)
+    for task in TASKS:
+        suite.scenarios[task.name] = [generate_scenario(db, task, seed, idx)
+                                      for idx in range(scenarios_per_task)]
+    return suite
 
 
 @pytest.fixture(scope="module")
