@@ -9,6 +9,14 @@ lineage edges resolution added per family, sample-paths the processes it
 sampled in, train its samples, per-epoch losses, and the path rows of its
 batches next to the distinct rows the LSTM ran.  No skip decision and no
 artifact reads these.
+
+Skip decisions are taken up front, in serial order.  The (task, profile)
+cells then run through ``parallel.fork_map``, one worker per usable CPU, after
+gen-scenarios and before report, which run here.  Each worker pins itself to
+its share of the CPUs, so its path sampler, which forks per usable CPU, forks
+only when cells are fewer than CPUs, and processes never outnumber CPUs.  A
+single cell runs here on every CPU.  Workers send their log lines back, and
+the log is echoed in serial order once the cells are done.
 """
 
 from __future__ import annotations
@@ -17,18 +25,22 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
-from . import convert, metrics, paths, scenario, siamese
+from . import convert, metrics, parallel, paths, scenario, siamese
 from .kgstore import KnowledgeGraph, parse_ntriples, serialize_ntriples
 from .ontology import export_profile, vocabulary
 from .reldb import northwind_fixture
 
 STAGES = ("gen-scenarios", "build-kg", "sample-paths", "train", "evaluate", "report")
+# the stages of one (task, profile) cell, in order, and their methods
+CELL_STAGES = {"build-kg": "stage_build_kg", "sample-paths": "stage_sample",
+               "train": "stage_train", "evaluate": "stage_evaluate"}
 
 PRESETS = {
     "desk": dict(rows_per_table=10, scenarios_per_task=7, train_scenarios=5,
@@ -163,7 +175,7 @@ class Pipeline:
         manifest.validate()
         self.m = manifest
         self.out = Path(manifest.out_dir)
-        self.force = False
+        self.skipped: set[tuple[str, str, str]] = set()  # (stage, task, profile)
         self.echo = echo
 
     # -- stage bookkeeping ----------------------------------------------------
@@ -181,10 +193,26 @@ class Pipeline:
         )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
-    def _should_skip(self, stage: str, task: str, profile: str,
-                     outputs: list[Path]) -> bool:
-        if self.force:
-            return False
+    def _outputs(self, stage: str, task: str, profile: str) -> list[Path]:
+        if stage == "gen-scenarios":
+            target = self.scenarios_dir(task)
+            return [target / "manifest.tsv"] + scenario.lineage_files(
+                target, scenario.task_by_name(task), self.m.scenarios_per_task)
+        if stage == "report":
+            return [self.out / "results.tsv", self.out / "report.txt"]
+        root, names = {
+            "build-kg": (self.kg_dir, ("train.nt", "test.nt", "ground_truth.csv",
+                                       "counts_train.txt", "counts_test.txt",
+                                       "resolve_counts.txt", "schema.nt")),
+            "sample-paths": (self.samples_dir, ("train.txt", "eval_pos.txt",
+                                                "eval_neg.txt", "vocab.txt",
+                                                "walk_stats.txt")),
+            "train": (self.model_dir, ("checkpoint.bin", "losses.txt")),
+            "evaluate": (self.eval_dir, ("scores.tsv", "result.tsv")),
+        }[stage]
+        return [root(task, profile) / name for name in names]
+
+    def _should_skip(self, stage: str, task: str, profile: str) -> bool:
         ok_path = self._ok_path(stage, task, profile)
         if not ok_path.is_file():
             return False
@@ -195,7 +223,7 @@ class Pipeline:
         if record.get("config") != self._config_digest(stage, task, profile):
             return False
         recorded = record.get("outputs", {})
-        for output in outputs:
+        for output in self._outputs(stage, task, profile):
             if not output.is_file():
                 return False
             if recorded.get(str(output.relative_to(self.out))) != _sha256(output):
@@ -203,11 +231,12 @@ class Pipeline:
         return True
 
     def _mark_done(self, stage: str, task: str, profile: str,
-                   outputs: list[Path], telemetry: dict) -> None:
+                   telemetry: dict) -> None:
         record = {
             "config": self._config_digest(stage, task, profile),
             "outputs": {
-                str(p.relative_to(self.out)): _sha256(p) for p in outputs
+                str(p.relative_to(self.out)): _sha256(p)
+                for p in self._outputs(stage, task, profile)
             },
             **telemetry,
         }
@@ -215,13 +244,11 @@ class Pipeline:
         ok_path.parent.mkdir(parents=True, exist_ok=True)
         ok_path.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
 
-    def _run_stage(self, stage: str, task: str, profile: str,
-                   outputs: list[Path], fn) -> None:
+    def _run_stage(self, stage: str, task: str, profile: str, fn) -> None:
         label = "/".join(p for p in (stage, task, profile) if p)
-        if self._should_skip(stage, task, profile, outputs):
+        if (stage, task, profile) in self.skipped:
             self.echo(f"[skip] {label}")
             return
-        self.force = True
         self.echo(f"[run ] {label}")
         start = time.perf_counter()
         try:
@@ -229,7 +256,7 @@ class Pipeline:
         except Exception as exc:
             raise StageError(label, exc) from exc
         telemetry["seconds"] = round(time.perf_counter() - start, 3)
-        self._mark_done(stage, task, profile, outputs, telemetry)
+        self._mark_done(stage, task, profile, telemetry)
 
     # -- stages -----------------------------------------------------------------
 
@@ -252,27 +279,20 @@ class Pipeline:
         return northwind_fixture(self.m.rows_per_table, self.m.seed)
 
     def stage_scenarios(self, task: str) -> None:
-        target = self.scenarios_dir(task)
-        kind = scenario.task_by_name(task)
-        outputs = [target / "manifest.tsv"] + scenario.lineage_files(
-            target, kind, self.m.scenarios_per_task)
-
         def build():
             db = self._database()
             suite = scenario.ScenarioSuite(db=db)
+            kind = scenario.task_by_name(task)
             suite.scenarios[task] = [
                 scenario.generate_scenario(db, kind, self.m.seed, idx)
                 for idx in range(self.m.scenarios_per_task)
             ]
-            scenario.save_suite(suite, target)
+            scenario.save_suite(suite, self.scenarios_dir(task))
 
-        self._run_stage("gen-scenarios", task, "", outputs, build)
+        self._run_stage("gen-scenarios", task, "", build)
 
     def stage_build_kg(self, task: str, profile: str) -> None:
         kg = self.kg_dir(task, profile)
-        outputs = [kg / "train.nt", kg / "test.nt", kg / "ground_truth.csv",
-                   kg / "counts_train.txt", kg / "counts_test.txt",
-                   kg / "resolve_counts.txt", kg / "schema.nt"]
 
         def build():
             kg.mkdir(parents=True, exist_ok=True)
@@ -294,13 +314,11 @@ class Pipeline:
                     "train_tuples_matched": split.train_tuples_matched,
                     "test_tuples_matched": split.test_tuples_matched}
 
-        self._run_stage("build-kg", task, profile, outputs, build)
+        self._run_stage("build-kg", task, profile, build)
 
     def stage_sample(self, task: str, profile: str) -> None:
         kg = self.kg_dir(task, profile)
         out = self.samples_dir(task, profile)
-        outputs = [out / "train.txt", out / "eval_pos.txt", out / "eval_neg.txt",
-                   out / "vocab.txt", out / "walk_stats.txt"]
 
         def build():
             out.mkdir(parents=True, exist_ok=True)
@@ -332,7 +350,7 @@ class Pipeline:
             # caller-side only: the artifacts must not depend on the CPU count
             return {"processes": max(processes, sampler.processes)}
 
-        self._run_stage("sample-paths", task, profile, outputs, build)
+        self._run_stage("sample-paths", task, profile, build)
 
     def _model_config(self, vocab: paths.EdgeVocabulary) -> siamese.ModelConfig:
         return siamese.ModelConfig(
@@ -352,7 +370,6 @@ class Pipeline:
     def stage_train(self, task: str, profile: str) -> None:
         out = self.model_dir(task, profile)
         samples_dir = self.samples_dir(task, profile)
-        outputs = [out / "checkpoint.bin", out / "losses.txt"]
 
         def build():
             out.mkdir(parents=True, exist_ok=True)
@@ -370,12 +387,11 @@ class Pipeline:
                     "path_rows": len(samples) * cfg.num_paths * cfg.epochs,
                     "lstm_rows": result.lstm_rows}
 
-        self._run_stage("train", task, profile, outputs, build)
+        self._run_stage("train", task, profile, build)
 
     def stage_evaluate(self, task: str, profile: str) -> None:
         out = self.eval_dir(task, profile)
         samples_dir = self.samples_dir(task, profile)
-        outputs = [out / "scores.tsv", out / "result.tsv"]
 
         def build():
             out.mkdir(parents=True, exist_ok=True)
@@ -404,11 +420,9 @@ class Pipeline:
                 seed=self.m.seed)
             metrics.write_results(out / "result.tsv", [result])
 
-        self._run_stage("evaluate", task, profile, outputs, build)
+        self._run_stage("evaluate", task, profile, build)
 
     def stage_report(self) -> None:
-        outputs = [self.out / "results.tsv", self.out / "report.txt"]
-
         def build():
             results = []
             for task in self.m.expanded_tasks():
@@ -427,28 +441,78 @@ class Pipeline:
                 text = "\n".join(lines) + "\n"
             (self.out / "report.txt").write_text(text, encoding="utf-8")
 
-        self._run_stage("report", "", "", outputs, build)
+        self._run_stage("report", "", "", build)
 
     # -- full run ------------------------------------------------------------------
+
+    def _section(self, steps, task: str, profile: str) -> tuple[list[str], Optional[tuple]]:
+        """Runs the steps of a task's scenarios (profile "") or of one cell: the
+        log lines, and the label and message of a stage that failed (a cell may
+        run in a worker, and a StageError does not unpickle)."""
+        echo, lines = self.echo, []
+        self.echo = lines.append
+        try:
+            for stage, t, p in steps:
+                if (t, p) == (task, profile) and not profile:
+                    self.stage_scenarios(task)
+                elif (t, p) == (task, profile):
+                    getattr(self, CELL_STAGES[stage])(task, profile)
+        except StageError as exc:
+            return lines, (exc.stage, str(exc.cause))
+        finally:
+            self.echo = echo
+        return lines, None
 
     def run(self, only_stage: Optional[str] = None) -> None:
         self.out.mkdir(parents=True, exist_ok=True)
         self.m.save(self.out / "manifest.json")
-        per_profile = {
-            "build-kg": self.stage_build_kg,
-            "sample-paths": self.stage_sample,
-            "train": self.stage_train,
-            "evaluate": self.stage_evaluate,
-        }
-        for task in self.m.expanded_tasks():
-            if only_stage in (None, "gen-scenarios"):
-                self.stage_scenarios(task)
-            for profile in self.m.profiles():
-                for stage, fn in per_profile.items():
-                    if only_stage in (None, stage):
-                        fn(task, profile)
+        sections = [(task, profile) for task in self.m.expanded_tasks()
+                    for profile in [""] + self.m.profiles()]
+        steps = [(stage, task, profile) for task, profile in sections
+                 for stage in (CELL_STAGES if profile else ["gen-scenarios"])]
+        steps = [step for step in steps + [("report", "", "")]
+                 if only_stage in (None, step[0])]
+        # as in a serial run, every stage after the first one that runs runs too
+        first = next((i for i, step in enumerate(steps) if not self._should_skip(*step)),
+                     len(steps))
+        self.skipped = set(steps[:first])
+        logs, cells = {}, []
+        for key in sections:  # scenarios, and cells with nothing to run, first
+            if key[1] and any(step[1:] == key and step not in self.skipped
+                              for step in steps):
+                cells.append(key)
+                continue
+            logs[key] = self._section(steps, *key)
+            if logs[key][1]:
+                break  # a serial run would stop here
+        shares = parallel.processes(len(cells))
+        cpus = sorted(os.sched_getaffinity(0)) if shares > 1 else []
+
+        def cell(index: int) -> tuple:
+            if shares > 1:  # every shares-th CPU: the cell's sampler forks over these
+                _pin(cpus[index % shares::shares])
+            return self._section(steps, *cells[index])
+
+        try:
+            logs.update(zip(cells, parallel.fork_map(len(cells), cell)))
+        finally:
+            if shares > 1:
+                _pin(cpus)
+        for key in sections:
+            lines, failure = logs[key]
+            for line in lines:
+                self.echo(line)
+            if failure:
+                raise StageError(*failure)
         if only_stage in (None, "report"):
             self.stage_report()
+
+
+def _pin(cpus: list[int]) -> None:
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:  # CPU ids this machine does not have: run where it ran
+        pass
 
 
 def run_pipeline(manifest: RunManifest, echo=print,
@@ -460,7 +524,7 @@ def run_pipeline(manifest: RunManifest, echo=print,
     except ManifestError as exc:
         echo(f"validation error: {exc}")
         return 1, None
-    except StageError as exc:
+    except (StageError, ChildProcessError) as exc:
         echo(str(exc))
         return 2, None
     return 0, pipeline.out / "results.tsv"

@@ -330,10 +330,10 @@ def resolve_lineage_detailed(
     valued cell.  ``row_pairs`` lists the matched (dst row, src row) pairs in
     first-match order, deduplicated; within a tuple, dst rows × src rows, each
     side in cell insertion order.  Only the edge families listed in
-    ``materialize`` are inserted, in that same order, and each rowDerivedFrom,
-    columnDerivedFrom and tableDerivedFrom edge (with the rddl role types) once
-    per call; the row pairs are reported regardless, so a caller can withhold
-    rowDerivedFrom edges and keep them as ground truth.
+    ``materialize`` are inserted, in that same order, and each lineage edge and
+    each object's rddl role type once per call; the row pairs are reported
+    regardless, so a caller can withhold rowDerivedFrom edges and keep them as
+    ground truth.
     """
     for family in materialize:
         if family not in LINEAGE_PROPERTIES:
@@ -356,7 +356,9 @@ def resolve_lineage_detailed(
     added = {family: 0 for family in LINEAGE_PROPERTIES}
     row_pairs: dict[tuple[int, int], None] = {}  # insertion-ordered set
     linked_columns: set[tuple[int, int]] = set()
+    linked_values: set[tuple[int, int]] = set()
     linked_tables: set[tuple[int, int]] = set()
+    typed: set[tuple[int, str]] = set()  # (object, rddl role)
     tuples_matched = 0
 
     def link(family: str, pairs: list[tuple[int, int]]) -> None:
@@ -387,14 +389,19 @@ def resolve_lineage_detailed(
         if (c2, c1) not in linked_columns:
             linked_columns.add((c2, c1))
             link("columnDerivedFrom", [(c2, c1)])
-        link("valueDerivedFrom",
-             [(dx, sx) for (_, dx) in dst_matches for (_, sx) in src_matches])
+        new_cells = [(dx, sx) for (_, dx) in dst_matches for (_, sx) in src_matches
+                     if (dx, sx) not in linked_values]
+        linked_values.update(new_cells)
+        link("valueDerivedFrom", new_cells)
         if (dst_obj, src_obj) not in linked_tables:
             linked_tables.add((dst_obj, src_obj))
             link("tableDerivedFrom", [(dst_obj, src_obj)])
             if "tableDerivedFrom" in materialize and role_nodes:
-                g.add_triple(dst_obj, rdf_type, role_nodes["SourceDataCandidate"])
-                g.add_triple(src_obj, rdf_type, role_nodes["TargetDataCandidate"])
+                for role in ((dst_obj, "SourceDataCandidate"),
+                             (src_obj, "TargetDataCandidate")):
+                    if role not in typed:
+                        typed.add(role)
+                        g.add_triple(role[0], rdf_type, role_nodes[role[1]])
     return LineageResolution(list(row_pairs), added, tuples_matched)
 
 

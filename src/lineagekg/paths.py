@@ -16,26 +16,25 @@ compares every walk and rng state with a sampler that filters the neighbour
 list and calls ``randrange``, on random multigraphs, on star graphs whose
 draws straddle each power of two up to 1024, and on a converted rddl graph.
 
-The training and eval sets sample their pairs on every usable CPU.  Pair i
-runs in share i % P of P = min(usable CPUs, pairs) processes: this process
-runs share 0 and forked children run the others, each sending its results
-back over a pipe.  The output cannot depend on P: every pair walks with its
-own rng, seeded by the pair's index alone, on a sampler nobody else mutates,
-and the results and walk counts are merged back in pair order.
+The training and eval sets sample their pairs on every usable CPU, through
+``parallel.fork_map``: pair i runs in share i % P of P = min(usable CPUs,
+pairs) processes, this one and forked children.  Inside a pipeline cell
+worker, pinned to its share of the CPUs, that is usually one process.  The
+output cannot depend on P: every pair walks with its own rng, seeded by the
+pair's index alone, on a sampler nobody else mutates, and each pair returns
+its walk counts, merged back in pair order.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 import random
-import signal
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
 from .kgstore import RDF_TYPE, KnowledgeGraph, Literal
+from .parallel import fork_map
 
 PAD = 0
 NOPATH = 1
@@ -267,100 +266,25 @@ class PathSampler:
                 "walks_reached": sum(reached), "nopath": reached.count(0)}
 
 
-def _processes(pairs: int) -> int:
-    """One process per usable CPU, at most one per pair, and at least one;
-    one where ``os.fork`` or ``os.sched_getaffinity`` (Linux) is missing."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), pairs))
-
-
-def _run_share(sampler: PathSampler, pair: Callable[[int], T],
-               indices: range) -> tuple:
-    """``(results, None)`` with one ``(pair(i), walks tried, walks reached)``
-    per index, in order, or ``(None, (i, exception))`` for the first pair that
-    raised.  The walk counts of each pair are taken off the sampler again."""
-    results = []
-    for index in indices:
-        mark = len(sampler.walks_tried)
-        try:
-            value = pair(index)
-        except Exception as exc:  # re-raised by _map_pairs
-            return None, (index, exc)
-        results.append((value, sampler.walks_tried[mark:],
-                        sampler.walks_reached[mark:]))
-        del sampler.walks_tried[mark:], sampler.walks_reached[mark:]
-    return results, None
-
-
 def _map_pairs(sampler: PathSampler, count: int,
                pair: Callable[[int], T]) -> list[T]:
-    """``[pair(i) for i in range(count)]``, with pair i run in share i % P.
+    """``parallel.fork_map`` over pairs that call ``sample_paths`` once each;
+    each pair returns the walk counts it appended, which are appended here in
+    pair order, and ``processes`` counts the processes the pairs ran in."""
+    def counted(index: int) -> tuple:
+        value = pair(index)
+        return (value, sampler.walks_tried.pop(), sampler.walks_reached.pop(),
+                os.getpid())
 
-    This process runs share 0, and forked children run the others; where a
-    fork fails, this process runs those shares too.  The walk counts are
-    appended to the sampler in pair order, and the exception of the first
-    failing pair (in pair order) is raised, as a serial loop would.  Children
-    send their share back pickled over a pipe and leave with ``os._exit``, so
-    they run none of this process's cleanup; they are always reaped.
-    """
-    processes = _processes(count)
-    shares: list = [None] * processes
-    children: dict[int, tuple[int, object]] = {}  # share -> (pid, pipe reader)
     try:
-        for share in range(1, processes):
-            read_fd, write_fd = os.pipe()
-            try:
-                with warnings.catch_warnings():
-                    # the child runs no thread-using library code (3.12+ warns)
-                    warnings.simplefilter("ignore", DeprecationWarning)
-                    pid = os.fork()
-            except OSError:
-                os.close(read_fd)
-                os.close(write_fd)
-                break
-            if pid == 0:
-                status = 1
-                try:
-                    os.close(read_fd)
-                    outcome = _run_share(sampler, pair, range(share, count, processes))
-                    with os.fdopen(write_fd, "wb") as fh:
-                        pickle.dump(outcome, fh, pickle.HIGHEST_PROTOCOL)
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(write_fd)
-            children[share] = (pid, os.fdopen(read_fd, "rb"))
-        sampler.processes = max(sampler.processes, 1 + len(children))
-        for share in range(processes):
-            if share not in children:
-                shares[share] = _run_share(sampler, pair, range(share, count, processes))
-        for share, (pid, reader) in list(children.items()):
-            with reader:
-                data = reader.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del children[share]
-            if code != 0:
-                raise PathError(f"path-sampling process {pid} exited with code {code}")
-            shares[share] = pickle.loads(data)
-    finally:
-        for pid, reader in children.values():
-            reader.close()
-            try:
-                os.kill(pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
-            os.waitpid(pid, 0)
-    failures = [failure for _, failure in shares if failure is not None]
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-    values = []
-    for index in range(count):
-        value, tried, reached = shares[index % processes][0][index // processes]
-        sampler.walks_tried.extend(tried)
-        sampler.walks_reached.extend(reached)
-        values.append(value)
-    return values
+        results = fork_map(count, counted)
+    except ChildProcessError as exc:
+        raise PathError(f"path sampling failed: {exc}") from exc
+    sampler.processes = max(sampler.processes, len({pid for *_, pid in results}))
+    for _, tried, reached, _ in results:
+        sampler.walks_tried.append(tried)
+        sampler.walks_reached.append(reached)
+    return [value for value, *_ in results]
 
 
 def node_to_node_triples(g: KnowledgeGraph) -> list[tuple]:

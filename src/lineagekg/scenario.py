@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Optional
 
 from .kgstore import render_decimal
-from .reldb import ColumnDef, Database, Relation, SchemaError, TableDef
+from .reldb import ColumnDef, Database, Relation, TableDef
 
 ALGEBRAS = ("selection", "join", "union")
 FAMILIES = ("projection", "linear", "nonlinear")

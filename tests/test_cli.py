@@ -4,10 +4,10 @@ import os
 
 import pytest
 
+from lineagekg import siamese
 from lineagekg.cli import (
     PRESETS,
     ManifestError,
-    Pipeline,
     RunManifest,
     main,
     run_pipeline,
@@ -464,6 +464,127 @@ class TestDeterminism:
             trees.append({path.relative_to(out): path.read_bytes()
                           for path in out.rglob("samples/*")})
         assert len(trees[0]) == 5 and trees[0] == trees[1]
+
+
+# the stage labels of tiny_manifest(profile="both"), in serial order
+BOTH_LABELS = ["gen-scenarios/selection-projection"] + [
+    f"{stage}/selection-projection/{profile}" for profile in ("baseline", "rddl")
+    for stage in ("build-kg", "sample-paths", "train", "evaluate")] + ["report"]
+
+
+def serial_log(skipped=()):
+    """The log of a serial run of tiny_manifest(profile="both") that skips the
+    stages labelled in skipped and runs the others."""
+    return [f"[{'skip' if label in skipped else 'run '}] {label}" for label in BOTH_LABELS]
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestCellWorkers:
+    """tiny_manifest(profile="both") has two cells.  With two usable CPUs
+    (faked) the rddl cell runs in a forked worker, and each cell's process is
+    pinned to one of them; with one, both run here, as a serial loop would."""
+
+    @staticmethod
+    def run(out, cpus, monkeypatch):
+        """Status, log, and the CPU sets each process pinned itself to, by pid;
+        the pins are recorded, not made, so this process keeps its real CPUs."""
+        pins = out.parent / f"{out.name}.pins"
+        pins.write_text("")
+
+        def pin(pid, mask):
+            with pins.open("a") as fh:
+                fh.write(f"{os.getpid()} {json.dumps(sorted(mask))}\n")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(os, "sched_setaffinity", pin)
+        logs = []
+        status, _ = run_pipeline(tiny_manifest(out, profile="both"), echo=logs.append)
+        by_pid = {}
+        for line in pins.read_text().splitlines():
+            pid, mask = line.split(" ", 1)
+            by_pid.setdefault(int(pid), []).append(json.loads(mask))
+        return status, logs, by_pid
+
+    @staticmethod
+    def tree(out):
+        return {path.relative_to(out): path.read_bytes() for path in out.rglob("*")
+                if path.is_file() and path.name != "manifest.json"
+                and not path.name.startswith(".stage_")}
+
+    def test_same_artifacts_and_log_for_one_or_two_cpus(self, tmp_path, monkeypatch):
+        runs = {}
+        for cpus in (1, 2):
+            status, logs, pins = self.run(tmp_path / str(cpus), cpus, monkeypatch)
+            assert status == 0
+            runs[cpus] = logs, self.tree(tmp_path / str(cpus))
+            if cpus == 1:
+                assert pins == {}
+            else:  # this process ran the baseline cell on CPU 0, then got both back
+                assert pins.pop(os.getpid()) == [[0], [0, 1]]
+                assert list(pins.values()) == [[[1]]]
+        assert runs[1][0] == runs[2][0] == serial_log()
+        assert runs[1][1] == runs[2][1]
+        assert len(runs[1][1]) > 30
+        assert_no_child_left()
+
+    def test_rerun_cascades_into_the_later_cell(self, tmp_path, monkeypatch):
+        logs = {}
+        for cpus in (1, 2):
+            out = tmp_path / str(cpus)
+            assert self.run(out, cpus, monkeypatch)[0] == 0
+            (out / "selection-projection" / "baseline" / "model" / "checkpoint.bin").unlink()
+            status, logs[cpus], _ = self.run(out, cpus, monkeypatch)
+            assert status == 0
+        assert logs[1] == logs[2] == serial_log(skipped=BOTH_LABELS[:3])
+
+    def test_stage_failing_in_the_second_cell(self, tmp_path, monkeypatch):
+        save_checkpoint = siamese.save_checkpoint
+
+        def failing(params, path):
+            if "rddl" in str(path):
+                raise OSError("disk full")
+            save_checkpoint(params, path)
+
+        monkeypatch.setattr(siamese, "save_checkpoint", failing)
+        logs = {}
+        for cpus in (1, 2):
+            status, logs[cpus], _ = self.run(tmp_path / str(cpus), cpus, monkeypatch)
+            assert status == 2
+            assert not (tmp_path / str(cpus) / "report.txt").exists()
+        failed = BOTH_LABELS.index("train/selection-projection/rddl")
+        assert logs[1] == logs[2] == serial_log()[:failed + 1] + [
+            "stage 'train/selection-projection/rddl' failed: disk full"]
+        assert_no_child_left()
+
+    def test_worker_that_dies_fails_the_run(self, tmp_path, monkeypatch):
+        save_checkpoint, caller = siamese.save_checkpoint, os.getpid()
+
+        def dying(params, path):
+            if "rddl" not in str(path):
+                return save_checkpoint(params, path)
+            assert os.getpid() != caller, "the rddl cell runs in a worker"
+            os._exit(3)
+
+        monkeypatch.setattr(siamese, "save_checkpoint", dying)
+        status, logs, _ = self.run(tmp_path / "out", 2, monkeypatch)
+        assert status == 2
+        assert logs[-1].endswith("exited with code 3")
+        assert_no_child_left()
+
+    def test_cpu_ids_that_cannot_be_pinned_are_left_alone(self, tmp_path, monkeypatch):
+        real = os.sched_getaffinity(0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {4096, 4097})
+        logs = []
+        status, _ = run_pipeline(tiny_manifest(tmp_path, profile="both"), echo=logs.append)
+        assert status == 0
+        assert logs == serial_log()
+        assert_no_child_left()
+        monkeypatch.undo()
+        assert os.sched_getaffinity(0) == real
 
 
 class TestMainEntry:

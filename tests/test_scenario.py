@@ -4,7 +4,6 @@ import pytest
 
 from lineagekg.reldb import ColumnDef, Database, Relation, TableDef, northwind_fixture
 from lineagekg.scenario import (
-    FAMILIES,
     TASKS,
     FilterSpec,
     ScenarioError,

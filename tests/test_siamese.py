@@ -9,7 +9,6 @@ from lineagekg.paths import NOPATH, PAD, PathSample
 from lineagekg.siamese import (
     ModelConfig,
     ModelError,
-    Parameters,
     backward,
     backward_batch,
     bce_loss,
