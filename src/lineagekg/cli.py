@@ -7,8 +7,8 @@ actually runs, every downstream stage runs too.  The sidecar also records the
 stage's wall seconds and what it counted: build-kg its graphs' triples and the
 lineage edges resolution added per family, sample-paths the processes it
 sampled in, train its samples, per-epoch losses, and the path rows of its
-batches next to the distinct rows the LSTM ran.  No skip decision and no
-artifact reads these.
+batches next to the distinct rows the LSTM ran and their non-PAD positions.
+No skip decision and no artifact reads these.
 
 Skip decisions are taken up front, in serial order.  The (task, profile)
 cells then run through ``parallel.fork_map``, one worker per usable CPU, after
@@ -385,7 +385,8 @@ class Pipeline:
             (out / "losses.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
             return {"samples": len(samples), "epoch_losses": result.epoch_losses,
                     "path_rows": len(samples) * cfg.num_paths * cfg.epochs,
-                    "lstm_rows": result.lstm_rows}
+                    "lstm_rows": result.lstm_rows,
+                    "lstm_positions": result.lstm_positions}
 
         self._run_stage("train", task, profile, build)
 
@@ -487,14 +488,21 @@ class Pipeline:
                 break  # a serial run would stop here
         shares = parallel.processes(len(cells))
         cpus = sorted(os.sched_getaffinity(0)) if shares > 1 else []
+        # fork_map runs index i in share i % shares.  Cells alternate profiles
+        # in serial order, so dealt in that order over two shares one would get
+        # every baseline cell and the other every rddl cell; every other round
+        # of shares cells is dealt in reverse instead
+        rounds = [cells[i:i + shares] for i in range(0, len(cells), shares)]
+        dealt = [key for k, keys in enumerate(rounds)
+                 for key in (keys[::-1] if k % 2 else keys)]
 
         def cell(index: int) -> tuple:
             if shares > 1:  # every shares-th CPU: the cell's sampler forks over these
                 _pin(cpus[index % shares::shares])
-            return self._section(steps, *cells[index])
+            return self._section(steps, *dealt[index])
 
         try:
-            logs.update(zip(cells, parallel.fork_map(len(cells), cell)))
+            logs.update(zip(dealt, parallel.fork_map(len(dealt), cell)))
         finally:
             if shares > 1:
                 _pin(cpus)

@@ -10,19 +10,24 @@ finite differences in the tests.
 A batch of B samples pads its B*P paths to the batch's longest path, and the
 LSTM stack runs once per *distinct* padded path: relation-type paths repeat
 heavily (every NOPATH path is the same row): at the desk preset a train batch
-of 96 paths holds about 30 distinct rows and an eval batch under 10.  Each LSTM direction
-makes one pass over those rows, computing at each step only the rows whose
-token there is not PAD.  The forward pass keeps just the carried hidden and
-cell states; the backward pass recomputes each step's gates from them, so a
-batch's activations stay a few (rows, T, h) arrays.  Pooled vectors are
-gathered back to one per path before fusion, and the backward pass sums the
-pooled gradients of a row's copies before running the LSTM back once; as that
-pass is linear in its upstream gradient, this equals running every copy up to
-the order of float additions.  Fusion and the cosine are vectorised over the
-batch; ``forward`` and ``backward`` are batches of one.
+of 96 paths holds about 37 distinct rows and an eval batch under 10.  The
+LSTM then runs over the non-PAD (row, t) positions of those rows only,
+packed time-major so that the rows active at step t are one contiguous slice
+(``_Packing``); a PAD step costs nothing, and a row's state carries across it
+to the row's next non-PAD step.  Per layer, both directions' input
+projections are one matrix product over all positions, so a time step adds
+only ``h_prev @ U.T``.  The forward pass stores every position's activated
+gates and cell state; the backward pass reads them instead of recomputing
+the gates, runs only ``dz @ U`` per step, and computes the weight, bias and
+input gradients after the time loop, one product or sum each.  Pooled
+vectors are gathered back to one per path before fusion, and the backward
+pass sums the pooled gradients of a row's copies before running the LSTM back
+once; as that pass is linear in its upstream gradient, this equals running
+every copy up to the order of float additions.  Fusion and the cosine are
+vectorised over the batch; ``forward`` and ``backward`` are batches of one.
 
-PAD positions carry hidden and cell state through unchanged and are masked out
-of pooling, so appending extra padding never changes a score.
+PAD positions are skipped by the LSTM and masked out of pooling, so appending
+extra padding never changes a score.
 """
 
 from __future__ import annotations
@@ -149,13 +154,45 @@ def _safe(norms: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class _DirectionTrace:
-    order: list[int]
-    inputs: np.ndarray  # (rows, T, in_dim)
-    active: list[np.ndarray]  # per position: indices of the rows not PAD there
-    # carried states after each step, aligned to absolute positions
-    outputs: np.ndarray  # (rows, T, h)
-    cells: np.ndarray  # (rows, T, h)
+class _Packing:
+    """The non-PAD (row, t) positions of a batch's distinct paths, packed
+    time-major: the rows active at step t are positions
+    ``offsets[t]:offsets[t + 1]``, in row order.
+
+    ``prev[d][j]`` is the position that direction d (0 forward, 1 backward)
+    ran just before position j in the same row, across any PAD steps, or
+    ``n`` at a row's first step.  Per-position state arrays have n + 1 rows,
+    and row n stays zero: a first step reads zero hidden and cell states.
+    """
+
+    n: int
+    tokens: np.ndarray  # (n,) the token at each position
+    offsets: list[int]  # (T + 1,)
+    prev: tuple[np.ndarray, np.ndarray]  # (n,) per direction
+    index: np.ndarray  # (rows, T): each (row, t)'s position, n at PAD
+
+    @classmethod
+    def of(cls, tokens: np.ndarray) -> "_Packing":
+        mask = tokens != PAD
+        rows, T = mask.shape
+        t_of, row_of = np.nonzero(mask.T)
+        n = len(t_of)
+        index = np.full((rows, T), n)
+        index[row_of, t_of] = np.arange(n)
+        # a row's last position at or before t, and its first at or after t
+        last = np.maximum.accumulate(np.where(mask, index, -1), axis=1)
+        first = np.minimum.accumulate(index[:, ::-1], axis=1)[:, ::-1]
+        prev_f = np.hstack([np.full((rows, 1), -1), last[:, :-1]])[row_of, t_of]
+        prev_f[prev_f < 0] = n
+        prev_b = np.hstack([first[:, 1:], np.full((rows, 1), n)])[row_of, t_of]
+        offsets = [0] + np.cumsum(mask.sum(axis=0)).tolist()
+        return cls(n, tokens[row_of, t_of], offsets, (prev_f, prev_b), index)
+
+    def steps(self, direction: int, reverse: bool = False) -> list[tuple[int, int]]:
+        """The (start, stop) slices of the steps that have an active row, in
+        the order the direction runs them, or in reverse."""
+        spans = [(a, b) for a, b in zip(self.offsets, self.offsets[1:]) if a < b]
+        return spans[::-1] if bool(direction) != reverse else spans
 
 
 class ForwardCache:
@@ -163,16 +200,21 @@ class ForwardCache:
 
     The LSTM rows are the batch's U distinct padded paths, in ``tokens``.
     ``inverse`` maps the sample-major path rows to them: path ``p`` of sample
-    ``b`` is LSTM row ``inverse[b * P + p]``.  Per-sample arrays have a
-    leading batch axis of length B.
+    ``b`` is LSTM row ``inverse[b * P + p]``.  ``layers`` holds, per LSTM
+    layer, the activated gates and the cell states of every position of
+    ``packing``, per direction: the backward pass reads the gates instead of
+    recomputing them, and rebuilds a hidden state as ``o * tanh(c)`` (the
+    same product, so the same bits) rather than keeping it.
+    ``pool_index`` is the position each row's pooled feature came from.
+    Per-sample arrays have a leading batch axis of length B.
     """
 
     def __init__(self):
         self.tokens: np.ndarray = None  # (U, T)
         self.inverse: np.ndarray = None  # (B*P,)
-        self.traces: list[tuple[_DirectionTrace, _DirectionTrace]] = []
-        self.top_shape: tuple[int, int, int] = (0, 0, 0)  # (U, T, 2h)
-        self.pool_argmax: np.ndarray = None  # (U, 2h)
+        self.packing: _Packing = None
+        self.layers: list[tuple[np.ndarray, np.ndarray]] = []  # (2, n, 4h), (2, n + 1, h)
+        self.pool_index: np.ndarray = None  # (U, 2h)
         self.x_cat: np.ndarray = None  # (B, P*2h)
         self.p: np.ndarray = None  # (B, fusion_dim)
         self.p_norm: np.ndarray = None  # (B,)
@@ -185,46 +227,57 @@ class ForwardCache:
         self.probs: np.ndarray = None
 
 
-def _cell(params: Parameters, layer: int, direction: str, x_t: np.ndarray,
-          h: np.ndarray, c: np.ndarray):
-    """One LSTM step: gates (i, f, g, o), new cell state and its tanh."""
-    h_dim = params.cfg.hidden_dim
-    z = (x_t @ params.arrays[f"lstm{layer}{direction}_W"].T
-         + h @ params.arrays[f"lstm{layer}{direction}_U"].T
-         + params.arrays[f"lstm{layer}{direction}_b"])
-    i = _sigmoid(z[:, :h_dim])
-    f = _sigmoid(z[:, h_dim:2 * h_dim])
-    gg = np.tanh(z[:, 2 * h_dim:3 * h_dim])
-    o = _sigmoid(z[:, 3 * h_dim:])
-    c_new = f * c + i * gg
-    return i, f, gg, o, c_new, np.tanh(c_new)
+def _sigmoid_(x: np.ndarray) -> None:
+    """``x = _sigmoid(x)`` in place."""
+    np.negative(x, out=x)
+    np.exp(x, out=x)
+    x += 1.0
+    np.divide(1.0, x, out=x)
 
 
-def _run_direction(params: Parameters, layer: int, direction: str,
-                   inputs: np.ndarray, active: list[np.ndarray],
-                   outputs: np.ndarray) -> _DirectionTrace:
-    """Run one direction over all rows, writing the carried hidden state at
-    each position into ``outputs``.
+def _hidden(gates: np.ndarray, cells: np.ndarray, d: int) -> np.ndarray:
+    """Direction d's hidden states ``o * tanh(c)`` (n + 1, h), zero in row n,
+    rebuilt from a layer's stored gates and cells with the forward pass's
+    operations, so to the same bits."""
+    h = cells.shape[2]
+    hidden = np.tanh(cells[d])
+    hidden[:-1] *= gates[d, :, 3 * h:]
+    return hidden
 
-    A step computes only the rows whose token at that position is not PAD;
-    the others carry h and c through unchanged.  Only the carried states are
-    kept: the backward pass recomputes each step's gates from them.
+
+def _layer_forward(params: Parameters, layer: int, packing: _Packing,
+                   x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run both directions of one layer over the packed inputs ``x`` (n, in).
+
+    Returns, per direction, every position's activated gates (i, f, g, o)
+    (2, n, 4h) and cell states (2, n + 1, h), and its hidden states as rows
+    (n + 1, 2h), the forward direction's half first, zero in row n.  Both
+    directions' input projections are one product; a step adds
+    ``h_prev @ U.T`` and the bias to its rows of it and activates them in
+    place.  A direction's arrays are contiguous, and so is a step's slice of
+    them: at these sizes numpy runs a strided view several times slower.
     """
-    h_dim = params.cfg.hidden_dim
-    rows, T, _ = inputs.shape
-    order = list(range(T)) if direction == "f" else list(range(T - 1, -1, -1))
-    h = np.zeros((rows, h_dim))
-    c = np.zeros((rows, h_dim))
-    cells = np.zeros((rows, T, h_dim))
-    for t in order:
-        idx = active[t]
-        _, _, _, o, c_new, tanh_c = _cell(params, layer, direction, inputs[idx, t],
-                                          h[idx], c[idx])
-        h[idx] = o * tanh_c
-        c[idx] = c_new
-        outputs[:, t] = h
-        cells[:, t] = c
-    return _DirectionTrace(order, inputs, active, outputs, cells)
+    h, n = params.cfg.hidden_dim, packing.n
+    W = np.stack([params.arrays[f"lstm{layer}{d}_W"] for d in "fb"])
+    gates = np.matmul(x, W.transpose(0, 2, 1))
+    cells = np.zeros((2, n + 1, h))
+    hidden = np.zeros((2, n + 1, h))
+    for d, name in enumerate("fb"):
+        U, bias = (params.arrays[f"lstm{layer}{name}_{kind}"] for kind in "Ub")
+        z_all, c_all, h_all, prev = gates[d], cells[d], hidden[d], packing.prev[d]
+        for start, stop in packing.steps(d):
+            before = prev[start:stop]
+            z = z_all[start:stop]
+            z += h_all[before] @ U.T
+            z += bias
+            g = np.tanh(z[:, 2 * h:3 * h])
+            _sigmoid_(z)  # i, f and o; g's slot is overwritten next
+            z[:, 2 * h:3 * h] = g
+            c = c_all[start:stop]
+            np.multiply(z[:, h:2 * h], c_all[before], out=c)
+            c += z[:, :h] * g
+            np.multiply(np.tanh(c), z[:, 3 * h:], out=h_all[start:stop])
+    return gates, cells, np.concatenate(hidden, axis=1)
 
 
 def _path_tokens(cfg: ModelConfig, samples: Sequence[PathSample]) -> np.ndarray:
@@ -256,26 +309,21 @@ def forward_batch(params: Parameters, samples: Sequence[PathSample]
                                       return_inverse=True)
     cache.inverse = inverse.reshape(-1)  # numpy 2.0.0 returns it in another shape
     cache.relations = np.array([s.relation for s in samples], dtype=np.int64)
-    mask = cache.tokens != PAD
-    rows, T = mask.shape
-    active = [np.flatnonzero(mask[:, t]) for t in range(T)]
+    packing = cache.packing = _Packing.of(cache.tokens)
 
-    h = cfg.hidden_dim
-    current = params.arrays["token_emb"][cache.tokens]
+    x = params.arrays["token_emb"][packing.tokens]
     for layer in range(cfg.layers):
-        outputs = np.zeros((rows, T, 2 * h))  # forward half, then backward half
-        cache.traces.append((
-            _run_direction(params, layer, "f", current, active, outputs[:, :, :h]),
-            _run_direction(params, layer, "b", current, active, outputs[:, :, h:]),
-        ))
-        current = outputs
-    cache.top_shape = current.shape
+        gates, cells, top = _layer_forward(params, layer, packing, x)
+        cache.layers.append((gates, cells))
+        x = top[:packing.n]
 
-    # max-pool over the non-PAD steps; a path of PAD only keeps its zero
-    # initial state, so it pools to zeros and passes back no gradient
-    cache.pool_argmax = np.argmax(
-        np.where(mask[:, :, None], current, -np.inf), axis=1)
-    pooled = np.take_along_axis(current, cache.pool_argmax[:, None, :], axis=1)[:, 0]
+    # max-pool over each row's non-PAD steps; a path of PAD only pools the
+    # zero row n, and its gradient lands there, where no step reads it
+    by_step = top[packing.index]
+    by_step[packing.index == packing.n] = -np.inf
+    cache.pool_index = packing.index[np.arange(len(cache.tokens))[:, None],
+                                     by_step.argmax(axis=1)]
+    pooled = top[cache.pool_index, np.arange(top.shape[1])]
 
     cache.x_cat = pooled[cache.inverse].reshape(len(samples), -1)
     u = cache.x_cat @ params.arrays["fusion_W"] + params.arrays["fusion_b"]
@@ -304,50 +352,71 @@ def bce_loss(prob: float, label: int) -> float:
     return -(label * math.log(p) + (1 - label) * math.log(1.0 - p))
 
 
-def _backward_direction(params: Parameters, layer: int, direction: str,
-                        trace: _DirectionTrace, d_outputs: np.ndarray,
-                        grads: dict[str, np.ndarray], d_inputs: np.ndarray) -> None:
-    """Add this direction's parameter gradients to ``grads`` and its input
-    gradients to ``d_inputs``."""
-    h_dim = params.cfg.hidden_dim
-    W = params.arrays[f"lstm{layer}{direction}_W"]
-    U = params.arrays[f"lstm{layer}{direction}_U"]
-    dW = grads[f"lstm{layer}{direction}_W"]
-    dU = grads[f"lstm{layer}{direction}_U"]
-    db = grads[f"lstm{layer}{direction}_b"]
-    rows = d_outputs.shape[0]
-    # gradients reaching the carried h and c; PAD steps pass them on unchanged
-    dh = np.zeros((rows, h_dim))
-    dc = np.zeros((rows, h_dim))
-    for step in range(len(trace.order) - 1, -1, -1):
-        t = trace.order[step]
-        idx = trace.active[t]
-        dh += d_outputs[:, t]
-        if step:
-            h_prev = trace.outputs[idx, trace.order[step - 1]]
-            c_prev = trace.cells[idx, trace.order[step - 1]]
-        else:
-            h_prev = c_prev = np.zeros((len(idx), h_dim))
-        x_t = trace.inputs[idx, t]
-        i, f, gg, o, _, tanh_c = _cell(params, layer, direction, x_t, h_prev, c_prev)
-        dh_new = dh[idx]
-        do = dh_new * tanh_c
-        dc_new = dc[idx] + dh_new * o * (1.0 - tanh_c ** 2)
-        df = dc_new * c_prev
-        di = dc_new * gg
-        dgg = dc_new * i
-        dz = np.concatenate([
-            di * i * (1.0 - i),
-            df * f * (1.0 - f),
-            dgg * (1.0 - gg ** 2),
-            do * o * (1.0 - o),
-        ], axis=1)
-        dW += dz.T @ x_t
-        dU += dz.T @ h_prev
-        db += dz.sum(axis=0)
-        d_inputs[idx, t] += dz @ W
-        dh[idx] = dz @ U
-        dc[idx] = dc_new * f
+def _layer_backward(params: Parameters, layer: int, packing: _Packing,
+                    gates: np.ndarray, cells: np.ndarray, d_hidden: np.ndarray,
+                    grads: dict[str, np.ndarray]) -> None:
+    """Turn one layer's stored gates into the gradients of its gate
+    pre-activations, in place, and add the gradients of its U to ``grads``.
+
+    ``d_hidden`` (2, n + 1, h) is the gradient reaching the layer's hidden
+    states; the time loops add to it what each step passes back to the one
+    before.  ``cells`` is used as scratch.  numpy buffers an operand that is
+    a strided view, so the gate columns are copied into contiguous scratch
+    and back rather than computed on in place.
+    """
+    h = params.cfg.hidden_dim
+    for d, name in enumerate("fb"):
+        prev = packing.prev[d]
+        hidden = _hidden(gates, cells, d)
+        # first, for every position at once, the factors that turn the
+        # gradients reaching its h and c into those of its gates
+        i, f, g, o = (gates[d, :, k * h:(k + 1) * h] for k in range(4))
+        gate = cells[d, prev]  # c_prev, then o, then g
+        forget = f.copy()
+        out = np.subtract(1.0, forget)
+        out *= forget
+        out *= gate
+        f[...] = out  # df = dc * c_prev * f * (1 - f)
+        tanh_c = cells[d, :-1]
+        np.tanh(tanh_c, out=tanh_c)
+        np.copyto(gate, o)
+        dc_per_dh = tanh_c * tanh_c  # dc gets dh * o * (1 - tanh(c)^2)
+        np.subtract(1.0, dc_per_dh, out=dc_per_dh)
+        dc_per_dh *= gate
+        np.subtract(1.0, gate, out=out)
+        out *= gate
+        out *= tanh_c
+        o[...] = out  # do = dh * tanh(c) * o * (1 - o)
+        np.copyto(gate, g)
+        in_gate = tanh_c  # tanh(c) is used up
+        np.copyto(in_gate, i)
+        np.multiply(gate, gate, out=out)
+        np.subtract(1.0, out, out=out)
+        out *= in_gate
+        g[...] = out  # dg = dc * i * (1 - g^2)
+        np.subtract(1.0, in_gate, out=out)
+        out *= in_gate
+        out *= gate
+        i[...] = out  # di = dc * g * i * (1 - i)
+        del gate, out
+
+        U = params.arrays[f"lstm{layer}{name}_U"]
+        dz_all, dh_all, dc_all = gates[d], d_hidden[d], cells[d]
+        dc_all.fill(0.0)
+        for start, stop in packing.steps(d, reverse=True):
+            before = prev[start:stop]
+            dh = dh_all[start:stop]
+            dc = dc_all[start:stop]
+            dc += dh * dc_per_dh[start:stop]
+            dz = dz_all[start:stop]
+            dz *= np.concatenate([dc, dc, dc, dh], axis=1)
+            # the row's step before this one gets its share; a first step's
+            # goes to row n, which no step reads
+            dh_all[before] += dz @ U
+            dc_all[before] = dc * forget[start:stop]
+        del forget, dc_per_dh
+        grads[f"lstm{layer}{name}_U"] += dz_all.T @ hidden[prev]
+        del hidden
 
 
 def backward_batch(params: Parameters, cache: ForwardCache, labels: Sequence[int],
@@ -368,28 +437,40 @@ def backward_batch(params: Parameters, cache: ForwardCache, labels: Sequence[int
     grads["fusion_W"] += cache.x_cat.T @ du
     grads["fusion_b"] += du.sum(axis=0)
     # each copy of a distinct path adds its pooled gradient to that path's row
-    d_pooled = np.zeros(cache.pool_argmax.shape)
+    d_pooled = np.zeros(cache.pool_index.shape)
     np.add.at(d_pooled, cache.inverse,
               (du @ params.arrays["fusion_W"].T).reshape(len(cache.inverse), -1))
-    d_current = np.zeros(cache.top_shape)
-    np.put_along_axis(d_current, cache.pool_argmax[:, None, :], d_pooled[:, None, :],
-                      axis=1)
+    packing, h = cache.packing, params.cfg.hidden_dim
+    d_hidden = np.zeros((2, packing.n + 1, h))
+    feature = np.arange(2 * h)
+    d_hidden[feature // h, cache.pool_index, feature % h] = d_pooled
 
-    h_dim = params.cfg.hidden_dim
+    # each array is dropped once done with: a batch's peak is a train run's
     for layer in range(params.cfg.layers - 1, -1, -1):
-        trace_f, trace_b = cache.traces.pop()  # frees each layer once done
-        d_inputs = np.zeros(trace_f.inputs.shape)
-        _backward_direction(params, layer, "f", trace_f, d_current[:, :, :h_dim],
-                            grads, d_inputs)
-        _backward_direction(params, layer, "b", trace_b, d_current[:, :, h_dim:],
-                            grads, d_inputs)
-        d_current = d_inputs
+        gates, cells = cache.layers.pop()
+        _layer_backward(params, layer, packing, gates, cells, d_hidden, grads)
+        del cells, d_hidden
+        # the weights' gradients sum over every position: one product each
+        if layer:  # the inputs: the hidden states of the layer below
+            below = cache.layers[-1]
+            x = np.hstack([_hidden(*below, 0)[:-1], _hidden(*below, 1)[:-1]])
+        else:
+            x = params.arrays["token_emb"][packing.tokens]
+        d_W = np.matmul(gates.transpose(0, 2, 1), x)
+        del x
+        d_b = gates.sum(axis=1)
+        for d, name in enumerate("fb"):
+            grads[f"lstm{layer}{name}_W"] += d_W[d]
+            grads[f"lstm{layer}{name}_b"] += d_b[d]
+        d_x = gates[0] @ params.arrays[f"lstm{layer}f_W"]
+        d_x += gates[1] @ params.arrays[f"lstm{layer}b_W"]
+        del gates
+        if layer:  # as the hidden states of the layer below: (2, n + 1, h)
+            d_hidden = np.zeros((2, packing.n + 1, h))
+            d_hidden[:, :-1] = d_x.reshape(-1, 2, h).transpose(1, 0, 2)
+            del d_x
 
-    np.add.at(
-        grads["token_emb"],
-        cache.tokens.reshape(-1),
-        d_current.reshape(-1, params.cfg.embed_dim),
-    )
+    np.add.at(grads["token_emb"], packing.tokens, d_x)
     return grads
 
 
@@ -402,6 +483,7 @@ def backward(params: Parameters, cache: ForwardCache, label: int) -> dict[str, n
 class TrainResult:
     epoch_losses: list[float]
     lstm_rows: int  # distinct paths the LSTM ran, summed over all batches
+    lstm_positions: int  # their non-PAD (row, t) positions, which it computed
 
 
 def train(params: Parameters, samples: Sequence[PathSample],
@@ -422,7 +504,7 @@ def train(params: Parameters, samples: Sequence[PathSample],
     work = np.empty_like(params.flat)
     grads = params.views(grad_flat)
     step = 0
-    lstm_rows = 0
+    lstm_rows = lstm_positions = 0
     epoch_losses: list[float] = []
     indices = list(range(len(samples)))
     for epoch in range(cfg.epochs):
@@ -434,6 +516,7 @@ def train(params: Parameters, samples: Sequence[PathSample],
             batch = [samples[idx] for idx in indices[start:start + cfg.batch_size]]
             probs, cache = forward_batch(params, batch)
             lstm_rows += len(cache.tokens)
+            lstm_positions += cache.packing.n
             batch_loss = 0.0
             for prob, sample in zip(probs.tolist(), batch):
                 batch_loss += bce_loss(prob, sample.label)
@@ -477,7 +560,7 @@ def train(params: Parameters, samples: Sequence[PathSample],
             total += batch_loss * len(batch)
             count += len(batch)
         epoch_losses.append(total / count)
-    return TrainResult(epoch_losses, lstm_rows)
+    return TrainResult(epoch_losses, lstm_rows, lstm_positions)
 
 
 def predict(params: Parameters, samples: Sequence[PathSample]) -> list[float]:

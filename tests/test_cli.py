@@ -340,6 +340,8 @@ class TestPipeline:
         assert train["path_rows"] == samples * manifest.num_paths * manifest.epochs
         # every NOPATH path is one row, so a batch holds fewer distinct paths
         assert 0 < train["lstm_rows"] < train["path_rows"]
+        # the LSTM computes only the non-PAD steps of those rows
+        assert 0 < train["lstm_positions"] <= train["lstm_rows"] * manifest.max_length
 
     def test_rerun_ignores_recorded_graph_and_train_counts(self, completed_run):
         manifest, out, _, _, _ = completed_run
@@ -350,7 +352,7 @@ class TestPipeline:
                                        resolve_counts={}, train_tuples_matched=-1,
                                        test_tuples_matched=-1),
             ".stage_train.ok": dict(samples=-1, epoch_losses=[], path_rows=-1,
-                                    lstm_rows=-1),
+                                    lstm_rows=-1, lstm_positions=-1),
         }
         for name, fields in edits.items():
             record = json.loads((cell / name).read_text())
@@ -489,7 +491,7 @@ class TestCellWorkers:
     pinned to one of them; with one, both run here, as a serial loop would."""
 
     @staticmethod
-    def run(out, cpus, monkeypatch):
+    def run(out, cpus, monkeypatch, **overrides):
         """Status, log, and the CPU sets each process pinned itself to, by pid;
         the pins are recorded, not made, so this process keeps its real CPUs."""
         pins = out.parent / f"{out.name}.pins"
@@ -502,7 +504,8 @@ class TestCellWorkers:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         monkeypatch.setattr(os, "sched_setaffinity", pin)
         logs = []
-        status, _ = run_pipeline(tiny_manifest(out, profile="both"), echo=logs.append)
+        status, _ = run_pipeline(tiny_manifest(out, profile="both", **overrides),
+                                 echo=logs.append)
         by_pid = {}
         for line in pins.read_text().splitlines():
             pid, mask = line.split(" ", 1)
@@ -529,6 +532,34 @@ class TestCellWorkers:
         assert runs[1][0] == runs[2][0] == serial_log()
         assert runs[1][1] == runs[2][1]
         assert len(runs[1][1]) > 30
+        assert_no_child_left()
+
+    def test_each_worker_runs_a_cell_of_each_profile(self, tmp_path, monkeypatch):
+        # the cells in serial order alternate baseline and rddl: dealt i % 2,
+        # one worker would train every baseline model and the other every rddl one
+        trained = tmp_path / "trained"
+        trained.write_text("")
+        save_checkpoint = siamese.save_checkpoint
+
+        def recording(params, path):
+            with trained.open("a") as fh:  # .../<task>/<profile>/model/checkpoint.bin
+                fh.write(f"{os.getpid()} {path.parent.parent.name}\n")
+            save_checkpoint(params, path)
+
+        monkeypatch.setattr(siamese, "save_checkpoint", recording)
+        runs = {}
+        for cpus in (1, 2):
+            status, logs, _ = self.run(tmp_path / str(cpus), cpus, monkeypatch,
+                                       tasks=["selection-projection", "union-linear"])
+            assert status == 0
+            runs[cpus] = logs, self.tree(tmp_path / str(cpus))
+        assert runs[1] == runs[2]
+        by_pid = {}
+        for line in trained.read_text().splitlines()[4:]:  # the two-CPU run's
+            pid, profile = line.split()
+            by_pid.setdefault(pid, []).append(profile)
+        assert sorted(sorted(profiles) for profiles in by_pid.values()) == [
+            ["baseline", "rddl"], ["baseline", "rddl"]]
         assert_no_child_left()
 
     def test_rerun_cascades_into_the_later_cell(self, tmp_path, monkeypatch):

@@ -134,6 +134,147 @@ def per_tensor_train(params, samples, cfg):
     return epoch_losses
 
 
+# -- reference: the LSTM stack as it ran before positions were packed -------------
+# Each direction steps over every padded row, computes the rows whose token is
+# not PAD and carries the others' h and c through; the backward pass recomputes
+# each step's gates from the carried states and adds every product per step.
+
+
+def sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def reference_cell(params, layer, direction, x_t, h, c):
+    """One LSTM step: gates (i, f, g, o), new cell state and its tanh."""
+    h_dim = params.cfg.hidden_dim
+    z = (x_t @ params.arrays[f"lstm{layer}{direction}_W"].T
+         + h @ params.arrays[f"lstm{layer}{direction}_U"].T
+         + params.arrays[f"lstm{layer}{direction}_b"])
+    i = sigmoid(z[:, :h_dim])
+    f = sigmoid(z[:, h_dim:2 * h_dim])
+    gg = np.tanh(z[:, 2 * h_dim:3 * h_dim])
+    o = sigmoid(z[:, 3 * h_dim:])
+    c_new = f * c + i * gg
+    return i, f, gg, o, c_new, np.tanh(c_new)
+
+
+def reference_run_direction(params, layer, direction, inputs, active, outputs):
+    """Runs one direction over all rows, writing the carried hidden state at
+    each position into outputs; returns the step order and carried cells."""
+    h_dim = params.cfg.hidden_dim
+    rows, T, _ = inputs.shape
+    order = list(range(T)) if direction == "f" else list(range(T - 1, -1, -1))
+    h = np.zeros((rows, h_dim))
+    c = np.zeros((rows, h_dim))
+    cells = np.zeros((rows, T, h_dim))
+    for t in order:
+        idx = active[t]
+        _, _, _, o, c_new, tanh_c = reference_cell(params, layer, direction,
+                                                   inputs[idx, t], h[idx], c[idx])
+        h[idx] = o * tanh_c
+        c[idx] = c_new
+        outputs[:, t] = h
+        cells[:, t] = c
+    return order, cells
+
+
+def reference_backward_direction(params, layer, direction, trace, d_outputs, grads,
+                                 d_inputs):
+    """Adds one direction's parameter gradients to grads and its input
+    gradients to d_inputs."""
+    order, inputs, active, outputs, cells = trace
+    h_dim = params.cfg.hidden_dim
+    W = params.arrays[f"lstm{layer}{direction}_W"]
+    U = params.arrays[f"lstm{layer}{direction}_U"]
+    rows = d_outputs.shape[0]
+    dh = np.zeros((rows, h_dim))
+    dc = np.zeros((rows, h_dim))
+    for step in range(len(order) - 1, -1, -1):
+        t = order[step]
+        idx = active[t]
+        dh += d_outputs[:, t]
+        if step:
+            h_prev = outputs[idx, order[step - 1]]
+            c_prev = cells[idx, order[step - 1]]
+        else:
+            h_prev = c_prev = np.zeros((len(idx), h_dim))
+        x_t = inputs[idx, t]
+        i, f, gg, o, _, tanh_c = reference_cell(params, layer, direction, x_t, h_prev, c_prev)
+        dh_new = dh[idx]
+        do = dh_new * tanh_c
+        dc_new = dc[idx] + dh_new * o * (1.0 - tanh_c ** 2)
+        dz = np.concatenate([(dc_new * gg) * i * (1.0 - i),
+                             (dc_new * c_prev) * f * (1.0 - f),
+                             (dc_new * i) * (1.0 - gg ** 2),
+                             do * o * (1.0 - o)], axis=1)
+        grads[f"lstm{layer}{direction}_W"] += dz.T @ x_t
+        grads[f"lstm{layer}{direction}_U"] += dz.T @ h_prev
+        grads[f"lstm{layer}{direction}_b"] += dz.sum(axis=0)
+        d_inputs[idx, t] += dz @ W
+        dh[idx] = dz @ U
+        dc[idx] = dc_new * f
+
+
+def reference_batch(params, samples, labels):
+    """Probabilities and summed-loss gradients of a batch from the reference
+    LSTM stack, with the model's path dedup, pooling, fusion and cosine."""
+    cfg, a = params.cfg, params.arrays
+    rows = [path for sample in samples for path in sample.paths]
+    padded = np.full((len(rows), max(len(path) for path in rows)), PAD)
+    for k, path in enumerate(rows):
+        padded[k, :len(path)] = path
+    tokens, inverse = np.unique(padded, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    mask = tokens != PAD
+    active = [np.flatnonzero(mask[:, t]) for t in range(mask.shape[1])]
+    h = cfg.hidden_dim
+    current = a["token_emb"][tokens]
+    traces = []  # per layer: its inputs, and per direction its name and trace
+    for layer in range(cfg.layers):
+        outputs = np.zeros(mask.shape + (2 * h,))
+        directions = []
+        for direction, half in zip("fb", (outputs[:, :, :h], outputs[:, :, h:])):
+            order, cells = reference_run_direction(params, layer, direction, current,
+                                                   active, half)
+            directions.append((direction, (order, current, active, half, cells)))
+        traces.append((current, directions))
+        current = outputs
+    arg = np.argmax(np.where(mask[:, :, None], current, -np.inf), axis=1)
+    x_cat = np.take_along_axis(current, arg[:, None, :], axis=1)[:, 0][inverse].reshape(
+        len(samples), -1)
+    p = np.tanh(x_cat @ a["fusion_W"] + a["fusion_b"])
+    relations = np.array([s.relation for s in samples])
+    r_vec = a["rel_emb"][relations]
+    p_norm, r_norm = np.linalg.norm(p, axis=1), np.linalg.norm(r_vec, axis=1)
+    scored = (p_norm > 0.0) & (r_norm > 0.0)
+    p_norm, r_norm = np.where(p_norm > 0, p_norm, 1.0), np.where(r_norm > 0, r_norm, 1.0)
+    p_hat, r_hat = p / p_norm[:, None], r_vec / r_norm[:, None]
+    z = np.where(scored, (p_hat * r_hat).sum(axis=1), 0.0)
+    probs = sigmoid(z)
+
+    grads = params.zeros_like()
+    dz = np.where(scored, probs - np.asarray(labels, dtype=float), 0.0)[:, None]
+    du = dz * (r_hat - z[:, None] * p_hat) / p_norm[:, None] * (1.0 - p ** 2)
+    np.add.at(grads["rel_emb"], relations,
+              dz * (p_hat - z[:, None] * r_hat) / r_norm[:, None])
+    grads["fusion_W"] += x_cat.T @ du
+    grads["fusion_b"] += du.sum(axis=0)
+    d_pooled = np.zeros(arg.shape)
+    np.add.at(d_pooled, inverse, (du @ a["fusion_W"].T).reshape(len(inverse), -1))
+    d_current = np.zeros(current.shape)
+    np.put_along_axis(d_current, arg[:, None, :], d_pooled[:, None, :], axis=1)
+    for layer in range(cfg.layers - 1, -1, -1):
+        inputs, directions = traces[layer]
+        d_inputs = np.zeros(inputs.shape)
+        for (direction, trace), d_half in zip(directions, (d_current[:, :, :h],
+                                                           d_current[:, :, h:])):
+            reference_backward_direction(params, layer, direction, trace, d_half, grads,
+                                         d_inputs)
+        d_current = d_inputs
+    np.add.at(grads["token_emb"], tokens.reshape(-1), d_current.reshape(-1, cfg.embed_dim))
+    return probs, grads
+
+
 class TestForward:
     def test_output_in_open_unit_interval(self):
         params = init_parameters(tiny_config())
@@ -274,6 +415,56 @@ class TestBatch:
             np.testing.assert_allclose(grads[name], summed[name], rtol=1e-12,
                                        atol=1e-12 * np.abs(summed[name]).max(),
                                        err_msg=name)
+
+    @pytest.mark.parametrize("layers, embed_dim, hidden_dim",
+                             [(1, 4, 4), (2, 5, 3), (3, 3, 6)])
+    def test_matches_reference_lstm(self, layers, embed_dim, hidden_dim):
+        params = init_parameters(tiny_config(seed=10 + layers, layers=layers,
+                                             embed_dim=embed_dim, hidden_dim=hidden_dim))
+        nopath = (NOPATH,)
+        # paths of lengths 1-7, inner PAD runs, a path of PAD only, NOPATH
+        # rows, and paths and relations repeated across samples
+        batch = [
+            PathSample(paths=((2, PAD, 3, PAD, PAD, 4), (5,), (PAD, PAD)), relation=1, label=1),
+            PathSample(paths=(nopath, nopath, nopath), relation=2, label=0),
+            PathSample(paths=((2, 3, 4, 5, 6, 7, 2), (7, 6), (3, 3, 3)), relation=0, label=1),
+            PathSample(paths=((4, 5, 6, 7), (2, 3, 4, 5, 6), (6, PAD, PAD, 7, 2, 3)),
+                       relation=3, label=0),
+            PathSample(paths=((2, 3, 4, 5, 6, 7), nopath, (5,)), relation=1, label=1),
+        ]
+        self.assert_matches_reference(params, batch)
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_random_batches_match_reference_lstm(self, layers):
+        params = init_parameters(tiny_config(seed=20 + layers, layers=layers,
+                                             embed_dim=5, hidden_dim=4))
+        rng = random.Random(layers)
+
+        def path():  # NOPATH, or 1-7 tokens with PAD inside but not at the ends
+            if rng.random() < 0.2:
+                return (NOPATH,)
+            length = rng.randint(1, 7)
+            return tuple(rng.choice([PAD, 2, 3, 4, 5, 6, 7]) if 0 < k < length - 1
+                         else rng.randrange(2, 8) for k in range(length))
+
+        for _ in range(3):
+            batch = [PathSample(paths=(path(), path(), path()), relation=rng.randrange(4),
+                                label=rng.randrange(2)) for _ in range(rng.randint(1, 12))]
+            self.assert_matches_reference(params, batch)
+
+    @staticmethod
+    def assert_matches_reference(params, batch):
+        labels = [s.label for s in batch]
+        probs, cache = forward_batch(params, batch)
+        grads = backward_batch(params, cache, labels, params.zeros_like())
+        ref_probs, ref_grads = reference_batch(params, batch, labels)
+        np.testing.assert_allclose(probs, ref_probs, rtol=1e-12, atol=0)
+        # relative to each tensor's largest entry: an entry whose terms cancel
+        # keeps their rounding error
+        for name, ref in ref_grads.items():
+            assert np.any(ref != 0.0), name
+            np.testing.assert_allclose(grads[name], ref, rtol=1e-12,
+                                       atol=1e-12 * np.abs(ref).max(), err_msg=name)
 
     def test_mean_loss_matches_finite_differences(self):
         params = init_parameters(tiny_config(seed=4))
