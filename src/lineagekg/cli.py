@@ -148,7 +148,10 @@ class RunManifest:
 
     @classmethod
     def load(cls, path) -> "RunManifest":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        try:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ManifestError(f"manifest is not UTF-8: {exc}") from None
         if not isinstance(data, dict):
             raise ManifestError(
                 f"manifest must be a JSON object, got {type(data).__name__}")
@@ -218,11 +221,15 @@ class Pipeline:
             return False
         try:
             record = json.loads(ok_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError:
+        except (json.JSONDecodeError, UnicodeDecodeError):
             return False
-        if record.get("config") != self._config_digest(stage, task, profile):
+        # a sidecar that is not the object _mark_done writes counts as absent
+        if (not isinstance(record, dict)
+                or record.get("config") != self._config_digest(stage, task, profile)):
             return False
-        recorded = record.get("outputs", {})
+        recorded = record.get("outputs")
+        if not isinstance(recorded, dict):
+            return False
         for output in self._outputs(stage, task, profile):
             if not output.is_file():
                 return False
@@ -573,7 +580,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         manifest = _build_manifest(args)
-    except (ManifestError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ManifestError, OSError, json.JSONDecodeError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1
     only = None if args.command == "run" else args.command

@@ -15,8 +15,6 @@ from typing import Sequence
 
 from .scenario import TASK_NAMES
 
-METRIC_NAMES = ("precision", "recall", "pr_auc", "hits_at_10")
-
 
 class MetricsError(Exception):
     pass

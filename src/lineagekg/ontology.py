@@ -13,8 +13,6 @@ from typing import Optional
 
 from .kgstore import RDF_TYPE, KnowledgeGraph, Literal, serialize_ntriples
 
-PROFILE_NAMES = ("baseline", "rddl")
-
 # Canonical name for the cell-value class; ColumnValue is accepted as an alias.
 CLASS_ALIASES = {"ColumnValue": "CellValue"}
 

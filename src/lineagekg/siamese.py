@@ -16,15 +16,15 @@ packed time-major so that the rows active at step t are one contiguous slice
 (``_Packing``); a PAD step costs nothing, and a row's state carries across it
 to the row's next non-PAD step.  Per layer, both directions' input
 projections are one matrix product over all positions, so a time step adds
-only ``h_prev @ U.T``.  The forward pass stores every position's activated
-gates and cell state; the backward pass reads them instead of recomputing
-the gates, runs only ``dz @ U`` per step, and computes the weight, bias and
-input gradients after the time loop, one product or sum each.  Pooled
+only ``h_prev @ U.T``.  The forward pass keeps every position's activated
+gates, cell state and hidden state; the backward pass reads them instead of
+recomputing any, runs only ``dz @ U`` per step, and computes the weight, bias
+and input gradients after the time loop, one product or sum each.  Pooled
 vectors are gathered back to one per path before fusion, and the backward
 pass sums the pooled gradients of a row's copies before running the LSTM back
 once; as that pass is linear in its upstream gradient, this equals running
 every copy up to the order of float additions.  Fusion and the cosine are
-vectorised over the batch; ``forward`` and ``backward`` are batches of one.
+vectorised over the batch, and a single sample is scored as a batch of one.
 
 PAD positions are skipped by the LSTM and masked out of pooling, so appending
 extra padding never changes a score.
@@ -89,16 +89,6 @@ class Parameters:
         self._shapes = {name: np.shape(a) for name, a in arrays.items()}
         self.arrays = self.views(self.flat)
 
-    @staticmethod
-    def tensor_names(cfg: ModelConfig) -> list[str]:
-        names = ["token_emb", "rel_emb"]
-        for layer in range(cfg.layers):
-            for direction in ("f", "b"):
-                prefix = f"lstm{layer}{direction}"
-                names += [f"{prefix}_W", f"{prefix}_U", f"{prefix}_b"]
-        names += ["fusion_W", "fusion_b"]
-        return names
-
     def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """Per-tensor views into a vector laid out like ``flat``."""
         views = {}
@@ -119,33 +109,41 @@ class Parameters:
         return Parameters(self.cfg, self.arrays)
 
 
+def _tensor_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Every trainable tensor's shape by name, in the declared order, which
+    is the order initialisation draws them and a checkpoint stores them."""
+    h = cfg.hidden_dim
+    shapes = {"token_emb": (cfg.vocab_size, cfg.embed_dim),
+              "rel_emb": (cfg.num_relations, cfg.fusion_dim)}
+    for layer in range(cfg.layers):
+        in_dim = cfg.embed_dim if layer == 0 else 2 * h
+        for direction in ("f", "b"):
+            prefix = f"lstm{layer}{direction}"
+            shapes[f"{prefix}_W"] = (4 * h, in_dim)
+            shapes[f"{prefix}_U"] = (4 * h, h)
+            shapes[f"{prefix}_b"] = (4 * h,)
+    shapes["fusion_W"] = (cfg.num_paths * 2 * h, cfg.fusion_dim)
+    shapes["fusion_b"] = (cfg.fusion_dim,)
+    return shapes
+
+
 def init_parameters(cfg: ModelConfig) -> Parameters:
     """Embeddings ~ N(0, 0.1); recurrent and fusion weights uniform in
     +-1/sqrt(hidden); biases zero except the forget gate at 1.0."""
     rng = np.random.default_rng(cfg.seed)
     h = cfg.hidden_dim
     bound = 1.0 / math.sqrt(h)
-    arrays: dict[str, np.ndarray] = {
-        "token_emb": rng.normal(0.0, 0.1, (cfg.vocab_size, cfg.embed_dim)),
-        "rel_emb": rng.normal(0.0, 0.1, (cfg.num_relations, cfg.fusion_dim)),
-    }
-    for layer in range(cfg.layers):
-        in_dim = cfg.embed_dim if layer == 0 else 2 * h
-        for direction in ("f", "b"):
-            prefix = f"lstm{layer}{direction}"
-            arrays[f"{prefix}_W"] = rng.uniform(-bound, bound, (4 * h, in_dim))
-            arrays[f"{prefix}_U"] = rng.uniform(-bound, bound, (4 * h, h))
-            bias = np.zeros(4 * h)
-            bias[h:2 * h] = 1.0  # forget gate
-            arrays[f"{prefix}_b"] = bias
-    arrays["fusion_W"] = rng.uniform(
-        -bound, bound, (cfg.num_paths * 2 * h, cfg.fusion_dim))
-    arrays["fusion_b"] = np.zeros(cfg.fusion_dim)
+    arrays: dict[str, np.ndarray] = {}
+    for name, shape in _tensor_shapes(cfg).items():
+        if name.endswith("_emb"):
+            arrays[name] = rng.normal(0.0, 0.1, shape)
+        elif name.endswith("_b"):
+            arrays[name] = np.zeros(shape)
+            if name.startswith("lstm"):
+                arrays[name][h:2 * h] = 1.0  # forget gate
+        else:
+            arrays[name] = rng.uniform(-bound, bound, shape)
     return Parameters(cfg, arrays)
-
-
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
 
 
 def _safe(norms: np.ndarray) -> np.ndarray:
@@ -201,10 +199,10 @@ class ForwardCache:
     The LSTM rows are the batch's U distinct padded paths, in ``tokens``.
     ``inverse`` maps the sample-major path rows to them: path ``p`` of sample
     ``b`` is LSTM row ``inverse[b * P + p]``.  ``layers`` holds, per LSTM
-    layer, the activated gates and the cell states of every position of
-    ``packing``, per direction: the backward pass reads the gates instead of
-    recomputing them, and rebuilds a hidden state as ``o * tanh(c)`` (the
-    same product, so the same bits) rather than keeping it.
+    layer, what ``_layer_forward`` returned for the positions of ``packing``:
+    the activated gates and cell states per direction, and the hidden states
+    as rows.  The backward pass reads all three instead of recomputing them;
+    a layer's stored hidden states are also the inputs of the layer above.
     ``pool_index`` is the position each row's pooled feature came from.
     Per-sample arrays have a leading batch axis of length B.
     """
@@ -213,7 +211,8 @@ class ForwardCache:
         self.tokens: np.ndarray = None  # (U, T)
         self.inverse: np.ndarray = None  # (B*P,)
         self.packing: _Packing = None
-        self.layers: list[tuple[np.ndarray, np.ndarray]] = []  # (2, n, 4h), (2, n + 1, h)
+        # per layer: (2, n, 4h) gates, (2, n + 1, h) cells, (n + 1, 2h) hidden
+        self.layers: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self.pool_index: np.ndarray = None  # (U, 2h)
         self.x_cat: np.ndarray = None  # (B, P*2h)
         self.p: np.ndarray = None  # (B, fusion_dim)
@@ -228,21 +227,11 @@ class ForwardCache:
 
 
 def _sigmoid_(x: np.ndarray) -> None:
-    """``x = _sigmoid(x)`` in place."""
+    """The logistic sigmoid ``1 / (1 + exp(-x))``, in place."""
     np.negative(x, out=x)
     np.exp(x, out=x)
     x += 1.0
     np.divide(1.0, x, out=x)
-
-
-def _hidden(gates: np.ndarray, cells: np.ndarray, d: int) -> np.ndarray:
-    """Direction d's hidden states ``o * tanh(c)`` (n + 1, h), zero in row n,
-    rebuilt from a layer's stored gates and cells with the forward pass's
-    operations, so to the same bits."""
-    h = cells.shape[2]
-    hidden = np.tanh(cells[d])
-    hidden[:-1] *= gates[d, :, 3 * h:]
-    return hidden
 
 
 def _layer_forward(params: Parameters, layer: int, packing: _Packing,
@@ -314,7 +303,7 @@ def forward_batch(params: Parameters, samples: Sequence[PathSample]
     x = params.arrays["token_emb"][packing.tokens]
     for layer in range(cfg.layers):
         gates, cells, top = _layer_forward(params, layer, packing, x)
-        cache.layers.append((gates, cells))
+        cache.layers.append((gates, cells, top))
         x = top[:packing.n]
 
     # max-pool over each row's non-PAD steps; a path of PAD only pools the
@@ -336,14 +325,9 @@ def forward_batch(params: Parameters, samples: Sequence[PathSample]
     cache.p_hat = cache.p / _safe(cache.p_norm)[:, None]
     cache.r_hat = r_vec / _safe(cache.r_norm)[:, None]
     cache.z = np.where(cache.scored, (cache.p_hat * cache.r_hat).sum(axis=1), 0.0)
-    cache.probs = _sigmoid(cache.z)
+    cache.probs = cache.z.copy()
+    _sigmoid_(cache.probs)
     return cache.probs, cache
-
-
-def forward(params: Parameters, sample: PathSample) -> tuple[float, ForwardCache]:
-    """Score one (paths, relation) pair as a batch of one."""
-    probs, cache = forward_batch(params, [sample])
-    return float(probs[0]), cache
 
 
 def bce_loss(prob: float, label: int) -> float:
@@ -353,56 +337,33 @@ def bce_loss(prob: float, label: int) -> float:
 
 
 def _layer_backward(params: Parameters, layer: int, packing: _Packing,
-                    gates: np.ndarray, cells: np.ndarray, d_hidden: np.ndarray,
-                    grads: dict[str, np.ndarray]) -> None:
+                    gates: np.ndarray, cells: np.ndarray, top: np.ndarray,
+                    d_hidden: np.ndarray, grads: dict[str, np.ndarray]) -> None:
     """Turn one layer's stored gates into the gradients of its gate
     pre-activations, in place, and add the gradients of its U to ``grads``.
 
+    ``gates``, ``cells`` and ``top`` are what ``_layer_forward`` returned;
+    direction d's hidden states are the columns ``d*h:(d+1)*h`` of ``top``.
     ``d_hidden`` (2, n + 1, h) is the gradient reaching the layer's hidden
     states; the time loops add to it what each step passes back to the one
-    before.  ``cells`` is used as scratch.  numpy buffers an operand that is
-    a strided view, so the gate columns are copied into contiguous scratch
-    and back rather than computed on in place.
+    before.
     """
     h = params.cfg.hidden_dim
     for d, name in enumerate("fb"):
         prev = packing.prev[d]
-        hidden = _hidden(gates, cells, d)
-        # first, for every position at once, the factors that turn the
-        # gradients reaching its h and c into those of its gates
         i, f, g, o = (gates[d, :, k * h:(k + 1) * h] for k in range(4))
-        gate = cells[d, prev]  # c_prev, then o, then g
-        forget = f.copy()
-        out = np.subtract(1.0, forget)
-        out *= forget
-        out *= gate
-        f[...] = out  # df = dc * c_prev * f * (1 - f)
-        tanh_c = cells[d, :-1]
-        np.tanh(tanh_c, out=tanh_c)
-        np.copyto(gate, o)
-        dc_per_dh = tanh_c * tanh_c  # dc gets dh * o * (1 - tanh(c)^2)
-        np.subtract(1.0, dc_per_dh, out=dc_per_dh)
-        dc_per_dh *= gate
-        np.subtract(1.0, gate, out=out)
-        out *= gate
-        out *= tanh_c
-        o[...] = out  # do = dh * tanh(c) * o * (1 - o)
-        np.copyto(gate, g)
-        in_gate = tanh_c  # tanh(c) is used up
-        np.copyto(in_gate, i)
-        np.multiply(gate, gate, out=out)
-        np.subtract(1.0, out, out=out)
-        out *= in_gate
-        g[...] = out  # dg = dc * i * (1 - g^2)
-        np.subtract(1.0, in_gate, out=out)
-        out *= in_gate
-        out *= gate
-        i[...] = out  # di = dc * g * i * (1 - i)
-        del gate, out
+        forget = f.copy()  # the time loop reads it
+        tanh_c = np.tanh(cells[d, :-1])
+        dc_per_dh = (1.0 - tanh_c * tanh_c) * o  # dc gets dh * o * (1 - tanh(c)^2)
+        # for every position at once, the factors that turn the gradients
+        # reaching its h and c into those of its gates
+        f[...] = ((1.0 - f) * f) * cells[d, prev]  # df = dc * this
+        o[...] = ((1.0 - o) * o) * tanh_c  # do = dh * this
+        i[...], g[...] = ((1.0 - i) * i) * g, (1.0 - g * g) * i  # di, dg = dc * these
 
         U = params.arrays[f"lstm{layer}{name}_U"]
-        dz_all, dh_all, dc_all = gates[d], d_hidden[d], cells[d]
-        dc_all.fill(0.0)
+        dz_all, dh_all = gates[d], d_hidden[d]
+        dc_all = np.zeros_like(dh_all)
         for start, stop in packing.steps(d, reverse=True):
             before = prev[start:stop]
             dh = dh_all[start:stop]
@@ -414,9 +375,7 @@ def _layer_backward(params: Parameters, layer: int, packing: _Packing,
             # goes to row n, which no step reads
             dh_all[before] += dz @ U
             dc_all[before] = dc * forget[start:stop]
-        del forget, dc_per_dh
-        grads[f"lstm{layer}{name}_U"] += dz_all.T @ hidden[prev]
-        del hidden
+        grads[f"lstm{layer}{name}_U"] += dz_all.T @ top[prev, d * h:(d + 1) * h]
 
 
 def backward_batch(params: Parameters, cache: ForwardCache, labels: Sequence[int],
@@ -447,13 +406,12 @@ def backward_batch(params: Parameters, cache: ForwardCache, labels: Sequence[int
 
     # each array is dropped once done with: a batch's peak is a train run's
     for layer in range(params.cfg.layers - 1, -1, -1):
-        gates, cells = cache.layers.pop()
-        _layer_backward(params, layer, packing, gates, cells, d_hidden, grads)
-        del cells, d_hidden
+        gates, cells, top = cache.layers.pop()
+        _layer_backward(params, layer, packing, gates, cells, top, d_hidden, grads)
+        del cells, top, d_hidden
         # the weights' gradients sum over every position: one product each
         if layer:  # the inputs: the hidden states of the layer below
-            below = cache.layers[-1]
-            x = np.hstack([_hidden(*below, 0)[:-1], _hidden(*below, 1)[:-1]])
+            x = cache.layers[-1][2][:packing.n]
         else:
             x = params.arrays["token_emb"][packing.tokens]
         d_W = np.matmul(gates.transpose(0, 2, 1), x)
@@ -472,11 +430,6 @@ def backward_batch(params: Parameters, cache: ForwardCache, labels: Sequence[int
 
     np.add.at(grads["token_emb"], packing.tokens, d_x)
     return grads
-
-
-def backward(params: Parameters, cache: ForwardCache, label: int) -> dict[str, np.ndarray]:
-    """Analytic gradients of the binary cross-entropy loss of one sample."""
-    return backward_batch(params, cache, [label], params.zeros_like())
 
 
 @dataclass
@@ -587,34 +540,40 @@ def predict(params: Parameters, samples: Sequence[PathSample]) -> list[float]:
 # -- checkpoint I/O -----------------------------------------------------------------
 
 
+def _tensor_header(name: str, shape: tuple[int, ...]) -> bytes:
+    return " ".join(map(str, (name, len(shape), *shape))).encode("utf-8") + b"\n"
+
+
 def save_checkpoint(params: Parameters, path) -> None:
-    """Text header (magic + config) followed by little-endian float64 blocks."""
+    """Text header (magic + config) followed by, per tensor, a line
+    ``name ndim dims...`` and the tensor as a little-endian float64 block."""
     with Path(path).open("wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write((json.dumps(asdict(params.cfg), sort_keys=True) + "\n").encode("utf-8"))
-        for name in Parameters.tensor_names(params.cfg):
-            array = np.ascontiguousarray(params.arrays[name], dtype="<f8")
-            dims = " ".join(str(d) for d in array.shape)
-            fh.write(f"{name} {len(array.shape)} {dims}\n".encode("utf-8"))
-            fh.write(array.tobytes())
+        for name, shape in _tensor_shapes(params.cfg).items():
+            fh.write(_tensor_header(name, shape))
+            fh.write(np.ascontiguousarray(params.arrays[name], dtype="<f8").tobytes())
 
 
 def load_checkpoint(path) -> Parameters:
+    """Read a checkpoint, whose every tensor must have the shape its config
+    gives it, and which must end after the last tensor."""
     with Path(path).open("rb") as fh:
         magic = fh.readline()
         if magic != CHECKPOINT_MAGIC:
             raise ModelError(f"bad checkpoint magic: {magic!r}")
         cfg = ModelConfig(**json.loads(fh.readline().decode("utf-8")))
         arrays: dict[str, np.ndarray] = {}
-        for name in Parameters.tensor_names(cfg):
-            header = fh.readline().decode("utf-8").split()
-            if not header or header[0] != name:
-                raise ModelError(f"unexpected tensor header: {header!r}")
-            ndim = int(header[1])
-            shape = tuple(int(d) for d in header[2:2 + ndim])
-            count = int(np.prod(shape)) if shape else 1
+        for name, shape in _tensor_shapes(cfg).items():
+            header, expected = fh.readline(), _tensor_header(name, shape)
+            if header != expected:
+                raise ModelError(
+                    f"unexpected tensor header: {header!r}, expected {expected!r}")
+            count = math.prod(shape)
             raw = fh.read(count * 8)
             if len(raw) != count * 8:
                 raise ModelError(f"truncated tensor block: {name}")
             arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape)
+        if fh.read(1):
+            raise ModelError("trailing bytes after the last tensor block")
     return Parameters(cfg, arrays)

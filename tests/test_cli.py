@@ -394,6 +394,25 @@ class TestPipeline:
         assert logs == ["[run ] gen-scenarios/selection-projection"]
         assert lineage[-1].read_bytes() == kept
 
+    @pytest.mark.parametrize("damage", [
+        lambda record: b"[]",
+        lambda record: b'"x"',
+        lambda record: json.dumps({**record, "outputs": []}).encode(),
+        lambda record: b"\xff",
+    ], ids=["list", "string", "outputs-list", "not-utf-8"])
+    def test_malformed_sidecar_reruns_gen_scenarios(self, tmp_path, damage):
+        manifest = tiny_manifest(tmp_path)
+        status, _ = run_pipeline(manifest, echo=lambda *_: None,
+                                 only_stage="gen-scenarios")
+        assert status == 0
+        ok = next(tmp_path.rglob(".stage_gen-scenarios.ok"))
+        ok.write_bytes(damage(json.loads(ok.read_text())))
+        logs = []
+        status, _ = run_pipeline(manifest, echo=logs.append,
+                                 only_stage="gen-scenarios")
+        assert status == 0
+        assert logs == ["[run ] gen-scenarios/selection-projection"]
+
     def test_manifest_round_trip(self, tmp_path):
         manifest = tiny_manifest(tmp_path)
         manifest.save(tmp_path / "m.json")
@@ -647,12 +666,18 @@ class TestMainEntry:
         assert json.loads((out / "manifest.json").read_text())["out_dir"] == str(out)
         assert (out / "selection-projection" / "scenarios" / "manifest.tsv").is_file()
 
-    @pytest.mark.parametrize("text", ["[1]", '"x"', "null", '{"out_dir": 5}'])
+    @pytest.mark.parametrize("text", [b"[1]", b'"x"', b"null", b'{"out_dir": 5}',
+                                      b'{"out_dir": "\xff"}'])
     def test_malformed_manifest_rejected(self, tmp_path, capsys, text):
-        (tmp_path / "m.json").write_text(text)
+        (tmp_path / "m.json").write_bytes(text)
         with pytest.raises(ManifestError):
             RunManifest.load(tmp_path / "m.json").validate()
         code = main(["run", "--manifest", str(tmp_path / "m.json")])
+        assert code == 1
+        assert "validation error" in capsys.readouterr().err
+
+    def test_manifest_directory_rejected(self, tmp_path, capsys):
+        code = main(["run", "--manifest", str(tmp_path)])
         assert code == 1
         assert "validation error" in capsys.readouterr().err
 

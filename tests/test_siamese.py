@@ -9,10 +9,8 @@ from lineagekg.paths import NOPATH, PAD, PathSample
 from lineagekg.siamese import (
     ModelConfig,
     ModelError,
-    backward,
     backward_batch,
     bce_loss,
-    forward,
     forward_batch,
     init_parameters,
     load_checkpoint,
@@ -20,6 +18,16 @@ from lineagekg.siamese import (
     save_checkpoint,
     train,
 )
+
+
+# one sample as a batch of one
+def forward(params, sample):
+    probs, cache = forward_batch(params, [sample])
+    return float(probs[0]), cache
+
+
+def backward(params, cache, label):
+    return backward_batch(params, cache, [label], params.zeros_like())
 
 
 def tiny_config(seed=0, **overrides):
@@ -692,6 +700,26 @@ class TestCheckpoint:
         path.write_bytes(b"\n".join([magic, json.dumps(old).encode(), rest]))
         loaded = load_checkpoint(path)
         assert loaded.cfg == params.cfg and loaded.cfg.num_paths == 3
+
+    @pytest.mark.parametrize("edit", [
+        (b"token_emb 2 8 4\n", b"token_emb 2 4 8\n"),  # same size, transposed
+        (b"fusion_b 1 6\n", b"fusion_b 1 5\n"),  # the last, one float short
+    ], ids=["token_emb", "fusion_b"])
+    def test_header_shape_must_match_config(self, tmp_path, edit):
+        path = tmp_path / "model.bin"
+        save_checkpoint(init_parameters(tiny_config(seed=8)), path)
+        data = path.read_bytes()
+        assert data.count(edit[0]) == 1
+        path.write_bytes(data.replace(*edit))
+        with pytest.raises(ModelError, match="tensor header"):
+            load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "model.bin"
+        save_checkpoint(init_parameters(tiny_config(seed=8)), path)
+        path.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(ModelError, match="trailing"):
+            load_checkpoint(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"
