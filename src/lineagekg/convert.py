@@ -3,17 +3,25 @@
 Population walks views first, then tables.  View columns are named bare and
 table columns are prefixed with the table name (the published procedure's
 asymmetry, kept verbatim), so views with a column of the same name share one
-Column node.  Lineage resolution indexes the graph once per call, in one pass
-over its triples (each object's columns and rows, each column's literal kind,
-and the (row, cell) pairs of each (column, value)), then looks each tuple's
-values up in that index and links every (source row, target row) pair whose
-rows belong to the objects the tuple names.  Row pairs come out in first-match
-order: tuple by tuple, dst rows × src rows, each side in cell insertion order.
+Column node.  Rows and cells are emitted relation by relation, with what every
+cell of a relation shares (relation ids, each column's literal kind, the row
+IRI prefix) looked up once per relation; every triple still goes through the
+checked ``KnowledgeGraph.add_triple``.  The population report counts the
+rdf:type objects in one pass and names each class node once.
+
+Lineage resolution indexes the graph once per call, in one pass over its
+triples (each object's columns and rows, each column's literal kind, and the
+(row, cell) pairs of each (column, value)), resolves the objects and columns
+of each distinct (t1, c1, t2, c2) once, then looks each tuple's values up in
+that index and links every (source row, target row) pair whose rows belong to
+the objects the tuple names.  Row pairs come out in first-match order: tuple
+by tuple, dst rows × src rows, each side in cell insertion order.
 """
 
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -80,25 +88,28 @@ def _emit_rows(g: KnowledgeGraph, rel: Relation, obj_node: int,
                column_nodes: list[int], rels: dict,
                row_class: int, cell_class: int) -> list[int]:
     """Emit the relation's rows and their non-NULL cells; returns the row nodes."""
-    ns = g.namespace
-    base = sanitize(rel.name)
-    rdf_type = rels[RDF_TYPE]
+    add_node, add_triple = g.add_node, g.add_triple
+    rdf_type, has_row, has_cell, belongs, exact = (
+        rels[name] for name in
+        (RDF_TYPE, "hasRow", "hasCellValue", "belongsToColumn", "exactValue"))
+    columns = [(j, DTYPE_KINDS[col.dtype], column_node) for j, (col, column_node)
+               in enumerate(zip(rel.table.columns, column_nodes))]
+    prefix = _iri(g.namespace, f"{sanitize(rel.name)}_r")
     row_nodes = []
     for i, row in enumerate(rel.rows):
-        row_node = g.add_node(_iri(ns, f"{base}_r{i}"))
+        row_iri = f"{prefix}{i}"
+        row_node = add_node(row_iri)
         row_nodes.append(row_node)
-        g.add_triple(row_node, rdf_type, row_class)
-        g.add_triple(obj_node, rels["hasRow"], row_node)
-        for j, (col, value) in enumerate(zip(rel.table.columns, row)):
+        add_triple(row_node, rdf_type, row_class)
+        add_triple(obj_node, has_row, row_node)
+        for (j, kind, column_node), value in zip(columns, row):
             if value is None:
                 continue  # NULL cells have no value individual
-            cell_node = g.add_node(_iri(ns, f"{base}_r{i}_c{j}"))
-            g.add_triple(cell_node, rdf_type, cell_class)
-            g.add_triple(row_node, rels["hasCellValue"], cell_node)
-            g.add_triple(cell_node, rels["belongsToColumn"], column_nodes[j])
-            g.add_triple(
-                cell_node, rels["exactValue"], Literal(value, DTYPE_KINDS[col.dtype])
-            )
+            cell_node = add_node(f"{row_iri}_c{j}")
+            add_triple(cell_node, rdf_type, cell_class)
+            add_triple(row_node, has_cell, cell_node)
+            add_triple(cell_node, belongs, column_node)
+            add_triple(cell_node, exact, Literal(value, kind))
     return row_nodes
 
 
@@ -221,13 +232,18 @@ def populate_kg(
 
 
 def population_report(g: KnowledgeGraph) -> dict[str, int]:
+    """Node and triple counts, and per class name (``class.<local name>``) the
+    number of rdf:type triples naming a class node of that name, keyed in
+    first-use order.  One pass counts the typed objects per node; each class
+    node is then named once."""
     report = {"nodes": g.num_nodes, "triples": len(g)}
     if g.has_relation(RDF_TYPE):
         type_rel = g.relation_id(RDF_TYPE)
-        for (_, _, o) in g.lookup(r=type_rel):
-            if not isinstance(o, Literal):
-                key = f"class.{g.local_name(o)}"
-                report[key] = report.get(key, 0) + 1
+        typed = Counter(o for (_, r, o) in g.triples()
+                        if r == type_rel and not isinstance(o, Literal))
+        for node, count in typed.items():
+            key = f"class.{g.local_name(node)}"
+            report[key] = report.get(key, 0) + count
     return report
 
 
@@ -366,15 +382,23 @@ def resolve_lineage_detailed(
             for (dst, src) in pairs:
                 added[family] += g.add_triple(dst, rels[family], src)
 
+    # (src object, dst object, c1, c2) per distinct (t1, c1, t2, c2); the loop
+    # adds triples but no node, column or row, so a key resolves the same each time
+    resolved: dict[tuple[str, str, str, str], tuple[int, int, int, int]] = {}
     for t in tuples:
-        src_obj = locals_index.get(sanitize(t.t1))
-        dst_obj = locals_index.get(sanitize(t.t2))
-        if src_obj is None or dst_obj is None:
-            raise ConvertError(f"unresolvable table in tuple {t}")
-        c1 = index.column(src_obj, t.t1, t.c1)
-        c2 = index.column(dst_obj, t.t2, t.c2)
-        if c1 is None or c2 is None:
-            raise ConvertError(f"unresolvable column in tuple {t}")
+        key = (t.t1, t.c1, t.t2, t.c2)
+        nodes = resolved.get(key)
+        if nodes is None:
+            src_obj = locals_index.get(sanitize(t.t1))
+            dst_obj = locals_index.get(sanitize(t.t2))
+            if src_obj is None or dst_obj is None:
+                raise ConvertError(f"unresolvable table in tuple {t}")
+            c1 = index.column(src_obj, t.t1, t.c1)
+            c2 = index.column(dst_obj, t.t2, t.c2)
+            if c1 is None or c2 is None:
+                raise ConvertError(f"unresolvable column in tuple {t}")
+            nodes = resolved[key] = (src_obj, dst_obj, c1, c2)
+        src_obj, dst_obj, c1, c2 = nodes
         src_matches = _match_rows(index, src_obj, c1, t.v1)
         dst_matches = _match_rows(index, dst_obj, c2, t.v2)
         if not src_matches or not dst_matches:

@@ -164,16 +164,24 @@ class KnowledgeGraph:
             raise UnknownNodeError(f"unknown node: {node_id!r}")
 
     def add_triple(self, s: int, r: int, o: Object) -> bool:
-        """Insert (s, r, o); returns True when newly added."""
-        self._check_node(s)
-        if not isinstance(o, Literal):
-            self._check_node(o)
+        """Insert (s, r, o); returns True when newly added.
+
+        The checks of ``_check_node`` (on s, and on o unless it is a literal)
+        and ``_check_mutable`` are written out here, with the same errors: graph
+        population calls this once per triple.
+        """
+        nodes = len(self._iris)
+        if not isinstance(s, int) or not 0 <= s < nodes:
+            raise UnknownNodeError(f"unknown node: {s!r}")
+        if not isinstance(o, Literal) and (not isinstance(o, int) or not 0 <= o < nodes):
+            raise UnknownNodeError(f"unknown node: {o!r}")
         if not 0 <= r < len(self._rel_names):
             raise KgError(f"unknown relation id: {r}")
         triple = (s, r, o)
         if triple in self._triples:
             return False
-        self._check_mutable()
+        if self._frozen:
+            raise KgError("graph is frozen")
         self._triples[triple] = None
         return True
 
@@ -219,21 +227,22 @@ def _unescape(match: re.Match) -> str:
     return _UNESCAPES[match.group(1)]
 
 
-def _format_object(g: KnowledgeGraph, o: Object) -> str:
-    if isinstance(o, Literal):
-        body = f'"{o.lexical.translate(_ESCAPE_TABLE)}"'
-        if o.kind != "string":
-            body += f"^^<xsd:{o.kind}>"
-        return body
-    return f"<{g.node_iri(o)}>"
-
-
 def serialize_ntriples(g: KnowledgeGraph) -> str:
-    """One sorted line per triple: ``<subj> <rel> <obj> .``"""
-    lines = [
-        f"<{g.node_iri(s)}> <{g.relation_name(r)}> {_format_object(g, o)} ."
-        for (s, r, o) in g.triples()
-    ]
+    """One sorted line per triple: ``<subj> <rel> <obj> .``
+
+    Lines are formatted straight from the graph's IRI and relation-name lists:
+    ``add_triple`` admits only ids in range, so no lookup needs its check.
+    """
+    iris, rel_names = g._iris, g._rel_names
+    lines = []
+    for (s, r, o) in g._triples:
+        if isinstance(o, Literal):
+            obj = f'"{o.lexical.translate(_ESCAPE_TABLE)}"'
+            if o.kind != "string":
+                obj += f"^^<xsd:{o.kind}>"
+        else:
+            obj = f"<{iris[o]}>"
+        lines.append(f"<{iris[s]}> <{rel_names[r]}> {obj} .")
     lines.sort()
     return "\n".join(lines) + ("\n" if lines else "")
 

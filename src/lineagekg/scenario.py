@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -145,12 +146,10 @@ def _copied_column_name(spec: TransformationSpec, source: str, column: str) -> s
 # -- execution --------------------------------------------------------------------
 
 
-def _passes(filter_spec: FilterSpec, rel: Relation, row: tuple) -> bool:
-    idx = rel.table.column_index(filter_spec.column)
-    value = row[idx]
+def _passes(filter_spec: FilterSpec, dtype: str, value) -> bool:
+    """Whether a cell value of the filter column, of type ``dtype``, passes."""
     if value is None:
         return False
-    dtype = rel.table.columns[idx].dtype
     if filter_spec.op == "=":
         return value == filter_spec.value
     if dtype in ("integer", "decimal"):
@@ -180,8 +179,12 @@ def execute_transformation(
 
     # (source index, row) pairs contributing to each output row
     if spec.algebra == "selection":
-        row_sets = [[(0, row)] for row in sources[0].rows
-                    if spec.filter is None or _passes(spec.filter, sources[0], row)]
+        rows = sources[0].rows
+        if spec.filter is not None:
+            at = sources[0].table.column_index(spec.filter.column)
+            dtype = sources[0].table.columns[at].dtype
+            rows = [row for row in rows if _passes(spec.filter, dtype, row[at])]
+        row_sets = [[(0, row)] for row in rows]
     elif spec.algebra == "union":
         row_sets = [[(0, row)] for row in sources[0].rows]
         row_sets += [[(1, row)] for row in sources[1].rows]
@@ -245,22 +248,32 @@ def execute_transformation(
     out_rows: list[tuple] = []
     tuples: list[LineageTuple] = []
 
+    # per source, looked up once: each copied column's position in the
+    # source's rows and its output name, and (calc only) each applied column's
+    copied = [[(col, sources[s_idx].table.column_index(col), out_name)
+               for col, out_name in zip(cols, out_names[s_idx])]
+              for s_idx, cols in enumerate(spec.projected)]
+    applied = [[(col, sources[s_idx].table.column_index(col)) for col in cols]
+               for s_idx, cols in enumerate(spec.applied)] if has_calc else []
+
+    # a row's tuples: its copied cells in output column order, then the calc
+    # column's applied cells; a copied cell's output value is its source value
     for contributors in row_sets:
         cells: list = []
-        pending: list[tuple[str, str, str, str]] = []  # (t1, c1, v1, out col)
         args: list[tuple[str, str, str, float]] = []  # (t1, c1, v1, float)
         for s_idx, row in contributors:
-            src = sources[s_idx]
-            for src_col, out_name in zip(spec.projected[s_idx], out_names[s_idx]):
-                value = row[src.table.column_index(src_col)]
+            src_name = sources[s_idx].name
+            for src_col, at, out_name in copied[s_idx]:
+                value = row[at]
                 cells.append(value)
                 if value is not None:
-                    pending.append((src.name, src_col, value, out_name))
-            for col_name in spec.applied[s_idx] if has_calc else ():
-                value = row[src.table.column_index(col_name)]
+                    tuples.append(LineageTuple(src_name, src_col, value,
+                                               spec.output_name, out_name, value))
+            for col_name, at in applied[s_idx] if has_calc else ():
+                value = row[at]
                 if value is None:
                     raise ScenarioError(f"NULL in applied column {col_name!r}")
-                args.append((src.name, col_name, value, float(value)))
+                args.append((src_name, col_name, value, float(value)))
 
         if has_calc:
             if spec.math == "bilinear":
@@ -274,15 +287,10 @@ def execute_transformation(
             rendered = render_decimal(result)
             cells.append(rendered)
             calc_name = _calc_column_name(spec)
-            for t1, c1, v1, _ in args:
-                pending.append((t1, c1, v1, calc_name))
+            tuples.extend(LineageTuple(t1, c1, v1, spec.output_name, calc_name, rendered)
+                          for t1, c1, v1, _ in args)
 
         out_rows.append(tuple(cells))
-        row_values = dict(zip((c.name for c in out_columns), cells))
-        for t1, c1, v1, out_name in pending:
-            tuples.append(LineageTuple(
-                t1=t1, c1=c1, v1=v1,
-                t2=spec.output_name, c2=out_name, v2=row_values[out_name]))
 
     return Relation(out_def, out_rows, spec.output_class), tuples
 
@@ -290,19 +298,21 @@ def execute_transformation(
 def _resolution_unambiguous(db: Database, tuples: list[LineageTuple]) -> bool:
     """Every tuple must pin exactly one source row, and each target value in a
     column must trace back to one source cell (so value matching cannot link
-    unrelated rows)."""
-    src_count_cache: dict[tuple[str, str, str], int] = {}
+    unrelated rows).
+
+    Each source (table, column) has its values counted once, on its first
+    tuple, so the check is linear in the tuples and the source rows read.
+    """
+    value_counts: dict[tuple[str, str], Counter] = {}
     provenance: dict[tuple[str, str, str], set[tuple[str, str, str]]] = {}
     for t in tuples:
-        key = (t.t1, t.c1, t.v1)
-        if key not in src_count_cache:
-            source = db.relation(t.t1)
-            src_count_cache[key] = sum(
-                1 for v in source.column_values(t.c1) if v == t.v1
-            )
-        if src_count_cache[key] != 1:
+        counts = value_counts.get((t.t1, t.c1))
+        if counts is None:
+            counts = value_counts[(t.t1, t.c1)] = Counter(
+                db.relation(t.t1).column_values(t.c1))
+        if counts[t.v1] != 1:
             return False
-        provenance.setdefault((t.t2, t.c2, t.v2), set()).add(key)
+        provenance.setdefault((t.t2, t.c2, t.v2), set()).add((t.t1, t.c1, t.v1))
     return all(len(origins) == 1 for origins in provenance.values())
 
 

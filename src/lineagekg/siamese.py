@@ -444,7 +444,9 @@ def train(params: Parameters, samples: Sequence[PathSample],
     """Mini-batch Adam over the sample sequence; deterministic under the seed.
 
     Samples are reshuffled each epoch with a seeded generator; gradients are
-    averaged per batch.  Raises on NaN loss, reporting the batch index.
+    averaged per batch.  Raises ``RuntimeError``, naming the epoch and batch,
+    on a NaN loss, on non-finite parameters, and on a float overflow or invalid
+    operation anywhere in a batch's forward, backward or Adam step.
     """
     import random as _random
 
@@ -460,59 +462,67 @@ def train(params: Parameters, samples: Sequence[PathSample],
     lstm_rows = lstm_positions = 0
     epoch_losses: list[float] = []
     indices = list(range(len(samples)))
-    for epoch in range(cfg.epochs):
-        rng = _random.Random(f"{cfg.seed}:epoch:{epoch}")
-        rng.shuffle(indices)
-        total = 0.0
-        count = 0
-        for start in range(0, len(indices), cfg.batch_size):
-            batch = [samples[idx] for idx in indices[start:start + cfg.batch_size]]
-            probs, cache = forward_batch(params, batch)
-            lstm_rows += len(cache.tokens)
-            lstm_positions += cache.packing.n
-            batch_loss = 0.0
-            for prob, sample in zip(probs.tolist(), batch):
-                batch_loss += bce_loss(prob, sample.label)
-            batch_loss /= len(batch)
-            if math.isnan(batch_loss):
-                raise RuntimeError(
-                    f"NaN loss at epoch {epoch} batch {start // cfg.batch_size}"
-                )
-            grad_flat.fill(0.0)
-            backward_batch(params, cache, [s.label for s in batch], grads)
-            del cache  # keep one batch's activations alive at a time
-            scale = 1.0 / len(batch)
-            step += 1
-            lr = cfg.learning_rate
-            bias1 = 1.0 - _ADAM_BETA1 ** step
-            bias2 = 1.0 - _ADAM_BETA2 ** step
-            # in place over the flat vectors, with the same operations in the
-            # same order per element as one update per tensor; grad_flat ends
-            # as the step and is zeroed before the next batch
-            g = grad_flat
-            g *= scale
-            np.multiply(g, 1 - _ADAM_BETA1, out=work)
-            adam_m *= _ADAM_BETA1
-            adam_m += work
-            np.multiply(g, 1 - _ADAM_BETA2, out=work)
-            work *= g
-            adam_v *= _ADAM_BETA2
-            adam_v += work
-            np.divide(adam_v, bias2, out=work)
-            np.sqrt(work, out=work)
-            work += _ADAM_EPS  # sqrt(v_hat) + eps
-            np.divide(adam_m, bias1, out=g)
-            g *= lr
-            g /= work  # lr * m_hat / (sqrt(v_hat) + eps)
-            params.flat -= g
-            if not params.all_finite():
-                raise RuntimeError(
-                    f"non-finite parameters after epoch {epoch}"
-                    f" batch {start // cfg.batch_size}"
-                )
-            total += batch_loss * len(batch)
-            count += len(batch)
-        epoch_losses.append(total / count)
+    try:
+        # an overflow or invalid operation would train on to garbage: with
+        # every parameter near 1e300, every score is 0.5 and no value is NaN
+        with np.errstate(over="raise", invalid="raise"):
+            for epoch in range(cfg.epochs):
+                rng = _random.Random(f"{cfg.seed}:epoch:{epoch}")
+                rng.shuffle(indices)
+                total = 0.0
+                count = 0
+                for start in range(0, len(indices), cfg.batch_size):
+                    batch = [samples[idx]
+                             for idx in indices[start:start + cfg.batch_size]]
+                    probs, cache = forward_batch(params, batch)
+                    lstm_rows += len(cache.tokens)
+                    lstm_positions += cache.packing.n
+                    batch_loss = 0.0
+                    for prob, sample in zip(probs.tolist(), batch):
+                        batch_loss += bce_loss(prob, sample.label)
+                    batch_loss /= len(batch)
+                    if math.isnan(batch_loss):
+                        raise RuntimeError(
+                            f"NaN loss at epoch {epoch} batch {start // cfg.batch_size}"
+                        )
+                    grad_flat.fill(0.0)
+                    backward_batch(params, cache, [s.label for s in batch], grads)
+                    del cache  # keep one batch's activations alive at a time
+                    scale = 1.0 / len(batch)
+                    step += 1
+                    lr = cfg.learning_rate
+                    bias1 = 1.0 - _ADAM_BETA1 ** step
+                    bias2 = 1.0 - _ADAM_BETA2 ** step
+                    # in place over the flat vectors, with the same operations in
+                    # the same order per element as one update per tensor; grad_flat
+                    # ends as the step and is zeroed before the next batch
+                    g = grad_flat
+                    g *= scale
+                    np.multiply(g, 1 - _ADAM_BETA1, out=work)
+                    adam_m *= _ADAM_BETA1
+                    adam_m += work
+                    np.multiply(g, 1 - _ADAM_BETA2, out=work)
+                    work *= g
+                    adam_v *= _ADAM_BETA2
+                    adam_v += work
+                    np.divide(adam_v, bias2, out=work)
+                    np.sqrt(work, out=work)
+                    work += _ADAM_EPS  # sqrt(v_hat) + eps
+                    np.divide(adam_m, bias1, out=g)
+                    g *= lr
+                    g /= work  # lr * m_hat / (sqrt(v_hat) + eps)
+                    params.flat -= g
+                    if not params.all_finite():
+                        raise RuntimeError(
+                            f"non-finite parameters after epoch {epoch}"
+                            f" batch {start // cfg.batch_size}"
+                        )
+                    total += batch_loss * len(batch)
+                    count += len(batch)
+                epoch_losses.append(total / count)
+    except FloatingPointError as exc:
+        raise RuntimeError(f"floating-point error at epoch {epoch}"
+                           f" batch {start // cfg.batch_size}: {exc}") from None
     return TrainResult(epoch_losses, lstm_rows, lstm_positions)
 
 
@@ -555,6 +565,20 @@ def save_checkpoint(params: Parameters, path) -> None:
             fh.write(np.ascontiguousarray(params.arrays[name], dtype="<f8").tobytes())
 
 
+def _checkpoint_config(line: bytes) -> ModelConfig:
+    """The ``ModelConfig`` a checkpoint's config line spells out as a JSON object."""
+    try:
+        fields = json.loads(line.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ModelError(f"bad checkpoint config: {exc}") from None
+    if not isinstance(fields, dict):
+        raise ModelError(f"bad checkpoint config: not a JSON object: {fields!r}")
+    try:
+        return ModelConfig(**fields)
+    except TypeError as exc:  # a key ModelConfig lacks, or one it needs
+        raise ModelError(f"bad checkpoint config: {exc}") from None
+
+
 def load_checkpoint(path) -> Parameters:
     """Read a checkpoint, whose every tensor must have the shape its config
     gives it, and which must end after the last tensor."""
@@ -562,7 +586,7 @@ def load_checkpoint(path) -> Parameters:
         magic = fh.readline()
         if magic != CHECKPOINT_MAGIC:
             raise ModelError(f"bad checkpoint magic: {magic!r}")
-        cfg = ModelConfig(**json.loads(fh.readline().decode("utf-8")))
+        cfg = _checkpoint_config(fh.readline())
         arrays: dict[str, np.ndarray] = {}
         for name, shape in _tensor_shapes(cfg).items():
             header, expected = fh.readline(), _tensor_header(name, shape)

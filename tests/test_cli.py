@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import re
+import warnings
 
 import pytest
 
@@ -160,6 +162,45 @@ GRAPH_ARTIFACT_DIGESTS = {
     "union-linear/rddl/kg/train.nt":
         "1f28cb27a637290408f96577be4a0fb931fcd8582d9822d27a0d14246b8ca86a",
 }
+
+# sha256 of what gen-scenarios writes for the same manifest and tasks: each
+# task's manifest.tsv, and its lineage CSVs taken together (each file's name, a
+# NUL byte and its bytes, in name order).  Scenario generation keeps a drawn
+# transformation only when value resolution is unambiguous, so a change to that
+# check or to execution that accepts other draws alters these bytes.
+SCENARIO_ARTIFACT_DIGESTS = {
+    "join-nonlinear/scenarios/lineage/*.csv":
+        "feb3baeddb228018839e802b50ce3d05d2ba91185db3f0d8133f3eb6836a7fa8",
+    "join-nonlinear/scenarios/manifest.tsv":
+        "95d29d77314f1582eda895e8b1ee72a439196e05ce943bfc6de0f6d7ede04d1b",
+    "selection-nonlinear/scenarios/lineage/*.csv":
+        "761f89ad95350066e562ec14eab254bf1ae10e2cf22280bb998dced318472e0d",
+    "selection-nonlinear/scenarios/manifest.tsv":
+        "9d876cd20ecdec84bae65c5bf81db65459b5deca5e59215c4b497d7ac37ac9c6",
+    "selection-projection/scenarios/lineage/*.csv":
+        "f9c92777deec8321eeccf0fdff7bd43f9818b79c328fdef07bff5492a025a3b7",
+    "selection-projection/scenarios/manifest.tsv":
+        "783d45d79a5cb47693d38a51faac640f7289a2063624df1d67de10bbbf0aa3cb",
+    "union-linear/scenarios/lineage/*.csv":
+        "227fceaa1490c136a7aa64775145c5bd241e4e1039a1572c18cc1d9d868c01b8",
+    "union-linear/scenarios/manifest.tsv":
+        "d1ab1df60f9566baa6371fd2f71a641d084b028c0d6fd65e580ccef71677efbb",
+}
+
+
+def scenario_digests(out) -> dict:
+    """SCENARIO_ARTIFACT_DIGESTS, computed for the tasks under out."""
+    digests = {}
+    for root in sorted(out.glob("*/scenarios")):
+        name = root.relative_to(out).as_posix()
+        digests[f"{name}/manifest.tsv"] = hashlib.sha256(
+            (root / "manifest.tsv").read_bytes()).hexdigest()
+        lineage = hashlib.sha256()
+        for path in sorted(root.glob("lineage/*.csv")):
+            lineage.update(path.name.encode() + b"\0" + path.read_bytes())
+        digests[f"{name}/lineage/*.csv"] = lineage.hexdigest()
+    return digests
+
 
 # sha256 of the sample files sample-paths writes for tiny_manifest(profile="both").
 # The sampler is seeded per pair and pure Python, so a change to the walk step
@@ -394,6 +435,20 @@ class TestPipeline:
         assert logs == ["[run ] gen-scenarios/selection-projection"]
         assert lineage[-1].read_bytes() == kept
 
+    def test_overflowing_learning_rate_fails_train(self, tmp_path):
+        # the first Adam step moves every parameter by about 1e300, so the
+        # next batch overflows; it must not train on to scores of 0.5.  Numpy
+        # warnings are not errors outside this test suite, so ignore them here
+        logs = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            status, _ = run_pipeline(tiny_manifest(tmp_path, learning_rate=1e300),
+                                     echo=logs.append)
+        assert status == 2
+        assert logs[-2] == "[run ] train/selection-projection/rddl"
+        assert re.fullmatch(r"stage 'train/selection-projection/rddl' failed: floating-point"
+                            r" error at epoch 0 batch [1-9]\d*: overflow .*", logs[-1])
+
     @pytest.mark.parametrize("damage", [
         lambda record: b"[]",
         lambda record: b'"x"',
@@ -457,6 +512,7 @@ class TestDeterminism:
             for path in tmp_path.rglob("kg/*")
         }
         assert digests == GRAPH_ARTIFACT_DIGESTS
+        assert scenario_digests(tmp_path) == SCENARIO_ARTIFACT_DIGESTS
 
     def test_sample_artifacts_pinned(self, tmp_path):
         manifest = tiny_manifest(tmp_path, profile="both")

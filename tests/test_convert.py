@@ -6,6 +6,7 @@ import pytest
 from lineagekg.convert import (
     ConvertError,
     ExecutionRecord,
+    population_report,
     populate_kg,
     read_ground_truth,
     resolve_lineage_detailed,
@@ -15,6 +16,8 @@ from lineagekg.convert import (
     write_ground_truth,
 )
 from lineagekg.kgstore import (
+    LITERAL_KINDS,
+    RDF_TYPE,
     KnowledgeGraph,
     Literal,
     canonical_lexical,
@@ -568,3 +571,95 @@ class TestSplit:
             split = split_train_test(suite, "selection-projection", profile, 3)
             assert validate_graph(vocabulary(profile), split.train) == []
             assert validate_graph(vocabulary(profile), split.test) == []
+
+
+# -- oracles for the one-pass report and the list-reading serializer -------------
+
+
+def lookup_population_report(g):
+    """Oracle: population_report as a lookup of the rdf:type triples that names
+    each triple's class node on its own."""
+    report = {"nodes": g.num_nodes, "triples": len(g)}
+    if g.has_relation(RDF_TYPE):
+        for (_, _, o) in g.lookup(r=g.relation_id(RDF_TYPE)):
+            if not isinstance(o, Literal):
+                key = f"class.{g.local_name(o)}"
+                report[key] = report.get(key, 0) + 1
+    return report
+
+
+def node_iri_ntriples(g):
+    """Oracle: serialize_ntriples with every id looked up through node_iri and
+    relation_name, and the N-Triples escapes applied one by one."""
+    def term(o):
+        if not isinstance(o, Literal):
+            return f"<{g.node_iri(o)}>"
+        body = o.lexical
+        for raw, escaped in (("\\", "\\\\"), ('"', '\\"'), ("\n", "\\n"),
+                             ("\r", "\\r"), ("\t", "\\t")):
+            body = body.replace(raw, escaped)
+        return f'"{body}"' + ("" if o.kind == "string" else f"^^<xsd:{o.kind}>")
+    lines = sorted(f"<{g.node_iri(s)}> <{g.relation_name(r)}> {term(o)} ."
+                   for (s, r, o) in g.triples())
+    return "".join(line + "\n" for line in lines)
+
+
+# string cells that N-Triples escapes: each escaped character alone and together
+ESCAPED_STRINGS = ['say "hi"', "back\\slash", "new\nline", "carriage\rreturn",
+                   "tab\there", '\\"\n\r\t', ""]
+
+
+def oracle_graphs():
+    """Converted graphs of both profiles, frozen or not, holding every literal
+    kind, NULL cells and escaped strings; then a graph with two class nodes of
+    one local name and a literal rdf:type object, and an empty graph."""
+    rng = random.Random(23)
+    escapes = Relation(TableDef("Esc", (
+        ColumnDef("k", "integer", is_pk=True),
+        ColumnDef("s", "varchar", length=20, nullable=True),
+        ColumnDef("d", "date", nullable=True),
+        ColumnDef("b", "boolean"),
+    )), [(str(i), text, None if i % 3 else f"2024-01-{i + 1:02d}", str(i % 2 == 1).lower())
+         for i, text in enumerate(ESCAPED_STRINGS + [None])])
+    for trial in range(8):
+        db = random_lineage_db(rng)
+        db.tables["Esc"] = escapes
+        g = KnowledgeGraph()
+        populate_kg(g, db, ("baseline", "rddl")[trial % 2])
+        resolve_lineage_detailed(g, random_tuples(rng, db, 12)
+                                 + [LineageTuple("Esc", "s", text, "Esc", "s", text)
+                                    for text in ESCAPED_STRINGS])
+        yield g.freeze() if trial % 4 >= 2 else g
+    for profile in ("baseline", "rddl"):
+        db = northwind_fixture(rows_per_table=5, seed=4)
+        suite = ScenarioSuite(db=db)
+        suite.scenarios["join-nonlinear"] = [
+            generate_scenario(db, task_by_name("join-nonlinear"), 4, i) for i in range(3)]
+        split = split_train_test(suite, "join-nonlinear", profile, 2)
+        yield split.train
+        yield split.test.freeze()
+    g = KnowledgeGraph()
+    rdf_type, label = g.add_relation(RDF_TYPE), g.add_relation("label")
+    a, b, x, y = (g.add_node(iri) for iri in ("one:C", "two:C", "one:x", "D"))
+    for triple in ((x, rdf_type, a), (y, rdf_type, y), (y, rdf_type, b), (x, rdf_type, b),
+                   (x, rdf_type, Literal("C")), (x, label, a)):
+        g.add_triple(*triple)
+    yield g
+    yield KnowledgeGraph()
+
+
+class TestOracles:
+    def test_report_and_serialization_match_oracles(self):
+        kinds, frozen, texts = set(), 0, []
+        for g in oracle_graphs():
+            report = population_report(g)
+            assert list(report.items()) == list(lookup_population_report(g).items())
+            text = serialize_ntriples(g)
+            assert text == node_iri_ntriples(g)
+            kinds |= {o.kind for (_, _, o) in g.triples() if isinstance(o, Literal)}
+            frozen += g._frozen
+            texts.append(text)
+        assert kinds == set(LITERAL_KINDS)
+        assert frozen >= 4
+        assert all(escape in "".join(texts) for escape in ('\\"', "\\\\", "\\n", "\\r", "\\t"))
+        assert population_report(g) == {"nodes": 0, "triples": 0}

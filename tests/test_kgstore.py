@@ -3,6 +3,7 @@ import random
 import pytest
 
 from lineagekg.kgstore import (
+    KgError,
     KnowledgeGraph,
     Literal,
     ParseError,
@@ -89,8 +90,31 @@ class TestAddTriple:
         r = g.add_relation("r")
         g.add_triple(n, r, Literal("1", "integer"))
         g.freeze()
-        with pytest.raises(Exception):
+        with pytest.raises(KgError, match="graph is frozen"):
             g.add_triple(n, r, Literal("2", "integer"))
+        assert g.add_triple(n, r, Literal("1", "integer")) is False  # already held
+        assert len(g) == 1
+
+    # (s, r, o) over nodes 0 and 1 and relation 0, and the error it must raise
+    @pytest.mark.parametrize("s, r, o, error, message", [
+        (2, 0, 1, UnknownNodeError, "unknown node: 2"),
+        (-1, 0, 1, UnknownNodeError, "unknown node: -1"),
+        ("t:a", 0, 1, UnknownNodeError, "unknown node: 't:a'"),
+        (0, 0, 2, UnknownNodeError, "unknown node: 2"),
+        (0, 0, -1, UnknownNodeError, "unknown node: -1"),
+        (0, 0, "1", UnknownNodeError, "unknown node: '1'"),
+        (0, 0, 1.0, UnknownNodeError, "unknown node: 1.0"),
+        (0, 0, None, UnknownNodeError, "unknown node: None"),
+        (0, 1, 1, KgError, "unknown relation id: 1"),
+        (0, -1, Literal("x"), KgError, "unknown relation id: -1"),
+    ])
+    def test_rejects_unknown_ids(self, s, r, o, error, message):
+        g = KnowledgeGraph()
+        g.add_node("t:a"), g.add_node("t:b"), g.add_relation("r")
+        with pytest.raises(error) as err:
+            g.add_triple(s, r, o)
+        assert str(err.value) == message
+        assert len(g) == 0
 
 
 class TestIndexes:

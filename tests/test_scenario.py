@@ -1,4 +1,5 @@
 import copy
+import random
 
 import pytest
 
@@ -6,9 +7,11 @@ from lineagekg.reldb import ColumnDef, Database, Relation, TableDef, northwind_f
 from lineagekg.scenario import (
     TASKS,
     FilterSpec,
+    LineageTuple,
     ScenarioError,
     ScenarioSuite,
     TransformationSpec,
+    _resolution_unambiguous,
     execute_transformation,
     generate_scenario,
     load_suite,
@@ -274,3 +277,42 @@ class TestSuiteSerialization:
         sample = next((tmp_path / "lineage").iterdir())
         header = sample.read_text(encoding="utf-8").splitlines()[0]
         assert header == "t1,c1,v1,t2,c2,v2"
+
+
+def per_key_unambiguous(db, tuples):
+    """Oracle: the resolution check that counts a source value by scanning its
+    whole column again for every distinct (table, column, value)."""
+    src_count_cache = {}
+    provenance = {}
+    for t in tuples:
+        key = (t.t1, t.c1, t.v1)
+        if key not in src_count_cache:
+            src_count_cache[key] = sum(
+                1 for v in db.relation(t.t1).column_values(t.c1) if v == t.v1)
+        if src_count_cache[key] != 1:
+            return False
+        provenance.setdefault((t.t2, t.c2, t.v2), set()).add(key)
+    return all(len(origins) == 1 for origins in provenance.values())
+
+
+class TestResolutionCheck:
+    def test_counted_once_per_column_equals_per_key_scan(self):
+        # small value pools, so values repeat within a column and across
+        # tuples; NULL cells never equal a tuple value
+        rng = random.Random(5)
+        pool = ["a", "b", "c", "d"]
+        outcomes = []
+        for _ in range(400):
+            db = Database(tables={
+                name: Relation(TableDef(name, tuple(
+                    ColumnDef(c, "varchar", length=4, nullable=True) for c in "xyz")),
+                    [tuple(rng.choice(pool + [None]) for _ in "xyz")
+                     for _ in range(rng.randrange(6))])
+                for name in ("S", "T")})
+            tuples = [LineageTuple(rng.choice("ST"), rng.choice("xyz"), rng.choice(pool),
+                                   "Out", rng.choice("uv"), rng.choice("12"))
+                      for _ in range(rng.randrange(8))]
+            outcome = _resolution_unambiguous(db, tuples)
+            assert outcome == per_key_unambiguous(db, tuples)
+            outcomes.append(outcome)
+        assert 40 < sum(outcomes) < 360

@@ -714,6 +714,23 @@ class TestCheckpoint:
         with pytest.raises(ModelError, match="tensor header"):
             load_checkpoint(path)
 
+    # each edit rewrites the config line from the saved config
+    @pytest.mark.parametrize("edit", [
+        lambda config: json.dumps({**config, "dropout": 0.1}),  # a key ModelConfig lacks
+        lambda config: json.dumps({k: v for k, v in config.items() if k != "vocab_size"}),
+        lambda config: json.dumps([config]),
+        lambda config: json.dumps("x"),
+        lambda config: json.dumps(config)[:-1],  # not JSON
+    ], ids=["unknown-key", "missing-key", "list", "string", "not-json"])
+    def test_config_line_must_name_model_config_fields(self, tmp_path, edit):
+        path = tmp_path / "model.bin"
+        save_checkpoint(init_parameters(tiny_config(seed=8)), path)
+        magic, header, rest = path.read_bytes().split(b"\n", 2)
+        config = edit(json.loads(header)).encode()
+        path.write_bytes(b"\n".join([magic, config, rest]))
+        with pytest.raises(ModelError, match="checkpoint config"):
+            load_checkpoint(path)
+
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "model.bin"
         save_checkpoint(init_parameters(tiny_config(seed=8)), path)
