@@ -334,6 +334,10 @@ class Pipeline:
             test_g = _parse_graph(kg / "test.nt", profile).freeze()
             if train_g.relation_names() != test_g.relation_names():
                 raise ManifestError("train/test relation registries differ")
+            # drawn before the train-set walks, so that too many negatives fail fast
+            ground_truth = convert.read_ground_truth(kg / "ground_truth.csv", test_g)
+            negatives = paths.draw_negatives(
+                test_g, ground_truth, self.m.eval_negatives, cfg.seed)
             sampler = paths.PathSampler(train_g, cfg)
             train_samples = list(paths.build_training_set(
                 sampler, k_negatives=self.m.k_negatives))
@@ -342,10 +346,8 @@ class Pipeline:
             stats = {"train": sampler.walk_stats()}
             processes = sampler.processes
             del sampler  # free the train graph's index before indexing the test graph
-            ground_truth = convert.read_ground_truth(kg / "ground_truth.csv", test_g)
             sampler = paths.PathSampler(test_g, cfg)
-            pos, neg = paths.build_eval_set(
-                sampler, ground_truth, num_negatives=self.m.eval_negatives)
+            pos, neg = paths.build_eval_set(sampler, ground_truth, negatives)
             paths.save_samples(out / "eval_pos.txt", pos)
             paths.save_samples(out / "eval_neg.txt", neg)
             stats["eval_pos"] = sampler.walk_stats(0, len(pos))

@@ -3,7 +3,13 @@
 Paths are sequences of relation-type tokens (forward or inverse traversal),
 never node identities, so samples built on one graph transfer to graphs with
 entirely new nodes.  Walks are random with restart; if nothing connects a
-pair, the degenerate [NOPATH, PAD, ...] encoding is used.  A walk step costs
+pair, the degenerate [NOPATH, PAD, ...] encoding is used.
+
+``PathSampler.sample_paths`` runs a pair's whole walk budget in one loop.  It
+binds the per-node tables, the rng's methods and the excluded triple's tokens
+once per pair.  The source step (each walk's first step, and the one after a
+restart) sees only the source visited, so its blocked positions, free count
+and draw width are computed once per pair as well.  Any other step costs
 O(visited nodes), not O(degree): it draws among the current node's unblocked
 adjacency entries by stepping over the few blocked positions, which a
 per-node neighbour index finds.  The draw is ``rng.randrange(free)`` inlined
@@ -12,9 +18,11 @@ as the getrandbits rejection loop that CPython's ``randrange(n)`` runs for
 rng calls without two Python frames.  That helper is private; the inlined loop
 was checked against ``randrange`` (values and final rng state) on CPython
 3.9-3.13, and ``TestWalkStepMatchesFilteredList`` in ``tests/test_paths.py``
-compares every walk and rng state with a sampler that filters the neighbour
-list and calls ``randrange``, on random multigraphs, on star graphs whose
-draws straddle each power of two up to 1024, and on a converted rddl graph.
+compares every sample, walk count and rng state with a sampler that walks
+once per call, filters the neighbour list at every step and calls
+``randrange``: on random multigraphs, on star graphs whose draws straddle each
+power of two up to 1024, on sources without a free entry, and on a converted
+rddl graph.
 
 The training and eval sets sample their pairs on every usable CPU, through
 ``parallel.fork_map``: pair i runs in share i % P of P = min(usable CPUs,
@@ -117,144 +125,163 @@ class PathSample:
 class PathSampler:
     """Seeded random-walk path sampler over one (frozen) graph.
 
-    Each ``sample_paths`` call appends its walks attempted and walks that
-    reached the target to ``walks_tried`` and ``walks_reached``;
-    ``processes`` is the most processes one training or eval set ran in
-    (1 + forked children).
+    ``nodes`` holds, per node, one ``(entries, last, previous, degree)``
+    tuple over its node-to-node triples in both directions: the adjacency
+    entries ``(token, neighbour)``; per neighbour, its last position in
+    ``entries``; per position, the previous one with the same neighbour (-1:
+    none); and ``len(entries)``.  Each ``sample_paths`` call appends its walks
+    attempted and walks that reached the target to ``walks_tried`` and
+    ``walks_reached``; ``processes`` is the most processes one training or
+    eval set ran in (1 + forked children).
     """
 
     def __init__(self, g: KnowledgeGraph, cfg: SamplerConfig):
         self.g = g
         self.cfg = cfg
         self.vocab = EdgeVocabulary(g.relation_names())
-        # adjacency over node-to-node triples, both directions: (token, neighbour)
-        self.adjacency: list[list[tuple[int, int]]] = [
-            [] for _ in range(g.num_nodes)
-        ]
-        # per node: neighbour -> its last position in the adjacency list, and
-        # per position the previous one with the same neighbour (-1: none)
-        self.last: list[dict[int, int]] = [{} for _ in range(g.num_nodes)]
-        self.previous: list[list[int]] = [[] for _ in range(g.num_nodes)]
+        adjacency: list[list[tuple[int, int]]] = [[] for _ in range(g.num_nodes)]
+        last_of: list[dict[int, int]] = [{} for _ in range(g.num_nodes)]
+        previous_of: list[list[int]] = [[] for _ in range(g.num_nodes)]
+
+        def link(node: int, token: int, neighbour: int) -> None:
+            last = last_of[node]
+            previous_of[node].append(last.get(neighbour, -1))
+            last[neighbour] = len(adjacency[node])
+            adjacency[node].append((token, neighbour))
+
         for (s, r, o) in g.triples():
             if isinstance(o, Literal):
                 continue
-            self._link(s, self.vocab.forward(r), o)
-            self._link(o, self.vocab.inverse(r), s)
+            link(s, self.vocab.forward(r), o)
+            link(o, self.vocab.inverse(r), s)
+        self.nodes: list[tuple[list[tuple[int, int]], dict[int, int], list[int], int]] = [
+            (entries, last, previous, len(entries))
+            for entries, last, previous in zip(adjacency, last_of, previous_of)]
         self.walks_tried: list[int] = []
         self.walks_reached: list[int] = []
         self.processes = 1
 
-    def _link(self, node: int, token: int, neighbour: int) -> None:
-        last = self.last[node]
-        self.previous[node].append(last.get(neighbour, -1))
-        last[neighbour] = len(self.adjacency[node])
-        self.adjacency[node].append((token, neighbour))
+    def sample_paths(self, src: int, dst: int, rng: random.Random,
+                     excluded: Optional[tuple] = None) -> tuple[tuple[int, ...], ...]:
+        """num_paths padded token sequences for actual walks src -> dst.
 
-    def _walk(self, rng: random.Random, src: int, dst: int,
-              excluded: Optional[tuple]) -> Optional[tuple[int, ...]]:
-        """One random simple walk (no node revisits) with restart.
-
-        A step draws uniformly among the current node's entries that lead to
-        an unvisited node and are not the excluded triple, with the same rng
-        calls as ``rng.randrange`` over the filtered list would make: the draw
-        is the rank among unblocked entries, mapped to a position by stepping
-        over the sorted blocked positions (usually one: the entry back to the
-        previous node).  The draw is ``randrange(free)`` inlined as the
-        getrandbits rejection loop of ``Random._randbelow_with_getrandbits``;
-        the module docstring names the versions and tests that check it.
-        ``visited`` is a list: a simple walk's nodes are distinct.
+        Up to ``walk_budget * num_paths`` random simple walks (no node
+        revisits) with restart, until ``num_paths`` distinct ones reached
+        ``dst``.  A step draws uniformly among the current node's entries that
+        lead to an unvisited node and are not the excluded triple, with the
+        same rng calls as ``rng.randrange`` over the filtered list would make:
+        the draw is the rank among unblocked entries, mapped to a position by
+        stepping over the sorted blocked positions (usually one: the entry
+        back to the previous node).  The draw is ``randrange(free)`` inlined
+        as the getrandbits rejection loop of
+        ``Random._randbelow_with_getrandbits``; the module docstring names the
+        versions and tests that check it.  The source step, each walk's first
+        and the one after a restart, sees only ``src`` visited, so its blocked
+        positions, free count and draw width are computed once per pair.
         """
+        self.g._check_node(src)
+        self.g._check_node(dst)
+        cfg = self.cfg
+        nodes = self.nodes
+        random_, getrandbits = rng.random, rng.getrandbits
+        restart_prob = cfg.restart_prob
+        max_length, num_paths = cfg.max_length, cfg.num_paths
         ex_s = ex_o = -1
         if excluded is not None:
             ex_s, ex_r, ex_o = excluded
             ex_forward = self.vocab.forward(ex_r)
             ex_inverse = self.vocab.inverse(ex_r)
-        adjacency, last_of, previous_of = self.adjacency, self.last, self.previous
-        restart_prob = self.cfg.restart_prob
-        random_, getrandbits = rng.random, rng.getrandbits
-        position = src
-        tokens: list[int] = []
-        visited = [src]  # distinct, as the walk is simple
-        for _ in range(self.cfg.max_length):
-            if tokens and random_() < restart_prob:
-                position = src
-                tokens = []
-                visited = [src]
-            entries = adjacency[position]
-            last = last_of[position]
-            previous = previous_of[position]
-            # positions of the entries to visited nodes
-            blocked: list[int] = []
-            for node in visited:
-                i = last.get(node, -1)
-                while i >= 0:
-                    blocked.append(i)
-                    i = previous[i]
-            # the excluded triple's entry, unless it leads to a visited node
-            # and is blocked already (always so for a self-loop)
-            if position == ex_s and ex_o not in visited:
-                i = last.get(ex_o, -1)
-                while i >= 0:
-                    if entries[i][0] == ex_forward:
-                        blocked.append(i)
-                    i = previous[i]
-            if position == ex_o and ex_s not in visited:
-                i = last.get(ex_s, -1)
-                while i >= 0:
-                    if entries[i][0] == ex_inverse:
-                        blocked.append(i)
-                    i = previous[i]
-            free = len(entries) - len(blocked)
-            if not free:
-                return None
-            k = free.bit_length()
-            pick = getrandbits(k)
-            while pick >= free:
-                pick = getrandbits(k)
-            if len(blocked) == 1:
-                if blocked[0] <= pick:
-                    pick += 1
-            elif blocked:
-                for i in sorted(blocked):
-                    if i > pick:
-                        break
-                    pick += 1
-            token, position = entries[pick]
-            tokens.append(token)
-            if position == dst:
-                return tuple(tokens)
-            visited.append(position)
-        return None
-
-    def sample_paths(self, src: int, dst: int, rng: random.Random,
-                     excluded: Optional[tuple] = None) -> tuple[tuple[int, ...], ...]:
-        """num_paths padded token sequences for actual walks src -> dst."""
-        self.g._check_node(src)
-        self.g._check_node(dst)
+        # the source step: its entries back to src (self-loops) and the
+        # excluded triple's entry, unless that is a self-loop and blocked already
+        src_node = nodes[src]
+        src_entries, src_last, src_previous, src_degree = src_node
+        src_blocked: list[int] = []
+        i = src_last.get(src, -1)
+        while i >= 0:
+            src_blocked.append(i)
+            i = src_previous[i]
+        if src == ex_s and ex_o != src:
+            _block_excluded(src_blocked, src_node, ex_o, ex_forward)
+        if src == ex_o and ex_s != src:
+            _block_excluded(src_blocked, src_node, ex_s, ex_inverse)
+        src_blocked.sort()
+        src_free = src_degree - len(src_blocked)
+        src_bits = src_free.bit_length()
         found: list[tuple[int, ...]] = []
         seen: set = set()
-        budget = self.cfg.walk_budget * self.cfg.num_paths
+        budget = cfg.walk_budget * num_paths
         tried, reached = budget, 0
-        for attempt in range(budget):
-            walk = self._walk(rng, src, dst, excluded)
-            if walk is None:
-                continue
+        # with no free source entry every walk fails at its first step, which
+        # draws nothing
+        for attempt in range(budget if src_free else 0):
+            tokens: list[int] = []
+            for _ in range(max_length):
+                if tokens and random_() < restart_prob:
+                    tokens = []
+                if not tokens:
+                    pick = getrandbits(src_bits)
+                    while pick >= src_free:
+                        pick = getrandbits(src_bits)
+                    for i in src_blocked:
+                        if i > pick:
+                            break
+                        pick += 1
+                    token, position = src_entries[pick]
+                    visited = [src]  # distinct, as the walk is simple
+                else:
+                    node = nodes[position]
+                    entries, last, previous, degree = node
+                    # positions of the entries to visited nodes
+                    blocked: list[int] = []
+                    for visited_node in visited:
+                        if visited_node in last:
+                            i = last[visited_node]
+                            while i >= 0:
+                                blocked.append(i)
+                                i = previous[i]
+                    # the excluded triple's entry, unless it leads to a visited
+                    # node and is blocked already
+                    if position == ex_s and ex_o not in visited:
+                        _block_excluded(blocked, node, ex_o, ex_forward)
+                    if position == ex_o and ex_s not in visited:
+                        _block_excluded(blocked, node, ex_s, ex_inverse)
+                    free = degree - len(blocked)
+                    if not free:
+                        break
+                    k = free.bit_length()
+                    pick = getrandbits(k)
+                    while pick >= free:
+                        pick = getrandbits(k)
+                    if len(blocked) == 1:
+                        if blocked[0] <= pick:
+                            pick += 1
+                    elif blocked:
+                        for i in sorted(blocked):
+                            if i > pick:
+                                break
+                            pick += 1
+                    token, position = entries[pick]
+                tokens.append(token)
+                if position == dst:
+                    break
+                visited.append(position)
+            if position != dst:
+                continue  # no free entry, or max_length steps
             reached += 1
+            walk = tuple(tokens)
             if walk not in seen:
                 seen.add(walk)
                 found.append(walk)
-                if len(found) >= self.cfg.num_paths:
+                if len(found) >= num_paths:
                     tried = attempt + 1
                     break
         self.walks_tried.append(tried)
         self.walks_reached.append(reached)
         if not found:
-            row = (NOPATH,) + (PAD,) * (self.cfg.max_length - 1)
-            return tuple(row for _ in range(self.cfg.num_paths))
-        padded = [
-            walk + (PAD,) * (self.cfg.max_length - len(walk)) for walk in found
-        ]
-        return tuple(padded[i % len(padded)] for i in range(self.cfg.num_paths))
+            row = (NOPATH,) + (PAD,) * (max_length - 1)
+            return tuple(row for _ in range(num_paths))
+        padded = [walk + (PAD,) * (max_length - len(walk)) for walk in found]
+        return tuple(padded[i % len(padded)] for i in range(num_paths))
 
     def walk_stats(self, start: int = 0, stop: Optional[int] = None) -> dict[str, int]:
         """Counts over the ``sample_paths`` calls ``start:stop``: pairs, walks
@@ -264,6 +291,18 @@ class PathSampler:
         reached = self.walks_reached[start:stop]
         return {"pairs": len(tried), "walks_attempted": sum(tried),
                 "walks_reached": sum(reached), "nopath": reached.count(0)}
+
+
+def _block_excluded(blocked: list[int], node: tuple, neighbour: int,
+                    token: int) -> None:
+    """Append to ``blocked`` the positions of ``node``'s entries to
+    ``neighbour`` with ``token``: the excluded triple's entry."""
+    entries, last, previous, _ = node
+    i = last.get(neighbour, -1)
+    while i >= 0:
+        if entries[i][0] == token:
+            blocked.append(i)
+        i = previous[i]
 
 
 def _map_pairs(sampler: PathSampler, count: int,
@@ -350,23 +389,19 @@ def _transitive_closure(pairs: Sequence[tuple[int, int]]) -> set[tuple[int, int]
     return closure
 
 
-def build_eval_set(
-    sampler: PathSampler,
-    ground_truth: Sequence[tuple[int, int]],
-    num_negatives: int = 4000,
-) -> tuple[list[PathSample], list[PathSample]]:
-    """Positives for every ground-truth pair plus sampled row-pair negatives
-    over the sampler's graph.
+def draw_negatives(g: KnowledgeGraph, ground_truth: Sequence[tuple[int, int]],
+                   count: int, seed: int) -> list[tuple[int, int]]:
+    """``count`` distinct ordered pairs of ``g``'s row nodes for the eval
+    set's negatives, drawn with the rng seeded ``f"{seed}:eval"``.
 
-    Negative pairs are distinct, exclude self-pairs and any pair linked by a
-    chain of ground-truth edges in either direction.
+    A pair never joins a row to itself, nor two rows that a chain of
+    ground-truth edges links in either direction.  Small candidate sets are
+    drawn from a pool of every candidate, large ones by rejection.  Raises
+    ``PathError`` before drawing when fewer than ``count`` candidates exist.
     """
     if not ground_truth:
         raise PathError("ground truth is empty")
-    g, cfg = sampler.g, sampler.cfg
-    target_rel = g.relation_id("rowDerivedFrom")
-    rng = random.Random(f"{cfg.seed}:eval")
-
+    rng = random.Random(f"{seed}:eval")
     rows = row_nodes(g)
     linked = _transitive_closure(ground_truth)
     linked |= {(s, d) for (d, s) in linked}
@@ -378,33 +413,44 @@ def build_eval_set(
     candidates_total = n * (n - 1) - sum(
         1 for (a, b) in linked if a in row_set and b in row_set and a != b
     )
-    if candidates_total < num_negatives:
+    if candidates_total < count:
         raise PathError(
             f"only {candidates_total} distinct non-linked row pairs available,"
-            f" {num_negatives} negatives requested"
+            f" {count} negatives requested"
         )
 
-    chosen: list[tuple[int, int]] = []
-    chosen_set: set = set()
-    if n * (n - 1) <= 4 * num_negatives or n * (n - 1) <= 20000:
+    if n * (n - 1) <= 4 * count or n * (n - 1) <= 20000:
         pool = [
             (a, b) for a in rows for b in rows
             if a != b and (a, b) not in linked
         ]
-        chosen = rng.sample(pool, num_negatives)
-    else:
-        while len(chosen) < num_negatives:
-            a = rows[rng.randrange(n)]
-            b = rows[rng.randrange(n)]
-            if a == b or (a, b) in linked or (a, b) in chosen_set:
-                continue
-            chosen_set.add((a, b))
-            chosen.append((a, b))
+        return rng.sample(pool, count)
+    chosen: list[tuple[int, int]] = []
+    chosen_set: set = set()
+    while len(chosen) < count:
+        a = rows[rng.randrange(n)]
+        b = rows[rng.randrange(n)]
+        if a == b or (a, b) in linked or (a, b) in chosen_set:
+            continue
+        chosen_set.add((a, b))
+        chosen.append((a, b))
+    return chosen
 
+
+def build_eval_set(
+    sampler: PathSampler,
+    ground_truth: Sequence[tuple[int, int]],
+    negatives: Sequence[tuple[int, int]],
+) -> tuple[list[PathSample], list[PathSample]]:
+    """Positives for every ground-truth pair plus one negative per row pair
+    of ``negatives`` (from ``draw_negatives``), over the sampler's graph."""
+    g, cfg = sampler.g, sampler.cfg
+    target_rel = g.relation_id("rowDerivedFrom")
     # positives then negatives, each walked with the rng of its own index
     pairs = [(dst, src, f"{cfg.seed}:eval:pos:{idx}")
              for idx, (dst, src) in enumerate(ground_truth)]
-    pairs += [(a, b, f"{cfg.seed}:eval:neg:{idx}") for idx, (a, b) in enumerate(chosen)]
+    pairs += [(a, b, f"{cfg.seed}:eval:neg:{idx}")
+              for idx, (a, b) in enumerate(negatives)]
 
     def pair(index: int) -> tuple:
         src, dst, seed = pairs[index]

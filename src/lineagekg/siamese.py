@@ -36,7 +36,7 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, get_type_hints
 
 import numpy as np
 
@@ -573,6 +573,14 @@ def _checkpoint_config(line: bytes) -> ModelConfig:
         raise ModelError(f"bad checkpoint config: {exc}") from None
     if not isinstance(fields, dict):
         raise ModelError(f"bad checkpoint config: not a JSON object: {fields!r}")
+    # an int field takes an int, a float field an int or a float; bool is an
+    # int subclass but never a config value
+    for name, kind in get_type_hints(ModelConfig).items():
+        value = fields.get(name)
+        if name in fields and (isinstance(value, bool)
+                               or not isinstance(value, (int, kind))):
+            raise ModelError(f"bad checkpoint config: {name} is not {kind.__name__}:"
+                             f" {value!r}")
     try:
         return ModelConfig(**fields)
     except TypeError as exc:  # a key ModelConfig lacks, or one it needs

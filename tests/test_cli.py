@@ -449,6 +449,20 @@ class TestPipeline:
         assert re.fullmatch(r"stage 'train/selection-projection/rddl' failed: floating-point"
                             r" error at epoch 0 batch [1-9]\d*: overflow .*", logs[-1])
 
+    def test_unsatisfiable_eval_negatives_fail_before_train_walks(self, tmp_path):
+        # the negatives are drawn before any train-set walk, so the stage
+        # fails without writing train.txt
+        logs = []
+        status, _ = run_pipeline(tiny_manifest(tmp_path, eval_negatives=10 ** 6),
+                                 echo=logs.append)
+        assert status == 2
+        assert logs[-2] == "[run ] sample-paths/selection-projection/rddl"
+        assert re.fullmatch(r"stage 'sample-paths/selection-projection/rddl' failed: only"
+                            r" \d+ distinct non-linked row pairs available, 1000000"
+                            r" negatives requested", logs[-1])
+        samples = tmp_path / "selection-projection" / "rddl" / "samples"
+        assert not (samples / "train.txt").exists()
+
     @pytest.mark.parametrize("damage", [
         lambda record: b"[]",
         lambda record: b'"x"',

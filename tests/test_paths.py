@@ -16,6 +16,7 @@ from lineagekg.paths import (
     SamplerConfig,
     build_eval_set,
     build_training_set,
+    draw_negatives,
     load_samples,
     node_to_node_triples,
     row_nodes,
@@ -150,8 +151,10 @@ class TestSamplePaths:
 
 
 class FilteredListSampler(PathSampler):
-    """Reference walk step: rebuild the filtered neighbour list at every step
-    and draw from it.  The indexed step must make the same draws."""
+    """Reference sampler: one walk per call of its own ``_walk``, which
+    rebuilds the filtered neighbour list at every step and draws from it with
+    ``randrange``.  ``PathSampler.sample_paths`` must make the same draws and
+    count the same walks."""
 
     def __init__(self, g, cfg):
         super().__init__(g, cfg)
@@ -185,6 +188,29 @@ class FilteredListSampler(PathSampler):
             if position == dst:
                 return tuple(tokens)
         return None
+
+    def sample_paths(self, src, dst, rng, excluded=None):
+        found, seen = [], set()
+        budget = self.cfg.walk_budget * self.cfg.num_paths
+        tried, reached = budget, 0
+        for attempt in range(budget):
+            walk = self._walk(rng, src, dst, excluded)
+            if walk is None:
+                continue
+            reached += 1
+            if walk not in seen:
+                seen.add(walk)
+                found.append(walk)
+                if len(found) >= self.cfg.num_paths:
+                    tried = attempt + 1
+                    break
+        self.walks_tried.append(tried)
+        self.walks_reached.append(reached)
+        if not found:
+            row = (NOPATH,) + (PAD,) * (self.cfg.max_length - 1)
+            return tuple(row for _ in range(self.cfg.num_paths))
+        padded = [walk + (PAD,) * (self.cfg.max_length - len(walk)) for walk in found]
+        return tuple(padded[i % len(padded)] for i in range(self.cfg.num_paths))
 
 
 def random_multigraph(rng):
@@ -223,7 +249,8 @@ def star_graph(degree):
 
 def assert_same_draws(g, cfg, calls, seed_prefix):
     """The indexed sampler and FilteredListSampler return the same paths for
-    every (src, dst, excluded) call, and leave their rngs in the same state."""
+    every (src, dst, excluded) call, count the same walks tried and reached,
+    and leave their rngs in the same state."""
     fast, slow = PathSampler(g, cfg), FilteredListSampler(g, cfg)
     for index, (src, dst, excluded) in enumerate(calls):
         rng_fast = random.Random(f"{seed_prefix}:{index}")
@@ -231,6 +258,9 @@ def assert_same_draws(g, cfg, calls, seed_prefix):
         assert (fast.sample_paths(src, dst, rng_fast, excluded)
                 == slow.sample_paths(src, dst, rng_slow, excluded)), (src, dst, excluded)
         assert rng_fast.getstate() == rng_slow.getstate(), (src, dst, excluded)
+        assert fast.walks_tried == slow.walks_tried, (src, dst, excluded)
+        assert fast.walks_reached == slow.walks_reached, (src, dst, excluded)
+    return fast
 
 
 class TestWalkStepMatchesFilteredList:
@@ -273,6 +303,29 @@ class TestWalkStepMatchesFilteredList:
                 calls += [(centre, leaf, (s, r, o)), (centre, leaf, None),
                           (leaf, pick.choice(leaves), (s, r, o))]
             assert_same_draws(g, cfg, calls, f"star:{degree}")
+
+    @pytest.mark.parametrize("restart_prob", [0.0, 0.5])
+    def test_source_without_free_entry(self, restart_prob):
+        # a source whose only edge is the excluded triple, and one whose only
+        # edge is a self-loop: every walk fails at its first step
+        g = KnowledgeGraph()
+        rel = g.add_relation("r0")
+        a, b, loop = (g.add_node(f"t:{name}") for name in ("a", "b", "loop"))
+        g.add_triple(a, rel, b)
+        g.add_triple(loop, rel, loop)
+        g.freeze()
+        cfg = SamplerConfig(num_paths=3, max_length=4, walk_budget=5,
+                            restart_prob=restart_prob, seed=0)
+        calls = [(a, b, (a, rel, b)), (b, a, (a, rel, b)), (loop, a, None),
+                 (loop, loop, (loop, rel, loop)), (loop, b, (a, rel, b))]
+        sampler = assert_same_draws(g, cfg, calls, "no-free")
+        nopath = ((NOPATH,) + (PAD,) * 3,) * 3
+        for src, dst, excluded in calls:
+            rng = random.Random(0)
+            assert sampler.sample_paths(src, dst, rng, excluded) == nopath
+            assert rng.getstate() == random.Random(0).getstate()  # nothing drawn
+        assert sampler.walks_tried == [15] * 2 * len(calls)
+        assert sampler.walks_reached == [0] * 2 * len(calls)
 
     def test_real_graph_training_and_eval_pairs(self, converted):
         # an rddl graph with its CellValue and Row class hubs, default sampler
@@ -330,8 +383,8 @@ class TestTrainingSet:
 class TestEvalSet:
     def test_counts_and_exclusions(self, converted):
         cfg = SamplerConfig(num_paths=3, max_length=6, walk_budget=8, seed=0)
-        pos, neg = build_eval_set(PathSampler(converted.test, cfg), converted.ground_truth,
-                                  num_negatives=100)
+        pos, neg = eval_set(PathSampler(converted.test, cfg), converted.ground_truth,
+                            num_negatives=100)
         assert len(pos) == len(converted.ground_truth)
         assert len(neg) == 100
         target = converted.test.relation_id("rowDerivedFrom")
@@ -346,8 +399,8 @@ class TestEvalSet:
         linked = set(converted.ground_truth) | {
             (s, d) for (d, s) in converted.ground_truth
         }
-        pos, neg = build_eval_set(PathSampler(converted.test, cfg), converted.ground_truth,
-                                  num_negatives=50)
+        pos, neg = eval_set(PathSampler(converted.test, cfg), converted.ground_truth,
+                            num_negatives=50)
         assert len({id(s) for s in neg}) == 50
         assert rows  # sanity: row nodes exist
         # ground truth nodes are rows
@@ -367,10 +420,10 @@ class TestEvalSet:
         ground_truth = [(a, b), (b, c)]
         cfg = SamplerConfig(num_paths=1, max_length=2, walk_budget=1, seed=0)
         with pytest.raises(PathError, match="only 6 distinct non-linked row pairs"):
-            build_eval_set(PathSampler(g, cfg), ground_truth, num_negatives=7)
+            draw_negatives(g, ground_truth, 7, cfg.seed)
         use_cpus(monkeypatch, 1)
         sampler = RecordingSampler(g, cfg)
-        build_eval_set(sampler, ground_truth, num_negatives=6)
+        eval_set(sampler, ground_truth, num_negatives=6)
         assert set(sampler.pairs[2:]) == {(a, d), (d, a), (b, d), (d, b),
                                           (c, d), (d, c)}
 
@@ -394,26 +447,29 @@ class TestEvalSet:
         use_cpus(monkeypatch, 1)
         sampler = RecordingSampler(
             split.test, SamplerConfig(num_paths=1, walk_budget=1, seed=0))
-        build_eval_set(sampler, split.ground_truth, num_negatives=4000)
+        eval_set(sampler, split.ground_truth, num_negatives=4000)
         negatives = sampler.pairs[len(split.ground_truth):]
         assert len(negatives) == 4000
         assert not [(x, y) for (x, y) in negatives
                     if (x, y) in linked or (y, x) in linked]
 
     def test_too_many_negatives_requested(self, converted):
-        cfg = SamplerConfig(num_paths=3, max_length=6, walk_budget=2, seed=0)
         with pytest.raises(PathError, match="negatives requested"):
-            build_eval_set(PathSampler(converted.test, cfg), converted.ground_truth,
-                           num_negatives=10 ** 9)
+            draw_negatives(converted.test, converted.ground_truth, 10 ** 9, 0)
 
     def test_empty_ground_truth_rejected(self, converted):
-        cfg = SamplerConfig(seed=0)
-        with pytest.raises(PathError):
-            build_eval_set(PathSampler(converted.test, cfg), [], num_negatives=10)
+        with pytest.raises(PathError, match="ground truth is empty"):
+            draw_negatives(converted.test, [], 10, 0)
 
 
 def use_cpus(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def eval_set(sampler, ground_truth, num_negatives):
+    """build_eval_set over the negatives the pipeline draws for the sampler's seed."""
+    negatives = draw_negatives(sampler.g, ground_truth, num_negatives, sampler.cfg.seed)
+    return build_eval_set(sampler, ground_truth, negatives)
 
 
 def fail_at(monkeypatch, failures):
@@ -459,8 +515,7 @@ class TestProcesses:
         train_sampler = PathSampler(converted.train, cfg)
         train = list(build_training_set(train_sampler, k_negatives=2))
         eval_sampler = PathSampler(converted.test, cfg)
-        pos, neg = build_eval_set(eval_sampler, converted.ground_truth,
-                                  num_negatives=40)
+        pos, neg = eval_set(eval_sampler, converted.ground_truth, num_negatives=40)
         return {"train": train, "train_tried": train_sampler.walks_tried,
                 "train_reached": train_sampler.walks_reached, "pos": pos, "neg": neg,
                 "eval_tried": eval_sampler.walks_tried,
@@ -553,8 +608,7 @@ class TestProcesses:
         ground_truth[1] = (ground_truth[1][0], bad)  # pair 1 runs in a child
         cfg = SamplerConfig(num_paths=1, max_length=4, walk_budget=1, seed=0)
         with pytest.raises(UnknownNodeError, match=f"unknown node: {bad}"):
-            build_eval_set(PathSampler(converted.test, cfg), ground_truth,
-                           num_negatives=10)
+            eval_set(PathSampler(converted.test, cfg), ground_truth, num_negatives=10)
         assert_no_child_left()
 
     def test_child_that_dies_is_reported(self, converted, monkeypatch):

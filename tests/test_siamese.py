@@ -731,6 +731,28 @@ class TestCheckpoint:
         with pytest.raises(ModelError, match="checkpoint config"):
             load_checkpoint(path)
 
+    # an integer field takes only an int, learning_rate an int or a float
+    @pytest.mark.parametrize("field, value", [
+        ("layers", 1.5), ("layers", True), ("hidden_dim", 2.0), ("vocab_size", "8"),
+        ("seed", None), ("epochs", [1]), ("learning_rate", True),
+        ("learning_rate", "0.1"),
+    ])
+    def test_config_value_of_wrong_type_rejected(self, tmp_path, field, value):
+        path = tmp_path / "model.bin"
+        save_checkpoint(init_parameters(tiny_config(seed=8)), path)
+        magic, header, rest = path.read_bytes().split(b"\n", 2)
+        config = json.dumps({**json.loads(header), field: value}).encode()
+        path.write_bytes(b"\n".join([magic, config, rest]))
+        with pytest.raises(ModelError, match=f"bad checkpoint config: {field}"):
+            load_checkpoint(path)
+
+    def test_integer_learning_rate_loads(self, tmp_path):
+        params = init_parameters(tiny_config(seed=8, learning_rate=0))
+        path = tmp_path / "model.bin"
+        save_checkpoint(params, path)
+        assert b'"learning_rate": 0,' in path.read_bytes()
+        assert load_checkpoint(path).cfg == params.cfg
+
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "model.bin"
         save_checkpoint(init_parameters(tiny_config(seed=8)), path)
