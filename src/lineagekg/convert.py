@@ -126,6 +126,13 @@ def populate_kg(
     or with the profile name when it is empty.  Returns a population report
     (node/triple counts by class).
     """
+    _populate(g, db, profile, executions, namespace)
+    return population_report(g)
+
+
+def _populate(g: KnowledgeGraph, db: Database, profile: str,
+              executions: Sequence[ExecutionRecord], namespace: str) -> None:
+    """``populate_kg`` without the report."""
     if len(g) != 0:
         raise ConvertError("populate_kg requires an empty graph")
     onto = vocabulary(profile)
@@ -227,8 +234,6 @@ def populate_kg(
                 raise ConvertError(f"execution output {record.output!r} absent from graph")
             for row_node in row_nodes[record.output]:
                 g.add_triple(e_node, rels["generatesRow"], row_node)
-
-    return population_report(g)
 
 
 def population_report(g: KnowledgeGraph) -> dict[str, int]:
@@ -468,19 +473,20 @@ def split_train_test(suite, task_name: str, profile: str,
     if not 0 < n_train < len(scenarios):
         raise ConvertError(f"bad train split: {n_train} of {len(scenarios)}")
 
-    def build(group: Sequence[Scenario], suffix: str, materialize: Sequence[str]):
+    # the train graph is reported before resolution, the test graph after
+    def build(group: Sequence[Scenario], suffix: str, materialize: Sequence[str],
+              populate):
         db, _ = execute_scenarios(suite.db, list(group))
         g = KnowledgeGraph()
-        report = populate_kg(g, db, profile, executions=_executions_for(group),
-                             namespace=f"{profile}.{suffix}")
+        report = populate(g, db, profile, _executions_for(group), f"{profile}.{suffix}")
         tuples = [t for scenario in group for t in scenario.all_tuples()]
         return g, report, resolve_lineage_detailed(g, tuples, materialize)
 
     train_g, train_report, train_resolution = build(
-        scenarios[:n_train], "train", LINEAGE_PROPERTIES)
+        scenarios[:n_train], "train", LINEAGE_PROPERTIES, populate_kg)
     test_g, _, test_resolution = build(
         scenarios[n_train:], "test",
-        tuple(f for f in LINEAGE_PROPERTIES if f != "rowDerivedFrom"))
+        tuple(f for f in LINEAGE_PROPERTIES if f != "rowDerivedFrom"), _populate)
     return SplitResult(
         train=train_g,
         test=test_g,

@@ -1,9 +1,13 @@
-"""``fork_map``: a serial map run in forked processes, one per usable CPU.
+"""``fork_map``: a serial map run in forked processes, one per usable CPU;
+``Forked``: a function run in a forked process that sends objects back as it
+goes.
 
-The path sampler maps its pairs with it and the pipeline its (task, profile)
-cells.  Forking with numpy loaded is safe: OpenBLAS's pthreads build shuts
-its thread pool down before a fork (``pthread_atfork``) and restarts it at
-the next BLAS call, in parent and child alike, and no other thread runs.
+The path sampler maps its pairs with ``fork_map`` and the pipeline its (task,
+profile) cells; a cell samples its paths in a ``Forked`` walker while it
+trains on what the walker has sent.  Forking with numpy loaded is safe:
+OpenBLAS's pthreads build shuts its thread pool down before a fork
+(``pthread_atfork``) and restarts it at the next BLAS call, in parent and
+child alike, and no other thread runs.
 Python 3.12+ warns on forking a process that has threads; each fork silences
 that warning.
 """
@@ -12,9 +16,10 @@ from __future__ import annotations
 
 import os
 import pickle
+import select
 import signal
 import warnings
-from typing import Callable, TypeVar
+from typing import Callable, Optional, TypeVar
 
 T = TypeVar("T")
 
@@ -39,6 +44,12 @@ def _run_share(fn: Callable[[int], T], indices: range) -> tuple:
     return results, None
 
 
+def _fork() -> int:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        return os.fork()
+
+
 def fork_map(count: int, fn: Callable[[int], T]) -> list[T]:
     """``[fn(i) for i in range(count)]``, with index i run in share i % P of
     P = ``processes(count)`` processes.
@@ -57,9 +68,7 @@ def fork_map(count: int, fn: Callable[[int], T]) -> list[T]:
         for share in range(1, count_processes):
             read_fd, write_fd = os.pipe()
             try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", DeprecationWarning)
-                    pid = os.fork()
+                pid = _fork()
             except OSError:
                 os.close(read_fd)
                 os.close(write_fd)
@@ -100,3 +109,105 @@ def fork_map(count: int, fn: Callable[[int], T]) -> list[T]:
         raise min(failures, key=lambda failure: failure[0])[1]
     return [shares[index % count_processes][0][index // count_processes]
             for index in range(count)]
+
+
+class Forked:
+    """``fn(send)`` run in a forked child; each ``send(obj)`` pickles ``obj``
+    to this process at once, which takes the objects in with ``receive``.
+
+    The child leaves with ``os._exit``: status 0 once ``fn`` returned, 1 if it
+    raised.  ``os.fork`` raising ``OSError`` (or missing) raises ``OSError``
+    here and starts nothing.  ``wait`` reaps the child after its last object;
+    ``kill`` (also on leaving a ``with`` block) kills and reaps a child not
+    reaped yet, so the child is reaped on every path.
+    """
+
+    def __init__(self, fn: Callable[[Callable[[object], None]], None]):
+        if not hasattr(os, "fork"):
+            raise OSError("os.fork is not available")
+        read_fd, write_fd = os.pipe()
+        try:
+            pid = _fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
+        if pid == 0:
+            status = 1
+            try:
+                os.close(read_fd)
+                with os.fdopen(write_fd, "wb") as fh:
+                    def send(obj: object) -> None:
+                        data = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
+                        fh.write(len(data).to_bytes(8, "little") + data)
+                        fh.flush()
+
+                    fn(send)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write_fd)
+        os.set_blocking(read_fd, False)
+        self.pid = pid
+        self.closed = False  # the child closed its end: nothing more will arrive
+        self._fd: Optional[int] = read_fd
+        self._buffer = bytearray()
+        self._status: Optional[int] = None
+
+    def receive(self, block: bool = True) -> list:
+        """The objects that arrived since the last call, in the order sent:
+        everything the pipe holds is read.  With ``block``, waits until at
+        least one object arrived or the child closed its end."""
+        objects: list = []
+        while not self.closed:
+            try:
+                chunk = os.read(self._fd, 1 << 16)
+            except BlockingIOError:
+                if objects or not block:
+                    break
+                select.select([self._fd], [], [])
+                continue
+            if not chunk:
+                self.closed = True
+                break
+            buffer = self._buffer
+            buffer += chunk
+            start = 0
+            while len(buffer) - start >= 8:
+                end = start + 8 + int.from_bytes(buffer[start:start + 8], "little")
+                if len(buffer) < end:
+                    break
+                objects.append(pickle.loads(buffer[start + 8:end]))
+                start = end
+            del buffer[:start]
+        return objects
+
+    def wait(self) -> int:
+        """The child's exit code, once it has closed its end; the objects
+        still on their way are dropped."""
+        while not self.closed:
+            self.receive()
+        if self._status is None:
+            self._status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+            self._close_pipe()
+        return self._status
+
+    def kill(self) -> None:
+        if self._status is None:
+            try:
+                os.kill(self.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            self._status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        self._close_pipe()
+
+    def _close_pipe(self) -> None:
+        if self._fd is not None:
+            os.close(self._fd)
+            self._fd = None
+
+    def __enter__(self) -> "Forked":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.kill()

@@ -24,13 +24,19 @@ once per call, filters the neighbour list at every step and calls
 power of two up to 1024, on sources without a free entry, and on a converted
 rddl graph.
 
-The training and eval sets sample their pairs on every usable CPU, through
-``parallel.fork_map``: pair i runs in share i % P of P = min(usable CPUs,
-pairs) processes, this one and forked children.  Inside a pipeline cell
-worker, pinned to its share of the CPUs, that is usually one process.  The
-output cannot depend on P: every pair walks with its own rng, seeded by the
-pair's index alone, on a sampler nobody else mutates, and each pair returns
-its walk counts, merged back in pair order.
+``build_training_set`` and ``build_eval_set`` sample their pairs on every
+usable CPU, through ``parallel.fork_map``: pair i runs in share i % P of P =
+min(usable CPUs, pairs) processes, this one and forked children.  Inside a
+pipeline cell worker, pinned to its share of the CPUs, that is usually one
+process.  A pipeline cell that trains too, on two or more CPUs, walks its
+training pairs (``TrainingPairs``) in one forked walker instead, one at a
+time, in the order the model's first epoch reads their samples, and streams
+each pair to the trainer as soon as it is walked
+(``cli.Pipeline.stage_sample_and_train``).
+Neither the process count nor the pair order can change an artifact: every
+pair walks with its own rng, seeded by the pair's index alone, on a sampler
+nobody else mutates; the samples are written in pair order; and the walk
+counts only ever enter sums.
 """
 
 from __future__ import annotations
@@ -330,31 +336,54 @@ def node_to_node_triples(g: KnowledgeGraph) -> list[tuple]:
     return [t for t in g.triples() if not isinstance(t[2], Literal)]
 
 
+class TrainingPairs:
+    """The training set's pairs: one per node-to-node triple of the sampler's
+    graph, in triple order.  Pair i's samples are the training set's samples
+    ``i * per_pair`` to ``i * per_pair + k_negatives``: one positive, then
+    ``k_negatives`` copies with the relation corrupted and the same paths.
+    Each pair walks with its own rng, seeded by its index alone, so the pairs
+    may be walked in any order and in any process."""
+
+    def __init__(self, sampler: PathSampler, k_negatives: int = 1):
+        if sampler.g.num_relations < 2 and k_negatives > 0:
+            raise PathError("relation corruption needs at least two relations")
+        self.sampler = sampler
+        self.k_negatives = k_negatives
+        self.per_pair = 1 + k_negatives
+        self.triples = node_to_node_triples(sampler.g)
+
+    def __len__(self) -> int:
+        return len(self.triples)
+
+    def walk(self, index: int) -> tuple[int, tuple, list[int]]:
+        """Pair ``index``'s record: its triple's relation, its paths and its
+        corrupted relations, for ``pair_samples``."""
+        s, r, o = self.triples[index]
+        rng = random.Random(f"{self.sampler.cfg.seed}:train:{index}")
+        paths = self.sampler.sample_paths(s, o, rng, excluded=(s, r, o))
+        num_relations = self.sampler.g.num_relations
+        corrupted = []
+        for _ in range(self.k_negatives):  # drawn after the walks, from the same rng
+            relation = rng.randrange(num_relations - 1)
+            corrupted.append(relation + 1 if relation >= r else relation)
+        return r, paths, corrupted
+
+
+def pair_samples(relation: int, paths: tuple,
+                 corrupted: Sequence[int]) -> list[PathSample]:
+    """A training pair's samples from its record (``TrainingPairs.walk``):
+    the positive, then one negative per corrupted relation."""
+    return [PathSample(paths=paths, relation=relation, label=1)] + [
+        PathSample(paths=paths, relation=c, label=0) for c in corrupted]
+
+
 def build_training_set(sampler: PathSampler,
                        k_negatives: int = 1) -> Iterator[PathSample]:
     """One positive plus k relation-corrupted negatives per node-to-node triple
-    of the sampler's graph."""
-    g, cfg = sampler.g, sampler.cfg
-    num_relations = g.num_relations
-    if num_relations < 2 and k_negatives > 0:
-        raise PathError("relation corruption needs at least two relations")
-    triples = node_to_node_triples(g)
-
-    def pair(index: int) -> tuple:
-        s, r, o = triples[index]
-        rng = random.Random(f"{cfg.seed}:train:{index}")
-        paths = sampler.sample_paths(s, o, rng, excluded=(s, r, o))
-        corrupted = []
-        for _ in range(k_negatives):  # drawn after the walks, from the same rng
-            relation = rng.randrange(num_relations - 1)
-            corrupted.append(relation + 1 if relation >= r else relation)
-        return paths, corrupted
-
-    for (_, r, _), (paths, corrupted) in zip(
-            triples, _map_pairs(sampler, len(triples), pair)):
-        yield PathSample(paths=paths, relation=r, label=1)
-        for relation in corrupted:
-            yield PathSample(paths=paths, relation=relation, label=0)
+    of the sampler's graph (``TrainingPairs``), walked on every usable CPU."""
+    pairs = TrainingPairs(sampler, k_negatives)
+    for record in _map_pairs(sampler, len(pairs), pairs.walk):
+        yield from pair_samples(*record)
 
 
 def row_nodes(g: KnowledgeGraph) -> list[int]:

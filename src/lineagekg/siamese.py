@@ -32,11 +32,13 @@ extra padding never changes a score.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import random
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Optional, Sequence, get_type_hints
+from typing import Iterator, Optional, Sequence, get_type_hints
 
 import numpy as np
 
@@ -439,17 +441,31 @@ class TrainResult:
     lstm_positions: int  # their non-PAD (row, t) positions, which it computed
 
 
+def epoch_orders(count: int, seed: int) -> Iterator[list[int]]:
+    """The order in which ``train`` reads its ``count`` samples, epoch after
+    epoch: epoch e shuffles epoch e - 1's order (``range(count)`` before epoch
+    0) with the rng seeded ``f"{seed}:epoch:{e}"``.  The pipeline's walker
+    reads the first epoch's order too, to walk the pairs in it."""
+    indices = list(range(count))
+    for epoch in itertools.count():
+        random.Random(f"{seed}:epoch:{epoch}").shuffle(indices)
+        yield indices
+
+
 def train(params: Parameters, samples: Sequence[PathSample],
           cfg: Optional[ModelConfig] = None) -> TrainResult:
     """Mini-batch Adam over the sample sequence; deterministic under the seed.
 
-    Samples are reshuffled each epoch with a seeded generator; gradients are
-    averaged per batch.  Raises ``RuntimeError``, naming the epoch and batch,
-    on a NaN loss, on non-finite parameters, and on a float overflow or invalid
-    operation anywhere in a batch's forward, backward or Adam step.
+    Samples are read in batches in ``epoch_orders``' order, one
+    ``samples[i]`` at a time, and gradients are averaged per batch.  Only
+    ``len`` and indexing are used, so ``samples`` may be a sequence that
+    fills while training runs: in a pipeline run, this process trains while
+    a forked walker samples the paths, and reading a sample that has not
+    arrived yet waits for it (``cli.Pipeline.stage_sample_and_train``).
+    Raises ``RuntimeError``, naming the epoch and batch, on a NaN loss, on
+    non-finite parameters, and on a float overflow or invalid operation
+    anywhere in a batch's forward, backward or Adam step.
     """
-    import random as _random
-
     cfg = cfg or params.cfg
     if not samples:
         raise ModelError("empty training stream")
@@ -461,14 +477,12 @@ def train(params: Parameters, samples: Sequence[PathSample],
     step = 0
     lstm_rows = lstm_positions = 0
     epoch_losses: list[float] = []
-    indices = list(range(len(samples)))
+    orders = epoch_orders(len(samples), cfg.seed)
     try:
         # an overflow or invalid operation would train on to garbage: with
         # every parameter near 1e300, every score is 0.5 and no value is NaN
         with np.errstate(over="raise", invalid="raise"):
-            for epoch in range(cfg.epochs):
-                rng = _random.Random(f"{cfg.seed}:epoch:{epoch}")
-                rng.shuffle(indices)
+            for epoch, indices in zip(range(cfg.epochs), orders):
                 total = 0.0
                 count = 0
                 for start in range(0, len(indices), cfg.batch_size):

@@ -2,13 +2,15 @@ import hashlib
 import json
 import os
 import re
+import signal
 import warnings
 
 import pytest
 
-from lineagekg import siamese
+from lineagekg import parallel, paths, siamese
 from lineagekg.cli import (
     PRESETS,
+    STAGES,
     ManifestError,
     RunManifest,
     main,
@@ -705,6 +707,191 @@ class TestCellWorkers:
         assert_no_child_left()
         monkeypatch.undo()
         assert os.sched_getaffinity(0) == real
+
+
+CELL = "selection-projection/rddl"
+
+
+@pytest.fixture
+def deadline():
+    """Fails the test, instead of hanging it, after 60 seconds (forked
+    children do not inherit the alarm)."""
+    def expired(signum, frame):
+        raise TimeoutError("the run did not finish within 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(60)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def no_fork():
+    raise OSError("fork failed")
+
+
+def serial_run(out, monkeypatch, **overrides):
+    """A run of tiny_manifest in this process alone, as where nothing can be
+    forked: the stages of a cell one after the other.  Status and log."""
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "fork", no_fork)
+        logs = []
+        status, _ = run_pipeline(tiny_manifest(out, **overrides), echo=logs.append)
+    return status, logs
+
+
+@pytest.mark.usefixtures("deadline")
+class TestSampleAndTrainTogether:
+    """A cell that runs sample-paths and train on two or more CPUs runs them
+    at once: a forked walker samples while this process (or the cell's
+    worker) trains.  Tests fake two CPUs unless they say otherwise."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    @pytest.mark.parametrize("k_negatives", [0, 2])
+    def test_one_call_equals_stage_by_stage(self, tmp_path, monkeypatch, k_negatives):
+        monkeypatch.setattr(os, "sched_setaffinity", lambda pid, mask: None)
+        trees = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+            runs = {}
+            for way in ("one-call", "by-stage"):
+                out = tmp_path / f"{way}-{cpus}"
+                manifest = tiny_manifest(out, profile="both", k_negatives=k_negatives,
+                                         epochs=2)
+                logs = []
+                for stage in ((None,) if way == "one-call" else STAGES):
+                    status, _ = run_pipeline(manifest, echo=logs.append, only_stage=stage)
+                    assert status == 0, logs
+                runs[way] = logs, TestCellWorkers.tree(out)
+            assert runs["one-call"][0] == serial_log()
+            assert runs["by-stage"][0] == [
+                f"[run ] {label}" for stage in STAGES for label in BOTH_LABELS
+                if label.split("/")[0] == stage]
+            assert runs["one-call"][1] == runs["by-stage"][1]
+            trees[cpus] = runs["one-call"][1]
+        assert trees[1] == trees[2]
+        assert_no_child_left()
+
+    def test_walker_walks_in_first_epoch_order_and_train_waits_for_it(
+            self, tmp_path, monkeypatch):
+        walked = tmp_path / "walked"
+        walked.write_text("")
+        walk, caller = paths.TrainingPairs.walk, os.getpid()
+
+        def recording(pairs, index):
+            with walked.open("a") as fh:
+                fh.write(f"{os.getpid()} {index}\n")
+            return walk(pairs, index)
+
+        save_checkpoint, saved = siamese.save_checkpoint, []
+
+        def checking(params, path):
+            cell = tmp_path / "out" / CELL
+            saved.append((sorted(p.name for p in (cell / "samples").iterdir()),
+                          (cell / ".stage_sample-paths.ok").is_file()))
+            save_checkpoint(params, path)
+
+        monkeypatch.setattr(paths.TrainingPairs, "walk", recording)
+        monkeypatch.setattr(siamese, "save_checkpoint", checking)
+        manifest = tiny_manifest(tmp_path / "out", k_negatives=2)
+        status, _ = run_pipeline(manifest, echo=lambda *_: None)
+        assert status == 0
+        lines = [line.split() for line in walked.read_text().splitlines()]
+        assert {pid for pid, _ in lines} != {str(caller)}
+        pairs = len(lines)
+        first_epoch = next(siamese.epoch_orders(3 * pairs, manifest.seed))
+        assert [int(index) for _, index in lines] == list(
+            dict.fromkeys(i // 3 for i in first_epoch))
+        assert sorted(int(index) for _, index in lines) != [
+            int(index) for _, index in lines]
+        # the walker had written every sample file and its sidecar
+        assert saved == [(["eval_neg.txt", "eval_pos.txt", "train.txt", "vocab.txt",
+                           "walk_stats.txt"], True)]
+        assert_no_child_left()
+
+    def test_cell_runs_its_stages_one_by_one_where_nothing_forks(
+            self, tmp_path, monkeypatch):
+        logs = []
+        status, _ = run_pipeline(tiny_manifest(tmp_path / "forked"), echo=logs.append)
+        assert status == 0
+        assert serial_run(tmp_path / "serial", monkeypatch) == (0, logs)
+        assert (TestCellWorkers.tree(tmp_path / "forked")
+                == TestCellWorkers.tree(tmp_path / "serial"))
+        assert_no_child_left()
+
+    def test_cell_on_one_cpu_forks_no_walker(self, tmp_path, monkeypatch):
+        def no_walker(fn):
+            raise AssertionError("a walker was forked")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(parallel, "Forked", no_walker)
+        assert run_pipeline_logs(tiny_manifest(tmp_path)) == (0, [
+            line for line in serial_log() if "baseline" not in line])
+
+    def test_walker_that_fails(self, tmp_path, monkeypatch):
+        status, logs = run_pipeline_logs(tiny_manifest(tmp_path / "out",
+                                                       eval_negatives=10 ** 6))
+        assert (status, logs) == serial_run(tmp_path / "serial", monkeypatch,
+                                            eval_negatives=10 ** 6)
+        assert status == 2
+        assert logs[-2] == f"[run ] sample-paths/{CELL}"
+        cell = tmp_path / "out" / CELL
+        assert not (cell / "samples" / "train.txt").exists()
+        assert not (cell / "model").exists()
+        assert not (cell / ".stage_train.ok").exists()
+        assert not (cell / ".stage_sample-paths.ok").exists()
+        assert_no_child_left()
+
+    def test_walker_that_dies(self, tmp_path, monkeypatch):
+        walk, caller = paths.TrainingPairs.walk, os.getpid()
+
+        def dying(pairs, index):
+            if os.getpid() == caller:
+                return walk(pairs, index)
+            os._exit(3)
+
+        monkeypatch.setattr(paths.TrainingPairs, "walk", dying)
+        status, logs = run_pipeline_logs(tiny_manifest(tmp_path))
+        assert status == 2
+        assert logs[:-1] == [f"[run ] gen-scenarios/{CELL.split('/')[0]}",
+                             f"[run ] build-kg/{CELL}", f"[run ] sample-paths/{CELL}"]
+        assert re.fullmatch(rf"stage 'sample-paths/{CELL}' failed: forked process"
+                            r" \d+ exited with code 3", logs[-1])
+        cell = tmp_path / CELL
+        assert not (cell / "samples" / "train.txt").exists()
+        assert not (cell / "model").exists()
+        assert not list(cell.glob(".stage_[st]*.ok"))
+        assert_no_child_left()
+
+    def test_trainer_that_overflows(self, tmp_path, monkeypatch):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            status, logs = run_pipeline_logs(tiny_manifest(tmp_path / "out",
+                                                           learning_rate=1e300))
+            assert (status, logs) == serial_run(tmp_path / "serial", monkeypatch,
+                                                learning_rate=1e300)
+        assert status == 2
+        assert re.fullmatch(rf"stage 'train/{CELL}' failed: floating-point error at"
+                            r" epoch 0 batch [1-9]\d*: overflow .*", logs[-1])
+        cell = tmp_path / "out" / CELL
+        assert sorted(p.name for p in (cell / "samples").iterdir()) == [
+            "eval_neg.txt", "eval_pos.txt", "train.txt", "vocab.txt", "walk_stats.txt"]
+        assert (cell / ".stage_sample-paths.ok").is_file()
+        assert not (cell / ".stage_train.ok").exists()
+        assert (TestCellWorkers.tree(tmp_path / "out")
+                == TestCellWorkers.tree(tmp_path / "serial"))
+        assert_no_child_left()
+
+
+def run_pipeline_logs(manifest):
+    logs = []
+    status, _ = run_pipeline(manifest, echo=logs.append)
+    return status, logs
 
 
 class TestMainEntry:

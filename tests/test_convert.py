@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from lineagekg import convert
 from lineagekg.convert import (
     ConvertError,
     ExecutionRecord,
@@ -554,6 +555,19 @@ class TestSplit:
         assert resolve_lineage_detailed(again.train, tuples).added == {
             family: 0 for family in LINEAGE_PROPERTIES}
         assert len(again.train) == before
+
+    def test_each_graph_reported_once(self, suite, split, monkeypatch):
+        reported = []
+
+        def counting(g):
+            reported.append(g)
+            return population_report(g)
+
+        monkeypatch.setattr(convert, "population_report", counting)
+        again = split_train_test(suite, "selection-projection", "rddl", 3)
+        assert [id(g) for g in reported] == [id(again.train), id(again.test)]
+        assert (again.train_report, again.test_report) == (
+            split.train_report, population_report(split.test))
 
     @pytest.mark.parametrize("n_train", [0, 5])
     def test_bad_split_rejected(self, suite, n_train):
