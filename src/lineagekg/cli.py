@@ -14,33 +14,41 @@ Skip decisions are taken up front, in serial order.  The (task, profile)
 cells then run through ``parallel.fork_map``, one worker per usable CPU, after
 gen-scenarios and before report, which run here.  Each worker pins itself to
 its share of the CPUs, so its path sampler, which forks per usable CPU, forks
-only when cells are fewer than CPUs.  A single cell runs here on every CPU.
+only when cells are fewer than CPUs, and processes never outnumber CPUs but
+for a training cell's walker, below.  A single cell runs here on every CPU.
 Workers send their log lines back, and the log is echoed in serial order once
 the cells are done.
 
-A cell that runs both sample-paths and train, on a share of two or more
-CPUs, runs them at once (``Pipeline.stage_sample_and_train``).  A forked
-walker runs the whole sample-paths stage: it walks the training pairs one at
-a time, in the order the first epoch first reads one of their samples
-(``siamese.epoch_orders``), sends each pair to the cell's process as soon as
-it is walked, and then writes every sample-paths artifact as a serial run
-does, walking the eval set on every CPU of the share.  The cell's process
-trains meanwhile and waits only for a sample that has not arrived.  The walk
-order changes no artifact: every pair walks with its own rng, seeded by its
-index, the samples are written in pair order, and walk counts only enter
-sums.  Train writes its model and sidecar only once the walker has exited 0;
-a walker that fails or dies fails sample-paths, as in a serial run, and a
-failing trainer waits for the walker first.  In such a cell, sample-paths'
-``seconds`` is the walker's wall time and its ``processes`` the most
-processes one of its walk sets ran in (the walker, or its eval-set children;
-the trainer is not counted); train's ``seconds`` runs from the walker's fork
-to train's sidecar, so it overlaps sample-paths' and includes the waits for
-samples and for the walker's exit.  A cell whose sample-paths is skipped, a
-run of one stage, and a cell on one CPU run each stage on its own: train
-reads ``train.txt`` and sample-paths walks its pairs on every CPU.  On one
-CPU the walker and the trainer would only take turns: the fixed desk
-workload, pinned to one vCPU of a 2-vCPU VM, took 55 s that way against 47 s
-one stage after the other.
+A cell that runs both sample-paths and train, on a share of two or more CPUs,
+runs them at once (``Pipeline.stage_sample_and_train``).  The cell's process
+trains; it forks a walker, which lowers its own priority to the lowest (nice
+19) and runs the whole sample-paths stage.  The walker walks the training
+pairs on every CPU of the share (``paths.TrainingPairs.walk_in_order``),
+each of its processes in the order the first epoch first reads one of their
+samples (``siamese.epoch_orders``), sends each pair to the trainer as soon as
+it has it, and then writes every sample-paths artifact as a serial run does,
+walking the eval set on every CPU of the share too.  So the walker's
+processes and the trainer outnumber the CPUs by one, but the walker only
+takes the CPU time the trainer leaves: while the trainer trains, it keeps a
+CPU to itself, and while it waits for a sample, the walks run on every CPU,
+as in a serial run.  Pinned to the CPUs but one instead, a walk-heavy cell on
+two CPUs took 1.02-1.58 times as long as one stage after the other, and niced
+0.79-1.05 times (``BENCH_19.json``, ``walk_heavy``).  The trainer waits only
+for a sample that has not arrived.  The walk order changes no artifact: every
+pair walks with its own rng, seeded by its index, the samples are written in
+pair order, and walk counts only enter sums.  Train writes its model and
+sidecar only once the walker has exited 0; a walker that fails or dies fails
+sample-paths, as in a serial run, and a failing trainer waits for the walker
+first.  In such a cell, sample-paths' ``seconds`` is the walker's wall time
+and its ``processes`` the most processes one of its walk sets ran in (the
+walker and its children; the trainer is not counted); train's ``seconds``
+runs from the walker's fork to train's sidecar, so it overlaps sample-paths'
+and includes the waits for samples and for the walker's exit.  A cell whose
+sample-paths is skipped, a run of one stage, and a cell on one CPU run each
+stage on its own: train reads ``train.txt`` and sample-paths walks its pairs
+on every CPU.  On one CPU the walker and the trainer would only take turns:
+the fixed desk workload, pinned to one vCPU of a 2-vCPU VM, took 55 s that
+way against 47 s one stage after the other.
 """
 
 from __future__ import annotations
@@ -352,8 +360,8 @@ class Pipeline:
 
     def _sample(self, task: str, profile: str, send=None) -> dict:
         """sample-paths' work: the training set's pairs are walked on every
-        usable CPU, or, given ``send``, here in the order the first epoch reads
-        them, each record sent as soon as it is walked (``_walk``)."""
+        usable CPU, given ``send`` in the order the first epoch reads them,
+        each record sent as soon as it is walked (``_walk``)."""
         kg = self.kg_dir(task, profile)
         out = self.samples_dir(task, profile)
         out.mkdir(parents=True, exist_ok=True)
@@ -392,17 +400,18 @@ class Pipeline:
 
     def _stream_training_set(self, sampler: paths.PathSampler,
                              send) -> list[paths.PathSample]:
-        """The training set, its pairs walked here one at a time in the order
+        """The training set, its pairs walked on every usable CPU in the order
         the first epoch (``siamese.epoch_orders``) first reads one of their
         samples.  ``send`` gets a header, (relation names, pair count), and
         then, as soon as each pair is walked, (pair index, *its record)."""
         pairs = paths.TrainingPairs(sampler, self.m.k_negatives)
         send((sampler.vocab.relation_names, len(pairs)))
         first_epoch = next(siamese.epoch_orders(len(pairs) * pairs.per_pair, self.m.seed))
+        order = list(dict.fromkeys(i // pairs.per_pair for i in first_epoch))
         records: list = [None] * len(pairs)
-        for index in dict.fromkeys(i // pairs.per_pair for i in first_epoch):
-            records[index] = pairs.walk(index)
-            send((index, *records[index]))
+        for index, record in pairs.walk_in_order(order):
+            records[index] = record
+            send((index, *record))
         return [sample for record in records for sample in paths.pair_samples(*record)]
 
     def stage_sample(self, task: str, profile: str) -> None:
@@ -456,8 +465,10 @@ class Pipeline:
 
     def _walk(self, task: str, profile: str, send) -> None:
         """The walker of ``stage_sample_and_train``, in its forked process:
-        runs sample-paths, streaming the training set to ``send``, and sends
-        the stage's failure message, a str, last if it fails."""
+        at the lowest priority, so that it runs on the CPU time the trainer
+        leaves, runs sample-paths, streaming the training set to ``send``,
+        and sends the stage's failure message, a str, last if it fails."""
+        os.nice(19)
         try:
             self._run_stage("sample-paths", task, profile,
                             lambda: self._sample(task, profile, send))

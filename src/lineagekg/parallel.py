@@ -1,9 +1,10 @@
-"""``fork_map``: a serial map run in forked processes, one per usable CPU;
-``Forked``: a function run in a forked process that sends objects back as it
-goes.
+"""``fork_imap`` and ``fork_map``: a serial map run in forked processes, one
+per usable CPU, its results taken as they come or as a list; ``Forked``: a
+function run in a forked process that sends objects back as it goes.
 
-The path sampler maps its pairs with ``fork_map`` and the pipeline its (task,
-profile) cells; a cell samples its paths in a ``Forked`` walker while it
+The path sampler maps its pairs with ``fork_map``, and a training cell's
+walker with ``fork_imap``; the pipeline maps its (task, profile) cells with
+``fork_map``, and a cell samples its paths in a ``Forked`` walker while it
 trains on what the walker has sent.  Forking with numpy loaded is safe:
 OpenBLAS's pthreads build shuts its thread pool down before a fork
 (``pthread_atfork``) and restarts it at the next BLAS call, in parent and
@@ -19,7 +20,7 @@ import pickle
 import select
 import signal
 import warnings
-from typing import Callable, Optional, TypeVar
+from typing import Callable, Iterator, Optional, TypeVar
 
 T = TypeVar("T")
 
@@ -32,16 +33,26 @@ def processes(count: int) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), count))
 
 
-def _run_share(fn: Callable[[int], T], indices: range) -> tuple:
-    """``(results, None)`` with ``fn(i)`` per index, in order, or
-    ``(None, (i, exception))`` for the first index that raised."""
-    results = []
+def _outcomes(fn: Callable[[int], T], indices: range) -> Iterator[tuple]:
+    """``(i, fn(i), None)`` per index, in order, up to the first index that
+    raises: ``(i, None, exception)``, and nothing after it."""
     for index in indices:
         try:
-            results.append(fn(index))
-        except Exception as exc:  # re-raised by fork_map
-            return None, (index, exc)
-    return results, None
+            value = fn(index)
+        except Exception as exc:  # re-raised by fork_imap
+            yield index, None, exc
+            return
+        yield index, value, None
+
+
+def _send_outcomes(fn: Callable[[int], T], indices: range, send, batch: int) -> None:
+    outcomes = []
+    for outcome in _outcomes(fn, indices):
+        outcomes.append(outcome)
+        if len(outcomes) == batch:
+            send(outcomes)
+            outcomes = []
+    send(outcomes)
 
 
 def _fork() -> int:
@@ -50,65 +61,72 @@ def _fork() -> int:
         return os.fork()
 
 
-def fork_map(count: int, fn: Callable[[int], T]) -> list[T]:
-    """``[fn(i) for i in range(count)]``, with index i run in share i % P of
-    P = ``processes(count)`` processes.
+def fork_imap(count: int, fn: Callable[[int], T],
+              batch: int) -> Iterator[tuple[int, T]]:
+    """``(i, fn(i))`` for each i in ``range(count)``, as each is done, with
+    index i run in share i % P of P = ``processes(count)`` processes.
 
-    This process runs share 0 and forked children the others; where a fork
-    fails, this process runs those shares too.  The exception of the first
-    failing index is raised, as a serial loop would; a child that dies raises
-    ``ChildProcessError``.  Children send their share back pickled over a pipe
-    and leave with ``os._exit``, so they run none of this process's cleanup;
-    they are always reaped.
+    This process runs share 0 and yields each of its results at once;
+    ``Forked`` children run the other shares and send their results in
+    batches of ``batch``, which this process takes in and yields after every
+    ``batch`` of its own indices, and then to the end.  Where a fork fails,
+    this process runs those shares too.  A share stops at its first failing
+    index; the exception of the first failing index of all is raised once
+    every share is done, as a serial loop would raise it.  A child that dies
+    raises ``ChildProcessError``.  Children leave with ``os._exit``, so they
+    run none of this process's cleanup; they are always reaped, and killed
+    first if this process fails or stops iterating.
     """
     count_processes = processes(count)
-    shares: list = [None] * count_processes
-    children: dict[int, tuple[int, object]] = {}  # share -> (pid, pipe reader)
+    children: dict[int, Forked] = {}
+    failures: list[tuple[int, Exception]] = []
+
+    def taken(outcomes) -> Iterator[tuple[int, T]]:
+        for index, value, exc in outcomes:
+            if exc is None:
+                yield index, value
+            else:
+                failures.append((index, exc))
+
     try:
         for share in range(1, count_processes):
-            read_fd, write_fd = os.pipe()
+            indices = range(share, count, count_processes)
             try:
-                pid = _fork()
+                children[share] = Forked(
+                    lambda send, indices=indices: _send_outcomes(fn, indices, send, batch))
             except OSError:
-                os.close(read_fd)
-                os.close(write_fd)
                 break
-            if pid == 0:
-                status = 1
-                try:
-                    os.close(read_fd)
-                    outcome = _run_share(fn, range(share, count, count_processes))
-                    with os.fdopen(write_fd, "wb") as fh:
-                        pickle.dump(outcome, fh, pickle.HIGHEST_PROTOCOL)
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(write_fd)
-            children[share] = (pid, os.fdopen(read_fd, "rb"))
         for share in range(count_processes):
-            if share not in children:
-                shares[share] = _run_share(fn, range(share, count, count_processes))
-        for share, (pid, reader) in list(children.items()):
-            with reader:
-                data = reader.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del children[share]
+            if share in children:
+                continue
+            outcomes = _outcomes(fn, range(share, count, count_processes))
+            for done, outcome in enumerate(outcomes, 1):
+                yield from taken([outcome])
+                if done % batch == 0:  # so that no child waits long on a full pipe
+                    for child in children.values():
+                        for sent in child.receive(block=False):
+                            yield from taken(sent)
+        for child in children.values():
+            while not child.closed:
+                for sent in child.receive():
+                    yield from taken(sent)
+            code = child.wait()
             if code != 0:
-                raise ChildProcessError(f"forked process {pid} exited with code {code}")
-            shares[share] = pickle.loads(data)
+                raise ChildProcessError(f"forked process {child.pid} exited with code {code}")
     finally:
-        for pid, reader in children.values():
-            reader.close()
-            try:
-                os.kill(pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
-            os.waitpid(pid, 0)
-    failures = [failure for _, failure in shares if failure is not None]
+        for child in children.values():
+            child.kill()
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
-    return [shares[index % count_processes][0][index // count_processes]
-            for index in range(count)]
+
+
+def fork_map(count: int, fn: Callable[[int], T]) -> list[T]:
+    """``[fn(i) for i in range(count)]``, run as ``fork_imap`` runs it; each
+    child sends its whole share at once."""
+    results: list = [None] * count
+    for index, value in fork_imap(count, fn, batch=max(1, count)):
+        results[index] = value
+    return results
 
 
 class Forked:

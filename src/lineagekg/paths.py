@@ -29,9 +29,10 @@ usable CPU, through ``parallel.fork_map``: pair i runs in share i % P of P =
 min(usable CPUs, pairs) processes, this one and forked children.  Inside a
 pipeline cell worker, pinned to its share of the CPUs, that is usually one
 process.  A pipeline cell that trains too, on two or more CPUs, walks its
-training pairs (``TrainingPairs``) in one forked walker instead, one at a
-time, in the order the model's first epoch reads their samples, and streams
-each pair to the trainer as soon as it is walked
+training pairs in a forked walker instead, at the lowest priority, through
+``parallel.fork_imap``, each process in the order the model's first epoch
+reads their samples (``TrainingPairs.walk_in_order``), and streams each pair
+to the trainer as soon as it has it
 (``cli.Pipeline.stage_sample_and_train``).
 Neither the process count nor the pair order can change an artifact: every
 pair walks with its own rng, seeded by the pair's index alone, on a sampler
@@ -48,7 +49,7 @@ from pathlib import Path
 from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
 from .kgstore import RDF_TYPE, KnowledgeGraph, Literal
-from .parallel import fork_map
+from .parallel import fork_imap
 
 PAD = 0
 NOPATH = 1
@@ -311,22 +312,37 @@ def _block_excluded(blocked: list[int], node: tuple, neighbour: int,
         i = previous[i]
 
 
-def _map_pairs(sampler: PathSampler, count: int,
-               pair: Callable[[int], T]) -> list[T]:
-    """``parallel.fork_map`` over pairs that call ``sample_paths`` once each;
-    each pair returns the walk counts it appended, which are appended here in
-    pair order, and ``processes`` counts the processes the pairs ran in."""
+def _imap_pairs(sampler: PathSampler, count: int, pair: Callable[[int], T],
+                batch: int) -> Iterator[tuple[int, T, int, int]]:
+    """``parallel.fork_imap`` over pairs that call ``sample_paths`` once each,
+    its children sending ``batch`` pairs at a time:
+    ``(index, value, walks tried, walks reached)`` as each pair is done, its
+    walk counts taken off the sampler; ``processes`` counts the processes
+    the pairs ran in."""
     def counted(index: int) -> tuple:
         value = pair(index)
         return (value, sampler.walks_tried.pop(), sampler.walks_reached.pop(),
                 os.getpid())
 
+    pids = set()
     try:
-        results = fork_map(count, counted)
+        for index, (value, tried, reached, pid) in fork_imap(count, counted, batch):
+            pids.add(pid)
+            yield index, value, tried, reached
     except ChildProcessError as exc:
         raise PathError(f"path sampling failed: {exc}") from exc
-    sampler.processes = max(sampler.processes, len({pid for *_, pid in results}))
-    for _, tried, reached, _ in results:
+    sampler.processes = max(sampler.processes, len(pids))
+
+
+def _map_pairs(sampler: PathSampler, count: int,
+               pair: Callable[[int], T]) -> list[T]:
+    """``_imap_pairs``' values in pair order, each child sending its whole
+    share at once (as ``parallel.fork_map``); the walk counts are appended to
+    the sampler in pair order too."""
+    results: list = [None] * count
+    for index, *result in _imap_pairs(sampler, count, pair, max(1, count)):
+        results[index] = result
+    for _, tried, reached in results:
         sampler.walks_tried.append(tried)
         sampler.walks_reached.append(reached)
     return [value for value, *_ in results]
@@ -367,6 +383,21 @@ class TrainingPairs:
             relation = rng.randrange(num_relations - 1)
             corrupted.append(relation + 1 if relation >= r else relation)
         return r, paths, corrupted
+
+    def walk_in_order(self, order: Sequence[int]) -> Iterator[tuple[int, tuple]]:
+        """``(index, walk(index))`` for each pair index of ``order``, walked
+        on every usable CPU: ``order[j]`` runs in share j % P
+        (``parallel.fork_imap``), so that each process walks its pairs in
+        ``order`` and they come about in that order.  A child sends each pair
+        as soon as it is walked, and this process takes them in after each
+        pair of its own.  The walk counts are appended in the order the pairs
+        come."""
+        sampler = self.sampler
+        for j, record, tried, reached in _imap_pairs(
+                sampler, len(order), lambda j: self.walk(order[j]), 1):
+            sampler.walks_tried.append(tried)
+            sampler.walks_reached.append(reached)
+            yield order[j], record
 
 
 def pair_samples(relation: int, paths: tuple,

@@ -584,15 +584,18 @@ class TestCellWorkers:
     @staticmethod
     def run(out, cpus, monkeypatch, **overrides):
         """Status, log, and the CPU sets each process pinned itself to, by pid;
-        the pins are recorded, not made, so this process keeps its real CPUs."""
+        the pins are recorded, not made, so this process keeps its real CPUs,
+        and each process's faked CPUs are the ones it last pinned itself to."""
         pins = out.parent / f"{out.name}.pins"
         pins.write_text("")
+        usable = {"cpus": set(range(cpus))}
 
         def pin(pid, mask):
             with pins.open("a") as fh:
                 fh.write(f"{os.getpid()} {json.dumps(sorted(mask))}\n")
+            usable["cpus"] = set(mask)
 
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(usable["cpus"]))
         monkeypatch.setattr(os, "sched_setaffinity", pin)
         logs = []
         status, _ = run_pipeline(tiny_manifest(out, profile="both", **overrides),
@@ -623,6 +626,31 @@ class TestCellWorkers:
         assert runs[1][0] == runs[2][0] == serial_log()
         assert runs[1][1] == runs[2][1]
         assert len(runs[1][1]) > 30
+        assert_no_child_left()
+
+    def test_cells_fewer_than_cpus_walk_beside_their_trainers(self, tmp_path, monkeypatch):
+        # four CPUs, two cells: each cell's share holds two, so each cell
+        # forks a walker, which lowers its priority and pins nothing
+        niced = tmp_path / "niced"
+        niced.write_text("")
+
+        def nice(increment):
+            with niced.open("a") as fh:
+                fh.write(f"{os.getpid()} {increment}\n")
+            return increment
+
+        monkeypatch.setattr(os, "nice", nice)
+        runs = {}
+        for cpus in (1, 4):
+            status, logs, pins = self.run(tmp_path / str(cpus), cpus, monkeypatch)
+            assert (status, logs) == (0, serial_log())
+            runs[cpus] = self.tree(tmp_path / str(cpus))
+        assert pins.pop(os.getpid()) == [[0, 2], [0, 1, 2, 3]]
+        assert list(pins.values()) == [[[1, 3]]]
+        walkers = [line.split() for line in niced.read_text().splitlines()]
+        assert [increment for _, increment in walkers] == ["19", "19"]
+        assert not {int(pid) for pid, _ in walkers} & {os.getpid(), *pins}
+        assert runs[1] == runs[4]
         assert_no_child_left()
 
     def test_each_worker_runs_a_cell_of_each_profile(self, tmp_path, monkeypatch):
@@ -756,7 +784,7 @@ class TestSampleAndTrainTogether:
     def test_one_call_equals_stage_by_stage(self, tmp_path, monkeypatch, k_negatives):
         monkeypatch.setattr(os, "sched_setaffinity", lambda pid, mask: None)
         trees = {}
-        for cpus in (1, 2):
+        for cpus in (1, 2, 3):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
             runs = {}
             for way in ("one-call", "by-stage"):
@@ -774,19 +802,28 @@ class TestSampleAndTrainTogether:
                 if label.split("/")[0] == stage]
             assert runs["one-call"][1] == runs["by-stage"][1]
             trees[cpus] = runs["one-call"][1]
-        assert trees[1] == trees[2]
+        assert trees[1] == trees[2] == trees[3]
         assert_no_child_left()
 
-    def test_walker_walks_in_first_epoch_order_and_train_waits_for_it(
+    def test_walker_walks_each_share_in_first_epoch_order_at_low_priority(
             self, tmp_path, monkeypatch):
-        walked = tmp_path / "walked"
-        walked.write_text("")
-        walk, caller = paths.TrainingPairs.walk, os.getpid()
+        record = tmp_path / "record"
+        record.write_text("")
+        walk, walk_in_order = paths.TrainingPairs.walk, paths.TrainingPairs.walk_in_order
+        caller = os.getpid()
 
-        def recording(pairs, index):
-            with walked.open("a") as fh:
-                fh.write(f"{os.getpid()} {index}\n")
+        def note(*words):
+            with record.open("a") as fh:
+                fh.write(" ".join(map(str, words)) + "\n")
+
+        def recording_walk(pairs, index):
+            note("walk", os.getpid(), index)
             return walk(pairs, index)
+
+        def recording_order(pairs, order):
+            for index, walked in walk_in_order(pairs, order):
+                note("sent", os.getpid(), index, os.nice(0))
+                yield index, walked
 
         save_checkpoint, saved = siamese.save_checkpoint, []
 
@@ -796,22 +833,36 @@ class TestSampleAndTrainTogether:
                           (cell / ".stage_sample-paths.ok").is_file()))
             save_checkpoint(params, path)
 
-        monkeypatch.setattr(paths.TrainingPairs, "walk", recording)
+        monkeypatch.setattr(paths.TrainingPairs, "walk", recording_walk)
+        monkeypatch.setattr(paths.TrainingPairs, "walk_in_order", recording_order)
         monkeypatch.setattr(siamese, "save_checkpoint", checking)
         manifest = tiny_manifest(tmp_path / "out", k_negatives=2)
         status, _ = run_pipeline(manifest, echo=lambda *_: None)
         assert status == 0
-        lines = [line.split() for line in walked.read_text().splitlines()]
-        assert {pid for pid, _ in lines} != {str(caller)}
-        pairs = len(lines)
+        lines = [line.split() for line in record.read_text().splitlines()]
+        sent = [line[1:] for line in lines if line[0] == "sent"]
+        walked = [line[1:] for line in lines if line[0] == "walk"]
+        pairs = len(sent)
         first_epoch = next(siamese.epoch_orders(3 * pairs, manifest.seed))
-        assert [int(index) for _, index in lines] == list(
-            dict.fromkeys(i // 3 for i in first_epoch))
-        assert sorted(int(index) for _, index in lines) != [
-            int(index) for _, index in lines]
+        order = list(dict.fromkeys(i // 3 for i in first_epoch))
+        assert sorted(int(index) for _, index, *_ in sent) == list(range(pairs))
+        walker = {pid for pid, *_ in sent}
+        assert len(walker) == 1 and walker != {str(caller)}
+        assert {niceness for *_, niceness in sent} == {"19"}
+        # the walker and its child each walk every other pair of the order,
+        # in order; the trainer walks none
+        by_pid = {}
+        for pid, index in walked:
+            by_pid.setdefault(pid, []).append(int(index))
+        assert by_pid.pop(walker.pop()) == order[0::2]
+        assert list(by_pid.values()) == [order[1::2]]
+        assert os.nice(0) < 19  # the trainer's priority is its own
         # the walker had written every sample file and its sidecar
         assert saved == [(["eval_neg.txt", "eval_pos.txt", "train.txt", "vocab.txt",
                            "walk_stats.txt"], True)]
+        sidecar = json.loads((tmp_path / "out" / CELL / ".stage_sample-paths.ok")
+                             .read_text())
+        assert sidecar["processes"] == 2
         assert_no_child_left()
 
     def test_cell_runs_its_stages_one_by_one_where_nothing_forks(

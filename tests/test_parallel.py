@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from lineagekg.parallel import Forked
+from lineagekg.parallel import Forked, fork_imap
 
 
 def assert_no_child_left():
@@ -57,3 +57,24 @@ class TestForked:
         monkeypatch.setattr(os, "fork", no_fork)
         with pytest.raises(OSError, match="fork failed"):
             Forked(lambda send: None)
+
+
+class TestForkImap:
+    @pytest.mark.parametrize("batch", [1, 7, 1000])
+    def test_each_share_comes_in_order_a_batch_at_a_time(self, monkeypatch, batch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        results = list(fork_imap(300, lambda i: i * i, batch))
+        assert sorted(results) == [(i, i * i) for i in range(300)]
+        for share in range(3):
+            assert [i for i, _ in results if i % 3 == share] == list(range(share, 300, 3))
+        # this process yields its own results at once, and the children's
+        # after each batch of its own
+        assert results[:min(batch, 100)] == [(i, i * i) for i in range(0, 3 * batch, 3)][:100]
+        assert_no_child_left()
+
+    def test_stopping_early_kills_and_reaps_the_children(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        results = fork_imap(300, lambda i: time.sleep(0.01) or i, 1)
+        assert next(results) == (0, 0)
+        results.close()
+        assert_no_child_left()

@@ -14,6 +14,7 @@ from lineagekg.paths import (
     PathSample,
     PathSampler,
     SamplerConfig,
+    TrainingPairs,
     build_eval_set,
     build_training_set,
     draw_negatives,
@@ -544,6 +545,32 @@ class TestProcesses:
             loop.sample_paths(d, s, random.Random(f"6:eval:pos:{i}"))
         assert forked["eval_tried"][:len(loop.walks_tried)] == loop.walks_tried
         assert forked["eval_reached"][:len(loop.walks_reached)] == loop.walks_reached
+
+    def test_walk_in_order_yields_each_pair_as_walk_would(self, converted, monkeypatch):
+        cfg = SamplerConfig(num_paths=3, max_length=6, walk_budget=3, seed=6)
+        runs = []
+        for cpus in (1, 3):
+            use_cpus(monkeypatch, cpus)
+            sampler = PathSampler(converted.train, cfg)
+            pairs = TrainingPairs(sampler, k_negatives=2)
+            order = list(range(len(pairs)))
+            random.Random(1).shuffle(order)
+            runs.append((list(pairs.walk_in_order(order)), sampler.walk_stats(),
+                         sampler.processes))
+        assert [index for index, _ in runs[0][0]] == order
+        assert sorted(runs[0][0]) == sorted(runs[1][0])
+        assert runs[0][1] == runs[1][1]
+        assert (runs[0][2], runs[1][2]) == (1, 3)
+        # each process walked its share in order
+        yielded = [index for index, _ in runs[1][0]]
+        for share in range(3):
+            mine = set(order[share::3])
+            assert [index for index in yielded if index in mine] == order[share::3]
+        sampler = PathSampler(converted.train, cfg)
+        pairs = TrainingPairs(sampler, k_negatives=2)
+        assert [(index, pairs.walk(index)) for index in order] == runs[0][0]
+        assert sampler.walk_stats() == runs[0][1]
+        assert_no_child_left()
 
     def test_fork_missing_or_failing_runs_every_share_here(
             self, converted, monkeypatch):
