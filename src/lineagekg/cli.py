@@ -19,36 +19,42 @@ for a training cell's walker, below.  A single cell runs here on every CPU.
 Workers send their log lines back, and the log is echoed in serial order once
 the cells are done.
 
+The sample-paths stage walks the training set one way, however it runs
+(``paths.build_training_set``): each pair once, on every usable CPU, each
+process in the order in which the first epoch (``siamese.epoch_orders``)
+first reads one of its pairs' samples.  The walk order changes no artifact:
+every pair walks with its own rng, seeded by its index, the samples are
+written in pair order, and walk counts only enter sums.
+
 A cell that runs both sample-paths and train, on a share of two or more CPUs,
 runs them at once (``Pipeline.stage_sample_and_train``).  The cell's process
 trains; it forks a walker, which lowers its own priority to the lowest (nice
-19) and runs the whole sample-paths stage.  The walker walks the training
-pairs on every CPU of the share (``paths.TrainingPairs.walk_in_order``),
-each of its processes in the order the first epoch first reads one of their
-samples (``siamese.epoch_orders``), sends each pair to the trainer as soon as
-it has it, and then writes every sample-paths artifact as a serial run does,
-walking the eval set on every CPU of the share too.  So the walker's
-processes and the trainer outnumber the CPUs by one, but the walker only
-takes the CPU time the trainer leaves: while the trainer trains, it keeps a
-CPU to itself, and while it waits for a sample, the walks run on every CPU,
-as in a serial run.  Pinned to the CPUs but one instead, a walk-heavy cell on
-two CPUs took 1.02-1.58 times as long as one stage after the other, and niced
-0.79-1.05 times (``BENCH_19.json``, ``walk_heavy``).  The trainer waits only
-for a sample that has not arrived.  The walk order changes no artifact: every
-pair walks with its own rng, seeded by its index, the samples are written in
-pair order, and walk counts only enter sums.  Train writes its model and
-sidecar only once the walker has exited 0; a walker that fails or dies fails
-sample-paths, as in a serial run, and a failing trainer waits for the walker
-first.  In such a cell, sample-paths' ``seconds`` is the walker's wall time
-and its ``processes`` the most processes one of its walk sets ran in (the
-walker and its children; the trainer is not counted); train's ``seconds``
-runs from the walker's fork to train's sidecar, so it overlaps sample-paths'
-and includes the waits for samples and for the walker's exit.  A cell whose
-sample-paths is skipped, a run of one stage, and a cell on one CPU run each
-stage on its own: train reads ``train.txt`` and sample-paths walks its pairs
-on every CPU.  On one CPU the walker and the trainer would only take turns:
-the fixed desk workload, pinned to one vCPU of a 2-vCPU VM, took 55 s that
-way against 47 s one stage after the other.
+19) and runs the whole sample-paths stage: its processes hand each training
+pair on as soon as it is walked, the walker sends it to the trainer, and it
+then writes every sample-paths artifact and walks the eval set as the stage
+run alone does.  So the walker's processes and the trainer outnumber the CPUs
+by one, but the walker only takes the CPU time the trainer leaves: while the
+trainer trains, it keeps a CPU to itself, and while it waits for a sample,
+the walks run on every CPU, as in a serial run.  Pinned to the CPUs but one
+instead, a walk-heavy cell on two CPUs took 1.02-1.58 times as long as one
+stage after the other, and niced 0.79-1.05 times (``BENCH_19.json``,
+``walk_heavy``).  The trainer waits only for a sample that has not arrived.
+Train writes its model and sidecar only once the walker has exited 0; a
+walker that fails or dies fails sample-paths, as in a serial run, and a
+failing trainer waits for the walker first.  In such a cell, sample-paths'
+``seconds`` is the walker's wall time and its ``processes`` the most
+processes one of its walk sets ran in (the walker and its children; the
+trainer is not counted); train's ``seconds`` runs from the walker's fork to
+train's sidecar, so it overlaps sample-paths' and includes the waits for
+samples and for the walker's exit.
+
+A cell whose sample-paths is skipped, a run of one stage, and a cell on one
+CPU run each stage on its own: train reads ``train.txt``, and sample-paths
+walks in the same order, its children sending their whole shares when done,
+as handing each pair on cost 4-6% more training-walk time on the
+desk-paths graph.  On one CPU the walker and the trainer would only take
+turns: the fixed desk workload, pinned to one vCPU of a 2-vCPU VM, took 55 s
+that way against 47 s one stage after the other.
 """
 
 from __future__ import annotations
@@ -56,7 +62,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -144,18 +149,15 @@ class RunManifest:
             )
         if self.rows_per_table < 2:
             raise ManifestError("rows_per_table must be >= 2")
-        try:
-            self.sampler_config()
-        except paths.PathError as exc:
-            raise ManifestError(str(exc)) from exc
         if self.k_negatives < 0:
             raise ManifestError("k_negatives must be >= 0")
-        for name in ("eval_negatives", "embed_dim", "hidden_dim", "layers",
-                     "fusion_dim", "batch_size", "epochs"):
-            if getattr(self, name) < 1:
-                raise ManifestError(f"{name} must be >= 1")
-        if not 0.0 <= self.learning_rate < math.inf:
-            raise ManifestError("learning_rate must be finite and >= 0")
+        if self.eval_negatives < 1:
+            raise ManifestError("eval_negatives must be >= 1")
+        try:  # the graphs give the model its vocabulary and relation counts, each >= 1
+            self.sampler_config()
+            self.model_config(vocab_size=1, num_relations=1)
+        except (paths.PathError, siamese.ModelError) as exc:
+            raise ManifestError(str(exc)) from exc
 
     def expanded_tasks(self) -> list[str]:
         if self.tasks == ["all"]:
@@ -170,6 +172,15 @@ class RunManifest:
             num_paths=self.num_paths, max_length=self.max_length,
             walk_budget=self.walk_budget, restart_prob=self.restart_prob,
             seed=self.seed,
+        )
+
+    def model_config(self, vocab_size: int, num_relations: int) -> siamese.ModelConfig:
+        return siamese.ModelConfig(
+            vocab_size=vocab_size, num_relations=num_relations,
+            num_paths=self.num_paths, embed_dim=self.embed_dim,
+            hidden_dim=self.hidden_dim, layers=self.layers,
+            fusion_dim=self.fusion_dim, learning_rate=self.learning_rate,
+            batch_size=self.batch_size, epochs=self.epochs, seed=self.seed,
         )
 
     def save(self, path) -> None:
@@ -359,9 +370,10 @@ class Pipeline:
         self._run_stage("build-kg", task, profile, build)
 
     def _sample(self, task: str, profile: str, send=None) -> dict:
-        """sample-paths' work: the training set's pairs are walked on every
-        usable CPU, given ``send`` in the order the first epoch reads them,
-        each record sent as soon as it is walked (``_walk``)."""
+        """sample-paths' work.  The training pairs are walked in the order
+        the first epoch reads them (``paths.build_training_set``); ``send``,
+        if given, gets a header, (relation names, pair count), and then each
+        pair as it is walked (``stage_sample_and_train``)."""
         kg = self.kg_dir(task, profile)
         out = self.samples_dir(task, profile)
         out.mkdir(parents=True, exist_ok=True)
@@ -375,16 +387,16 @@ class Pipeline:
         negatives = paths.draw_negatives(
             test_g, ground_truth, self.m.eval_negatives, cfg.seed)
         sampler = paths.PathSampler(train_g, cfg)
-        if send is None:
-            train_samples = list(paths.build_training_set(
-                sampler, k_negatives=self.m.k_negatives))
-        else:
-            train_samples = self._stream_training_set(sampler, send)
+        pairs = paths.TrainingPairs(sampler, self.m.k_negatives)
+        if send is not None:
+            send((sampler.vocab.relation_names, len(pairs)))
+        first_epoch = next(siamese.epoch_orders(len(pairs) * pairs.per_pair, self.m.seed))
+        train_samples = paths.build_training_set(pairs, first_epoch, send)
         paths.save_samples(out / "train.txt", train_samples)
         sampler.vocab.save(out / "vocab.txt")
         stats = {"train": sampler.walk_stats()}
         processes = sampler.processes
-        del sampler  # free the train graph's index before indexing the test graph
+        del sampler, pairs  # free the train graph's index before indexing the test graph
         sampler = paths.PathSampler(test_g, cfg)
         pos, neg = paths.build_eval_set(sampler, ground_truth, negatives)
         paths.save_samples(out / "eval_pos.txt", pos)
@@ -398,43 +410,12 @@ class Pipeline:
         # caller-side only: the artifacts must not depend on the CPU count
         return {"processes": max(processes, sampler.processes)}
 
-    def _stream_training_set(self, sampler: paths.PathSampler,
-                             send) -> list[paths.PathSample]:
-        """The training set, its pairs walked on every usable CPU in the order
-        the first epoch (``siamese.epoch_orders``) first reads one of their
-        samples.  ``send`` gets a header, (relation names, pair count), and
-        then, as soon as each pair is walked, (pair index, *its record)."""
-        pairs = paths.TrainingPairs(sampler, self.m.k_negatives)
-        send((sampler.vocab.relation_names, len(pairs)))
-        first_epoch = next(siamese.epoch_orders(len(pairs) * pairs.per_pair, self.m.seed))
-        order = list(dict.fromkeys(i // pairs.per_pair for i in first_epoch))
-        records: list = [None] * len(pairs)
-        for index, record in pairs.walk_in_order(order):
-            records[index] = record
-            send((index, *record))
-        return [sample for record in records for sample in paths.pair_samples(*record)]
-
     def stage_sample(self, task: str, profile: str) -> None:
         self._run_stage("sample-paths", task, profile,
                         lambda: self._sample(task, profile))
 
-    def _model_config(self, vocab: paths.EdgeVocabulary) -> siamese.ModelConfig:
-        return siamese.ModelConfig(
-            vocab_size=vocab.size,
-            num_relations=len(vocab.relation_names),
-            num_paths=self.m.num_paths,
-            embed_dim=self.m.embed_dim,
-            hidden_dim=self.m.hidden_dim,
-            layers=self.m.layers,
-            fusion_dim=self.m.fusion_dim,
-            learning_rate=self.m.learning_rate,
-            batch_size=self.m.batch_size,
-            epochs=self.m.epochs,
-            seed=self.m.seed,
-        )
-
     def _fit(self, vocab: paths.EdgeVocabulary, samples) -> tuple:
-        cfg = self._model_config(vocab)
+        cfg = self.m.model_config(vocab.size, len(vocab.relation_names))
         params = siamese.init_parameters(cfg)
         return params, siamese.train(params, samples, cfg)
 
@@ -650,11 +631,11 @@ class _TrainingStream:
     it, read by ``siamese.train`` like a list.
 
     The walker sends a header, (relation names, pair count), then one record
-    per pair (``Pipeline._stream_training_set``), and a failure message, a
-    str, last if its stage failed.  Reading a sample whose pair has not
-    arrived blocks until it has.  While pairs are missing, every read first
-    takes in whatever has arrived, so the walker, which may run ahead, never
-    waits long on a full pipe.
+    per pair (``Pipeline._sample``), and a failure message, a str, last if
+    its stage failed.  Reading a sample whose pair has not arrived blocks
+    until it has.  While pairs are missing, every read first takes in
+    whatever has arrived, so the walker, which may run ahead, never waits
+    long on a full pipe.
     """
 
     def __init__(self, walker: parallel.Forked, per_pair: int):

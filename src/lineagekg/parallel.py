@@ -2,13 +2,12 @@
 per usable CPU, its results taken as they come or as a list; ``Forked``: a
 function run in a forked process that sends objects back as it goes.
 
-The path sampler maps its pairs with ``fork_map``, and a training cell's
-walker with ``fork_imap``; the pipeline maps its (task, profile) cells with
-``fork_map``, and a cell samples its paths in a ``Forked`` walker while it
-trains on what the walker has sent.  Forking with numpy loaded is safe:
-OpenBLAS's pthreads build shuts its thread pool down before a fork
-(``pthread_atfork``) and restarts it at the next BLAS call, in parent and
-child alike, and no other thread runs.
+The path sampler maps its pairs with ``fork_imap`` and the pipeline its
+(task, profile) cells with ``fork_map``; a training cell's walker is a
+``Forked`` child (``cli.Pipeline.stage_sample_and_train``).  Forking with
+numpy loaded is safe: OpenBLAS's pthreads build shuts its thread pool down
+before a fork (``pthread_atfork``) and restarts it at the next BLAS call, in
+parent and child alike, and no other thread runs.
 Python 3.12+ warns on forking a process that has threads; each fork silences
 that warning.
 """

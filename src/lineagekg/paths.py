@@ -25,19 +25,15 @@ power of two up to 1024, on sources without a free entry, and on a converted
 rddl graph.
 
 ``build_training_set`` and ``build_eval_set`` sample their pairs on every
-usable CPU, through ``parallel.fork_map``: pair i runs in share i % P of P =
-min(usable CPUs, pairs) processes, this one and forked children.  Inside a
-pipeline cell worker, pinned to its share of the CPUs, that is usually one
-process.  A pipeline cell that trains too, on two or more CPUs, walks its
-training pairs in a forked walker instead, at the lowest priority, through
-``parallel.fork_imap``, each process in the order the model's first epoch
-reads their samples (``TrainingPairs.walk_in_order``), and streams each pair
-to the trainer as soon as it has it
-(``cli.Pipeline.stage_sample_and_train``).
-Neither the process count nor the pair order can change an artifact: every
-pair walks with its own rng, seeded by the pair's index alone, on a sampler
-nobody else mutates; the samples are written in pair order; and the walk
-counts only ever enter sums.
+usable CPU, through ``parallel.fork_imap``: the j-th pair walked runs in
+share j % P of P = min(usable CPUs, pairs) processes, this one and forked
+children.  The eval set walks its pairs in pair order; the training set in
+the order in which a given sample order first reads one of each pair's
+samples, and it can hand each pair on as soon as it is walked
+(``cli.Pipeline.stage_sample_and_train``).  Neither the process count nor the
+walk order can change an artifact: every pair walks with its own rng, seeded
+by the pair's index alone, on a sampler nobody else mutates; the samples are
+returned in pair order; and the walk counts only ever enter sums.
 """
 
 from __future__ import annotations
@@ -313,39 +309,30 @@ def _block_excluded(blocked: list[int], node: tuple, neighbour: int,
 
 
 def _imap_pairs(sampler: PathSampler, count: int, pair: Callable[[int], T],
-                batch: int) -> Iterator[tuple[int, T, int, int]]:
+                batch: int) -> Iterator[tuple[int, T]]:
     """``parallel.fork_imap`` over pairs that call ``sample_paths`` once each,
-    its children sending ``batch`` pairs at a time:
-    ``(index, value, walks tried, walks reached)`` as each pair is done, its
-    walk counts taken off the sampler; ``processes`` counts the processes
-    the pairs ran in."""
+    its children sending ``batch`` pairs at a time: ``(index, value)`` as
+    each pair is done.  Once every pair is, their walk counts are appended to
+    the sampler in index order, and ``processes`` counts the processes they
+    ran in."""
     def counted(index: int) -> tuple:
         value = pair(index)
         return (value, sampler.walks_tried.pop(), sampler.walks_reached.pop(),
                 os.getpid())
 
+    counts: list = [None] * count
     pids = set()
     try:
         for index, (value, tried, reached, pid) in fork_imap(count, counted, batch):
+            counts[index] = tried, reached
             pids.add(pid)
-            yield index, value, tried, reached
+            yield index, value
     except ChildProcessError as exc:
         raise PathError(f"path sampling failed: {exc}") from exc
-    sampler.processes = max(sampler.processes, len(pids))
-
-
-def _map_pairs(sampler: PathSampler, count: int,
-               pair: Callable[[int], T]) -> list[T]:
-    """``_imap_pairs``' values in pair order, each child sending its whole
-    share at once (as ``parallel.fork_map``); the walk counts are appended to
-    the sampler in pair order too."""
-    results: list = [None] * count
-    for index, *result in _imap_pairs(sampler, count, pair, max(1, count)):
-        results[index] = result
-    for _, tried, reached in results:
+    for tried, reached in counts:
         sampler.walks_tried.append(tried)
         sampler.walks_reached.append(reached)
-    return [value for value, *_ in results]
+    sampler.processes = max(sampler.processes, len(pids))
 
 
 def node_to_node_triples(g: KnowledgeGraph) -> list[tuple]:
@@ -384,21 +371,6 @@ class TrainingPairs:
             corrupted.append(relation + 1 if relation >= r else relation)
         return r, paths, corrupted
 
-    def walk_in_order(self, order: Sequence[int]) -> Iterator[tuple[int, tuple]]:
-        """``(index, walk(index))`` for each pair index of ``order``, walked
-        on every usable CPU: ``order[j]`` runs in share j % P
-        (``parallel.fork_imap``), so that each process walks its pairs in
-        ``order`` and they come about in that order.  A child sends each pair
-        as soon as it is walked, and this process takes them in after each
-        pair of its own.  The walk counts are appended in the order the pairs
-        come."""
-        sampler = self.sampler
-        for j, record, tried, reached in _imap_pairs(
-                sampler, len(order), lambda j: self.walk(order[j]), 1):
-            sampler.walks_tried.append(tried)
-            sampler.walks_reached.append(reached)
-            yield order[j], record
-
 
 def pair_samples(relation: int, paths: tuple,
                  corrupted: Sequence[int]) -> list[PathSample]:
@@ -408,13 +380,27 @@ def pair_samples(relation: int, paths: tuple,
         PathSample(paths=paths, relation=c, label=0) for c in corrupted]
 
 
-def build_training_set(sampler: PathSampler,
-                       k_negatives: int = 1) -> Iterator[PathSample]:
-    """One positive plus k relation-corrupted negatives per node-to-node triple
-    of the sampler's graph (``TrainingPairs``), walked on every usable CPU."""
-    pairs = TrainingPairs(sampler, k_negatives)
-    for record in _map_pairs(sampler, len(pairs), pairs.walk):
-        yield from pair_samples(*record)
+def build_training_set(pairs: TrainingPairs, sample_order: Sequence[int],
+                       send: Optional[Callable[[tuple], None]] = None
+                       ) -> list[PathSample]:
+    """The samples of ``pairs``, in pair order: one positive plus
+    ``k_negatives`` relation-corrupted negatives per pair (``pair_samples``).
+
+    Each pair is walked once, on every usable CPU, in the order in which
+    ``sample_order``, an order of every sample index, first reads one of the
+    pair's samples.  Given ``send``, each child hands each pair on as soon
+    as it is walked, and ``send`` gets ``(index, *record)``
+    (``TrainingPairs.walk``) as each pair comes; without it, each child sends
+    its whole share when done."""
+    order = list(dict.fromkeys(i // pairs.per_pair for i in sample_order))
+    records: list = [None] * len(pairs)
+    batch = 1 if send is not None else max(1, len(order))
+    for j, record in _imap_pairs(pairs.sampler, len(order),
+                                 lambda j: pairs.walk(order[j]), batch):
+        records[order[j]] = record
+        if send is not None:
+            send((order[j], *record))
+    return [sample for record in records for sample in pair_samples(*record)]
 
 
 def row_nodes(g: KnowledgeGraph) -> list[int]:
@@ -516,9 +502,10 @@ def build_eval_set(
         src, dst, seed = pairs[index]
         return sampler.sample_paths(src, dst, random.Random(seed))
 
-    samples = [PathSample(paths=paths, relation=target_rel,
-                          label=int(index < len(ground_truth)))
-               for index, paths in enumerate(_map_pairs(sampler, len(pairs), pair))]
+    samples: list = [None] * len(pairs)
+    for index, paths in _imap_pairs(sampler, len(pairs), pair, max(1, len(pairs))):
+        samples[index] = PathSample(paths=paths, relation=target_rel,
+                                    label=int(index < len(ground_truth)))
     return samples[:len(ground_truth)], samples[len(ground_truth):]
 
 

@@ -74,6 +74,8 @@ class ModelConfig:
                      "hidden_dim", "layers", "fusion_dim", "batch_size", "epochs"):
             if getattr(self, name) < 1:
                 raise ModelError(f"{name} must be >= 1")
+        if not 0.0 <= self.learning_rate < math.inf:
+            raise ModelError("learning_rate must be finite and >= 0")
 
 
 class Parameters:
@@ -444,8 +446,9 @@ class TrainResult:
 def epoch_orders(count: int, seed: int) -> Iterator[list[int]]:
     """The order in which ``train`` reads its ``count`` samples, epoch after
     epoch: epoch e shuffles epoch e - 1's order (``range(count)`` before epoch
-    0) with the rng seeded ``f"{seed}:epoch:{e}"``.  The pipeline's walker
-    reads the first epoch's order too, to walk the pairs in it."""
+    0) with the rng seeded ``f"{seed}:epoch:{e}"``.  The pipeline's
+    sample-paths walks the training pairs in the first epoch's order
+    (``cli.Pipeline._sample``)."""
     indices = list(range(count))
     for epoch in itertools.count():
         random.Random(f"{seed}:epoch:{epoch}").shuffle(indices)
@@ -459,9 +462,7 @@ def train(params: Parameters, samples: Sequence[PathSample],
     Samples are read in batches in ``epoch_orders``' order, one
     ``samples[i]`` at a time, and gradients are averaged per batch.  Only
     ``len`` and indexing are used, so ``samples`` may be a sequence that
-    fills while training runs: in a pipeline run, this process trains while
-    a forked walker samples the paths, and reading a sample that has not
-    arrived yet waits for it (``cli.Pipeline.stage_sample_and_train``).
+    fills while training runs (``cli.Pipeline.stage_sample_and_train``).
     Raises ``RuntimeError``, naming the epoch and batch, on a NaN loss, on
     non-finite parameters, and on a float overflow or invalid operation
     anywhere in a batch's forward, backward or Adam step.

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import re
 import signal
@@ -275,6 +276,49 @@ class TestValidation:
         status, _ = run_pipeline(manifest, echo=logs.append)
         assert status == 1
         assert logs == ["validation error: out_dir must be str, got 5"]
+
+
+# ROADMAP item 7: every manifest that validate accepts must run.  Each field
+# of the tiny manifest at its edge must run to finite scores, and each just
+# past it must fail validation.  The strict xfails are known gaps that
+# validate accepts and that fail a stage instead (exit 2).
+ITEM_7_GAP = "ROADMAP item 7: validate accepts it, and a stage fails with exit 2"
+
+
+def edge(accepted, marks=(), **fields):
+    return pytest.param(fields, accepted, marks=marks,
+                        id=",".join(f"{name}={value!r}" for name, value in fields.items()))
+
+
+@pytest.mark.parametrize("fields, accepted", [
+    edge(True, k_negatives=0), edge(False, k_negatives=-1),
+    edge(True, max_length=1), edge(False, max_length=0),
+    edge(True, num_paths=1), edge(False, num_paths=0),
+    edge(True, batch_size=1), edge(False, batch_size=0),
+    edge(True, learning_rate=0), edge(False, learning_rate=-5e-324),
+    edge(True, rows_per_table=2), edge(False, rows_per_table=1),
+    edge(True, restart_prob=1), edge(False, restart_prob=math.nextafter(1.0, 2.0)),
+    edge(True, walk_budget=1), edge(False, walk_budget=0),
+    edge(True, scenarios_per_task=2, train_scenarios=1),
+    edge(False, scenarios_per_task=2, train_scenarios=2),
+    edge(False, scenarios_per_task=2, train_scenarios=0),
+    # more negatives than the test graph has unlinked row pairs
+    edge(True, pytest.mark.xfail(strict=True, reason=ITEM_7_GAP), eval_negatives=10 ** 6),
+    # the first Adam step overflows the next batch
+    edge(True, pytest.mark.xfail(strict=True, reason=ITEM_7_GAP), learning_rate=1e300),
+])
+def test_manifest_at_and_past_each_edge(tmp_path, fields, accepted):
+    logs = []
+    status, results = run_pipeline(tiny_manifest(tmp_path, **fields), echo=logs.append)
+    if not accepted:
+        assert status == 1 and logs[-1].startswith("validation error: "), logs
+        return
+    assert status == 0, logs[-1:]
+    rows = read_results(results)
+    assert rows and all(math.isfinite(value) for row in rows for value in row.metrics())
+    scores = (tmp_path / "selection-projection" / "rddl" / "eval" / "scores.tsv")
+    assert all(math.isfinite(float(line.split("\t")[1]))
+               for line in scores.read_text().splitlines()[1:])
 
 
 class TestPipeline:
@@ -760,6 +804,39 @@ def no_fork():
     raise OSError("fork failed")
 
 
+def note(record, *words):
+    with record.open("a") as fh:
+        fh.write(" ".join(map(str, words)) + "\n")
+
+
+def record_walks(record, monkeypatch):
+    """Notes each training pair walked in ``record``: "walk", the walking
+    process's pid, its parent's pid, the pair index and its niceness."""
+    walk = paths.TrainingPairs.walk
+
+    def recording(pairs, index):
+        note(record, "walk", os.getpid(), os.getppid(), index, os.nice(0))
+        return walk(pairs, index)
+
+    record.write_text("")
+    monkeypatch.setattr(paths.TrainingPairs, "walk", recording)
+
+
+def walks_by_process(record):
+    """The training pairs walked per ``record_walks``, by pid: the parent
+    pids, the pair indices in the order walked and the nicenesses."""
+    by_pid = {}
+    for line in record.read_text().splitlines():
+        kind, *words = line.split()
+        if kind == "walk":
+            pid, ppid, index, niceness = words
+            parents, indices, nicenesses = by_pid.setdefault(pid, (set(), [], set()))
+            parents.add(ppid)
+            indices.append(int(index))
+            nicenesses.add(niceness)
+    return by_pid
+
+
 def serial_run(out, monkeypatch, **overrides):
     """A run of tiny_manifest in this process alone, as where nothing can be
     forked: the stages of a cell one after the other.  Status and log."""
@@ -808,22 +885,16 @@ class TestSampleAndTrainTogether:
     def test_walker_walks_each_share_in_first_epoch_order_at_low_priority(
             self, tmp_path, monkeypatch):
         record = tmp_path / "record"
-        record.write_text("")
-        walk, walk_in_order = paths.TrainingPairs.walk, paths.TrainingPairs.walk_in_order
-        caller = os.getpid()
+        record_walks(record, monkeypatch)
+        receive, caller = parallel.Forked.receive, os.getpid()
 
-        def note(*words):
-            with record.open("a") as fh:
-                fh.write(" ".join(map(str, words)) + "\n")
-
-        def recording_walk(pairs, index):
-            note("walk", os.getpid(), index)
-            return walk(pairs, index)
-
-        def recording_order(pairs, order):
-            for index, walked in walk_in_order(pairs, order):
-                note("sent", os.getpid(), index, os.nice(0))
-                yield index, walked
+        def noting(walker, block=True):  # the records the trainer takes in
+            objects = receive(walker, block)
+            if os.getpid() == caller:
+                for obj in objects:
+                    if isinstance(obj[0], int):
+                        note(record, "received", obj[0])
+            return objects
 
         save_checkpoint, saved = siamese.save_checkpoint, []
 
@@ -833,29 +904,26 @@ class TestSampleAndTrainTogether:
                           (cell / ".stage_sample-paths.ok").is_file()))
             save_checkpoint(params, path)
 
-        monkeypatch.setattr(paths.TrainingPairs, "walk", recording_walk)
-        monkeypatch.setattr(paths.TrainingPairs, "walk_in_order", recording_order)
+        monkeypatch.setattr(parallel.Forked, "receive", noting)
         monkeypatch.setattr(siamese, "save_checkpoint", checking)
         manifest = tiny_manifest(tmp_path / "out", k_negatives=2)
         status, _ = run_pipeline(manifest, echo=lambda *_: None)
         assert status == 0
         lines = [line.split() for line in record.read_text().splitlines()]
-        sent = [line[1:] for line in lines if line[0] == "sent"]
-        walked = [line[1:] for line in lines if line[0] == "walk"]
-        pairs = len(sent)
+        received = [int(line[1]) for line in lines if line[0] == "received"]
+        pairs = len(received)
         first_epoch = next(siamese.epoch_orders(3 * pairs, manifest.seed))
         order = list(dict.fromkeys(i // 3 for i in first_epoch))
-        assert sorted(int(index) for _, index, *_ in sent) == list(range(pairs))
-        walker = {pid for pid, *_ in sent}
-        assert len(walker) == 1 and walker != {str(caller)}
-        assert {niceness for *_, niceness in sent} == {"19"}
+        assert sorted(received) == list(range(pairs))
         # the walker and its child each walk every other pair of the order,
-        # in order; the trainer walks none
-        by_pid = {}
-        for pid, index in walked:
-            by_pid.setdefault(pid, []).append(int(index))
-        assert by_pid.pop(walker.pop()) == order[0::2]
-        assert list(by_pid.values()) == [order[1::2]]
+        # in order, at nice 19, and the trainer takes in each one's pairs in
+        # that order; the trainer walks none
+        walks = walks_by_process(record)
+        walker = next(pid for pid, (parents, *_) in walks.items() if parents == {str(caller)})
+        assert walks.pop(walker) == ({str(caller)}, order[0::2], {"19"})
+        assert list(walks.values()) == [({walker}, order[1::2], {"19"})]
+        for share in (order[0::2], order[1::2]):
+            assert [index for index in received if index in set(share)] == share
         assert os.nice(0) < 19  # the trainer's priority is its own
         # the walker had written every sample file and its sidecar
         assert saved == [(["eval_neg.txt", "eval_pos.txt", "train.txt", "vocab.txt",
@@ -863,6 +931,22 @@ class TestSampleAndTrainTogether:
         sidecar = json.loads((tmp_path / "out" / CELL / ".stage_sample-paths.ok")
                              .read_text())
         assert sidecar["processes"] == 2
+        assert_no_child_left()
+
+    def test_sample_paths_alone_walks_each_share_in_first_epoch_order(
+            self, tmp_path, monkeypatch):
+        record = tmp_path / "record"
+        record_walks(record, monkeypatch)
+        manifest = tiny_manifest(tmp_path / "out", k_negatives=2)
+        for stage in ("gen-scenarios", "build-kg", "sample-paths"):
+            assert run_pipeline(manifest, echo=lambda *_: None, only_stage=stage)[0] == 0
+        walks = walks_by_process(record)
+        pairs = sum(len(indices) for _, indices, _ in walks.values())
+        first_epoch = next(siamese.epoch_orders(3 * pairs, manifest.seed))
+        order = list(dict.fromkeys(i // 3 for i in first_epoch))
+        here, niceness = str(os.getpid()), {str(os.nice(0))}
+        assert walks.pop(here)[1:] == (order[0::2], niceness)
+        assert list(walks.values()) == [({here}, order[1::2], niceness)]
         assert_no_child_left()
 
     def test_cell_runs_its_stages_one_by_one_where_nothing_forks(

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from lineagekg import parallel
 from lineagekg.convert import split_train_test
 from lineagekg.kgstore import RDF_TYPE, KnowledgeGraph, Literal, UnknownNodeError
 from lineagekg.paths import (
@@ -20,6 +21,7 @@ from lineagekg.paths import (
     draw_negatives,
     load_samples,
     node_to_node_triples,
+    pair_samples,
     row_nodes,
     save_samples,
 )
@@ -64,6 +66,12 @@ def chain_graph():
     g.add_triple(src, hcv, x)
     g.add_triple(x, btc, c)
     return g, src, c, island
+
+
+def training_set(sampler, k_negatives=1):
+    """build_training_set over the sampler's pairs, walked in pair order."""
+    pairs = TrainingPairs(sampler, k_negatives)
+    return build_training_set(pairs, range(len(pairs) * pairs.per_pair))
 
 
 @pytest.fixture(scope="module")
@@ -347,12 +355,12 @@ class TestTrainingSet:
         g, src, dst, island = chain_graph()
         g.add_triple(island, g.relation_id("hasCellValue"), src)
         cfg = SamplerConfig(num_paths=2, max_length=4, walk_budget=4, seed=0)
-        samples = list(build_training_set(PathSampler(g, cfg), k_negatives=1))
+        samples = training_set(PathSampler(g, cfg), k_negatives=1)
         assert len(samples) == 2 * len(node_to_node_triples(g))
 
     def test_negative_relation_differs(self, converted):
         cfg = SamplerConfig(num_paths=3, max_length=6, walk_budget=4, seed=1)
-        stream = build_training_set(PathSampler(converted.train, cfg), k_negatives=2)
+        stream = iter(training_set(PathSampler(converted.train, cfg), k_negatives=2))
         for _ in range(60):
             positive = next(stream)
             assert positive.label == 1
@@ -366,7 +374,7 @@ class TestTrainingSet:
         g = converted.train
         cfg = SamplerConfig(num_paths=3, max_length=6, walk_budget=8, seed=2)
         vocab = EdgeVocabulary(g.relation_names())
-        stream = build_training_set(PathSampler(g, cfg))
+        stream = training_set(PathSampler(g, cfg))
         for sample in list(stream)[:400]:
             if sample.label != 1:
                 continue
@@ -376,8 +384,8 @@ class TestTrainingSet:
 
     def test_deterministic_stream(self, converted):
         cfg = SamplerConfig(num_paths=3, max_length=6, walk_budget=6, seed=3)
-        a = list(build_training_set(PathSampler(converted.train, cfg)))
-        b = list(build_training_set(PathSampler(converted.train, cfg)))
+        a = training_set(PathSampler(converted.train, cfg))
+        b = training_set(PathSampler(converted.train, cfg))
         assert a == b
 
 
@@ -514,7 +522,7 @@ class TestProcesses:
         use_cpus(monkeypatch, cpus)
         cfg = SamplerConfig(num_paths=3, max_length=6, walk_budget=3, seed=6)
         train_sampler = PathSampler(converted.train, cfg)
-        train = list(build_training_set(train_sampler, k_negatives=2))
+        train = training_set(train_sampler, k_negatives=2)
         eval_sampler = PathSampler(converted.test, cfg)
         pos, neg = eval_set(eval_sampler, converted.ground_truth, num_negatives=40)
         return {"train": train, "train_tried": train_sampler.walks_tried,
@@ -546,30 +554,50 @@ class TestProcesses:
         assert forked["eval_tried"][:len(loop.walks_tried)] == loop.walks_tried
         assert forked["eval_reached"][:len(loop.walks_reached)] == loop.walks_reached
 
-    def test_walk_in_order_yields_each_pair_as_walk_would(self, converted, monkeypatch):
+    def test_training_set_walks_each_pair_once_in_first_read_order(
+            self, converted, monkeypatch):
         cfg = SamplerConfig(num_paths=3, max_length=6, walk_budget=3, seed=6)
-        runs = []
+        count = len(node_to_node_triples(converted.train))
+        sample_order = list(range(3 * count))
+        random.Random(1).shuffle(sample_order)
+        order = list(dict.fromkeys(i // 3 for i in sample_order))
+        batches = []
+        fork_imap = parallel.fork_imap
+
+        def recording(count, fn, batch):
+            batches.append(batch)
+            return fork_imap(count, fn, batch)
+
+        monkeypatch.setattr("lineagekg.paths.fork_imap", recording)
+        runs = {}
         for cpus in (1, 3):
             use_cpus(monkeypatch, cpus)
-            sampler = PathSampler(converted.train, cfg)
-            pairs = TrainingPairs(sampler, k_negatives=2)
-            order = list(range(len(pairs)))
-            random.Random(1).shuffle(order)
-            runs.append((list(pairs.walk_in_order(order)), sampler.walk_stats(),
-                         sampler.processes))
-        assert [index for index, _ in runs[0][0]] == order
-        assert sorted(runs[0][0]) == sorted(runs[1][0])
-        assert runs[0][1] == runs[1][1]
-        assert (runs[0][2], runs[1][2]) == (1, 3)
-        # each process walked its share in order
-        yielded = [index for index, _ in runs[1][0]]
-        for share in range(3):
-            mine = set(order[share::3])
-            assert [index for index in yielded if index in mine] == order[share::3]
+            for sending in (False, True):
+                sampler = PathSampler(converted.train, cfg)
+                sent = []
+                samples = build_training_set(TrainingPairs(sampler, k_negatives=2),
+                                             sample_order, sent.append if sending else None)
+                runs[cpus, sending] = samples, sampler.walk_stats(), sampler.processes, sent
+        # children send each pair at once only when there is a send
+        assert batches == [count, 1, count, 1]
         sampler = PathSampler(converted.train, cfg)
         pairs = TrainingPairs(sampler, k_negatives=2)
-        assert [(index, pairs.walk(index)) for index in order] == runs[0][0]
-        assert sampler.walk_stats() == runs[0][1]
+        records = [(index, *pairs.walk(index)) for index in range(count)]
+        expected = [sample for _, *record in records for sample in pair_samples(*record)]
+        assert training_set(PathSampler(converted.train, cfg), k_negatives=2) == expected
+        for (cpus, sending), (samples, stats, processes, sent) in runs.items():
+            assert samples == expected  # in pair order, whatever the walk order
+            assert stats == sampler.walk_stats()
+            assert processes == cpus
+            if not sending:
+                assert sent == []
+                continue
+            assert sorted(sent) == records  # every pair once, as walk gives it
+            # each process walked its share of the order in order
+            indices = [index for index, *_ in sent]
+            for share in range(cpus):
+                mine = set(order[share::cpus])
+                assert [index for index in indices if index in mine] == order[share::cpus]
         assert_no_child_left()
 
     def test_fork_missing_or_failing_runs_every_share_here(
@@ -591,7 +619,7 @@ class TestProcesses:
         for cpus in (1, 8):
             use_cpus(monkeypatch, cpus)
             sampler = PathSampler(g, cfg)
-            runs.append((list(build_training_set(sampler)), sampler.walk_stats(),
+            runs.append((training_set(sampler), sampler.walk_stats(),
                          sampler.processes))
         assert runs[0][2] == 1 and runs[1][2] == 2  # one process per pair
         assert runs[0][:2] == runs[1][:2]
@@ -604,7 +632,7 @@ class TestProcesses:
         g.add_relation("hasCellValue")
         g.add_triple(g.add_node("t:a"), rel, Literal("v", "string"))
         sampler = PathSampler(g, SamplerConfig(seed=0))
-        assert list(build_training_set(sampler)) == []
+        assert training_set(sampler) == []
         assert sampler.walk_stats()["pairs"] == 0
 
     def test_child_exception_reraised(self, converted, monkeypatch):
@@ -613,19 +641,21 @@ class TestProcesses:
         fail_at(monkeypatch, {triples[4]: PathError("walk failed at pair 4")})
         cfg = SamplerConfig(num_paths=1, max_length=4, walk_budget=1, seed=0)
         with pytest.raises(PathError, match="^walk failed at pair 4$"):
-            list(build_training_set(PathSampler(converted.train, cfg)))
+            training_set(PathSampler(converted.train, cfg))
         assert_no_child_left()
 
-    def test_first_failing_pair_in_pair_order_is_raised(self, converted, monkeypatch):
-        # pair 2 fails in share 2 and pair 3 in this process's share 0: a
-        # serial loop meets pair 2 first
+    def test_first_failing_pair_in_walk_order_is_raised(self, converted, monkeypatch):
+        # walked last pair first, pair n - 3 fails in share 2 and pair n - 4
+        # in this process's share 0: a serial loop in walk order meets pair
+        # n - 3 first, though pair order puts it later
         triples = node_to_node_triples(converted.train)
         use_cpus(monkeypatch, 3)
-        fail_at(monkeypatch, {triples[2]: PathError("first"),
-                              triples[3]: KeyError("later")})
+        fail_at(monkeypatch, {triples[-3]: PathError("first"),
+                              triples[-4]: KeyError("later")})
         cfg = SamplerConfig(num_paths=1, max_length=4, walk_budget=1, seed=0)
+        pairs = TrainingPairs(PathSampler(converted.train, cfg))
         with pytest.raises(PathError, match="^first$"):
-            list(build_training_set(PathSampler(converted.train, cfg)))
+            build_training_set(pairs, range(2 * len(pairs) - 1, -1, -1))
         assert_no_child_left()
 
     def test_unknown_ground_truth_node_reraised(self, converted, monkeypatch):
@@ -645,7 +675,7 @@ class TestProcesses:
         fail_at(monkeypatch, {triples[1]: 3})
         cfg = SamplerConfig(num_paths=1, max_length=4, walk_budget=1, seed=0)
         with pytest.raises(PathError, match="exited with code 3"):
-            list(build_training_set(PathSampler(converted.train, cfg)))
+            training_set(PathSampler(converted.train, cfg))
         assert_no_child_left()
 
 
@@ -658,7 +688,7 @@ class TestInductiveness:
         g = converted.train
         vocab = EdgeVocabulary(g.relation_names())
         cfg = SamplerConfig(num_paths=3, max_length=6, walk_budget=4, seed=0)
-        for sample in list(build_training_set(PathSampler(g, cfg)))[:200]:
+        for sample in training_set(PathSampler(g, cfg))[:200]:
             for path in sample.paths:
                 assert len(path) == cfg.max_length
                 assert all(0 <= t < vocab.size for t in path)

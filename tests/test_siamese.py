@@ -746,6 +746,16 @@ class TestCheckpoint:
         with pytest.raises(ModelError, match=f"bad checkpoint config: {field}"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("value", [-1e-3, float("nan"), float("inf")])
+    def test_config_learning_rate_must_be_finite_and_non_negative(self, tmp_path, value):
+        path = tmp_path / "model.bin"
+        save_checkpoint(init_parameters(tiny_config(seed=8)), path)
+        magic, header, rest = path.read_bytes().split(b"\n", 2)
+        config = json.dumps({**json.loads(header), "learning_rate": value}).encode()
+        path.write_bytes(b"\n".join([magic, config, rest]))
+        with pytest.raises(ModelError, match="^learning_rate must be finite and >= 0$"):
+            load_checkpoint(path)
+
     def test_integer_learning_rate_loads(self, tmp_path):
         params = init_parameters(tiny_config(seed=8, learning_rate=0))
         path = tmp_path / "model.bin"
