@@ -1,14 +1,20 @@
 """Pipeline orchestrator: gen-scenarios -> build-kg (graphs with lineage
 resolved) -> sample-paths -> train -> evaluate -> report.
 
-Every stage writes its artifacts plus a checksum sidecar and is skipped on
-re-runs while its recorded inputs and outputs are unchanged; once any stage
-actually runs, every downstream stage runs too.  The sidecar also records the
-stage's wall seconds and what it counted: build-kg its graphs' triples and the
-lineage edges resolution added per family, sample-paths the processes it
-sampled in, train its samples, per-epoch losses, and the path rows of its
-batches next to the distinct rows the LSTM ran and their non-PAD positions.
-No skip decision and no artifact reads these.
+Each stage owns one directory, named in ``STAGE_DIRS``: ``<task>/scenarios``
+for gen-scenarios, ``<task>/<profile>/<name>`` for a cell's stages.  The
+directory is made before the stage runs, and never cleared.  A stage's
+outputs are every file under its directory; report's alone are
+``results.tsv`` and ``report.txt`` in the run's root.  A sidecar beside the
+directory records the stage's config digest and each output's sha256, and a
+rerun skips the stage while both are unchanged.  So a file added to or
+removed from a stage's directory, even a stray one, reruns that stage; once
+any stage actually runs, every downstream stage runs too.  The sidecar also
+records the stage's wall seconds and what it counted: build-kg its graphs'
+triples and the lineage edges resolution added per family, sample-paths the
+processes it sampled in, train its samples, per-epoch losses, and the path
+rows of its batches next to the distinct rows the LSTM ran and their non-PAD
+positions.  No skip decision and no artifact reads these.
 
 Skip decisions are taken up front, in serial order.  The (task, profile)
 cells then run through ``parallel.fork_map``, one worker per usable CPU, after
@@ -74,7 +80,10 @@ from .kgstore import KnowledgeGraph, parse_ntriples, serialize_ntriples
 from .ontology import export_profile, vocabulary
 from .reldb import northwind_fixture
 
-STAGES = ("gen-scenarios", "build-kg", "sample-paths", "train", "evaluate", "report")
+# each stage's directory, in its cell (gen-scenarios: in its task), in order
+STAGE_DIRS = {"gen-scenarios": "scenarios", "build-kg": "kg", "sample-paths": "samples",
+              "train": "model", "evaluate": "eval", "report": ""}
+STAGES = tuple(STAGE_DIRS)
 # the stages of one (task, profile) cell, in order, and their methods
 CELL_STAGES = {"build-kg": "stage_build_kg", "sample-paths": "stage_sample",
                "train": "stage_train", "evaluate": "stage_evaluate"}
@@ -226,10 +235,11 @@ class Pipeline:
 
     # -- stage bookkeeping ----------------------------------------------------
 
-    def _ok_path(self, stage: str, task: str = "", profile: str = "") -> Path:
-        parts = [p for p in (task, profile) if p]
-        root = self.out.joinpath(*parts) if parts else self.out
-        return root / f".stage_{stage}.ok"
+    def stage_dir(self, stage: str, task: str, profile: str = "") -> Path:
+        return self.out.joinpath(task, profile, STAGE_DIRS[stage])
+
+    def _ok_path(self, stage: str, task: str, profile: str) -> Path:
+        return self.out.joinpath(task, profile, f".stage_{stage}.ok")
 
     def _config_digest(self, stage: str, task: str, profile: str) -> str:
         payload = json.dumps(
@@ -239,24 +249,15 @@ class Pipeline:
         )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
-    def _outputs(self, stage: str, task: str, profile: str) -> list[Path]:
-        if stage == "gen-scenarios":
-            target = self.scenarios_dir(task)
-            return [target / "manifest.tsv"] + scenario.lineage_files(
-                target, scenario.task_by_name(task), self.m.scenarios_per_task)
+    def _outputs(self, stage: str, task: str, profile: str) -> dict[str, str]:
+        """{path relative to the run's root: sha256} of every file in the
+        stage's directory; report's are its two files in the root."""
         if stage == "report":
-            return [self.out / "results.tsv", self.out / "report.txt"]
-        root, names = {
-            "build-kg": (self.kg_dir, ("train.nt", "test.nt", "ground_truth.csv",
-                                       "counts_train.txt", "counts_test.txt",
-                                       "resolve_counts.txt", "schema.nt")),
-            "sample-paths": (self.samples_dir, ("train.txt", "eval_pos.txt",
-                                                "eval_neg.txt", "vocab.txt",
-                                                "walk_stats.txt")),
-            "train": (self.model_dir, ("checkpoint.bin", "losses.txt")),
-            "evaluate": (self.eval_dir, ("scores.tsv", "result.tsv")),
-        }[stage]
-        return [root(task, profile) / name for name in names]
+            files = [self.out / "results.tsv", self.out / "report.txt"]
+        else:
+            files = self.stage_dir(stage, task, profile).rglob("*")
+        return {str(p.relative_to(self.out)): _sha256(p)
+                for p in sorted(files) if p.is_file()}
 
     def _should_skip(self, stage: str, task: str, profile: str) -> bool:
         ok_path = self._ok_path(stage, task, profile)
@@ -267,36 +268,24 @@ class Pipeline:
         except (json.JSONDecodeError, UnicodeDecodeError):
             return False
         # a sidecar that is not the object _mark_done writes counts as absent
-        if (not isinstance(record, dict)
-                or record.get("config") != self._config_digest(stage, task, profile)):
-            return False
-        recorded = record.get("outputs")
-        if not isinstance(recorded, dict):
-            return False
-        for output in self._outputs(stage, task, profile):
-            if not output.is_file():
-                return False
-            if recorded.get(str(output.relative_to(self.out))) != _sha256(output):
-                return False
-        return True
+        return (isinstance(record, dict)
+                and record.get("config") == self._config_digest(stage, task, profile)
+                and record.get("outputs") == self._outputs(stage, task, profile))
 
     def _mark_done(self, stage: str, task: str, profile: str,
                    telemetry: dict) -> None:
         record = {
             "config": self._config_digest(stage, task, profile),
-            "outputs": {
-                str(p.relative_to(self.out)): _sha256(p)
-                for p in self._outputs(stage, task, profile)
-            },
+            "outputs": self._outputs(stage, task, profile),
             **telemetry,
         }
-        ok_path = self._ok_path(stage, task, profile)
-        ok_path.parent.mkdir(parents=True, exist_ok=True)
-        ok_path.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
+        self._ok_path(stage, task, profile).write_text(
+            json.dumps(record, indent=2) + "\n", encoding="utf-8")
 
     def _run_stage(self, stage: str, task: str, profile: str, fn,
                    start: Optional[float] = None) -> None:
-        """Runs ``fn`` as the stage, timed from ``start`` (default: now)."""
+        """Runs ``fn`` as the stage, timed from ``start`` (default: now), once
+        the stage's directory exists."""
         label = _label(stage, task, profile)
         if (stage, task, profile) in self.skipped:
             self.echo(f"[skip] {label}")
@@ -304,29 +293,17 @@ class Pipeline:
         self.echo(f"[run ] {label}")
         if start is None:
             start = time.perf_counter()
+        self.stage_dir(stage, task, profile).mkdir(parents=True, exist_ok=True)
         try:
             telemetry = fn() or {}
+        except ManifestError:  # the manifest's fault, not the stage's: exit 1
+            raise
         except Exception as exc:
             raise StageError(label, exc) from exc
         telemetry["seconds"] = round(time.perf_counter() - start, 3)
         self._mark_done(stage, task, profile, telemetry)
 
     # -- stages -----------------------------------------------------------------
-
-    def scenarios_dir(self, task: str) -> Path:
-        return self.out / task / "scenarios"
-
-    def kg_dir(self, task: str, profile: str) -> Path:
-        return self.out / task / profile / "kg"
-
-    def samples_dir(self, task: str, profile: str) -> Path:
-        return self.out / task / profile / "samples"
-
-    def model_dir(self, task: str, profile: str) -> Path:
-        return self.out / task / profile / "model"
-
-    def eval_dir(self, task: str, profile: str) -> Path:
-        return self.out / task / profile / "eval"
 
     def _database(self):
         return northwind_fixture(self.m.rows_per_table, self.m.seed)
@@ -340,16 +317,16 @@ class Pipeline:
                 scenario.generate_scenario(db, kind, self.m.seed, idx)
                 for idx in range(self.m.scenarios_per_task)
             ]
-            scenario.save_suite(suite, self.scenarios_dir(task))
+            scenario.save_suite(suite, self.stage_dir("gen-scenarios", task))
 
         self._run_stage("gen-scenarios", task, "", build)
 
     def stage_build_kg(self, task: str, profile: str) -> None:
-        kg = self.kg_dir(task, profile)
+        kg = self.stage_dir("build-kg", task, profile)
 
         def build():
-            kg.mkdir(parents=True, exist_ok=True)
-            suite = scenario.load_suite(self.scenarios_dir(task), db=self._database())
+            suite = scenario.load_suite(self.stage_dir("gen-scenarios", task),
+                                        db=self._database())
             split = convert.split_train_test(
                 suite, task, profile, self.m.train_scenarios)
             (kg / "train.nt").write_text(serialize_ntriples(split.train), encoding="utf-8")
@@ -374,18 +351,20 @@ class Pipeline:
         the first epoch reads them (``paths.build_training_set``); ``send``,
         if given, gets a header, (relation names, pair count), and then each
         pair as it is walked (``stage_sample_and_train``)."""
-        kg = self.kg_dir(task, profile)
-        out = self.samples_dir(task, profile)
-        out.mkdir(parents=True, exist_ok=True)
+        kg = self.stage_dir("build-kg", task, profile)
+        out = self.stage_dir("sample-paths", task, profile)
         cfg = self.m.sampler_config()
         train_g = _parse_graph(kg / "train.nt", profile).freeze()
         test_g = _parse_graph(kg / "test.nt", profile).freeze()
         if train_g.relation_names() != test_g.relation_names():
-            raise ManifestError("train/test relation registries differ")
+            raise ValueError("train/test relation registries differ")
         # drawn before the train-set walks, so that too many negatives fail fast
         ground_truth = convert.read_ground_truth(kg / "ground_truth.csv", test_g)
-        negatives = paths.draw_negatives(
-            test_g, ground_truth, self.m.eval_negatives, cfg.seed)
+        try:
+            negatives = paths.draw_negatives(
+                test_g, ground_truth, self.m.eval_negatives, cfg.seed)
+        except paths.PathError as exc:  # a count that only the data can bound
+            raise ManifestError(f"eval_negatives: {exc}") from exc
         sampler = paths.PathSampler(train_g, cfg)
         pairs = paths.TrainingPairs(sampler, self.m.k_negatives)
         if send is not None:
@@ -421,8 +400,7 @@ class Pipeline:
 
     def _save_model(self, task: str, profile: str, samples, params: siamese.Parameters,
                     result: siamese.TrainResult) -> dict:
-        out = self.model_dir(task, profile)
-        out.mkdir(parents=True, exist_ok=True)
+        out = self.stage_dir("train", task, profile)
         siamese.save_checkpoint(params, out / "checkpoint.bin")
         lines = [f"epoch {i} mean_loss {loss!r}"
                  for i, loss in enumerate(result.epoch_losses)]
@@ -434,7 +412,7 @@ class Pipeline:
                 "lstm_positions": result.lstm_positions}
 
     def stage_train(self, task: str, profile: str) -> None:
-        samples_dir = self.samples_dir(task, profile)
+        samples_dir = self.stage_dir("sample-paths", task, profile)
 
         def build():
             vocab = paths.EdgeVocabulary.load(samples_dir / "vocab.txt")
@@ -448,13 +426,16 @@ class Pipeline:
         """The walker of ``stage_sample_and_train``, in its forked process:
         at the lowest priority, so that it runs on the CPU time the trainer
         leaves, runs sample-paths, streaming the training set to ``send``,
-        and sends the stage's failure message, a str, last if it fails."""
+        and sends last, if it fails, the stage's failure message, a str, or
+        the ``ManifestError`` itself."""
         os.nice(19)
         try:
             self._run_stage("sample-paths", task, profile,
                             lambda: self._sample(task, profile, send))
         except StageError as exc:
             send(str(exc.cause))
+        except ManifestError as exc:
+            send(exc)
 
     def stage_sample_and_train(self, task: str, profile: str) -> None:
         """sample-paths in a forked walker (``_walk``) and train here, at once,
@@ -477,6 +458,8 @@ class Pipeline:
             except Exception as exc:  # raised below, unless the walker failed
                 model = exc
             failure = stream.finish()
+        if isinstance(failure, ManifestError):
+            raise failure
         if failure is not None:
             raise StageError(_label("sample-paths", task, profile), failure)
 
@@ -488,13 +471,12 @@ class Pipeline:
         self._run_stage("train", task, profile, build, start)
 
     def stage_evaluate(self, task: str, profile: str) -> None:
-        out = self.eval_dir(task, profile)
-        samples_dir = self.samples_dir(task, profile)
+        out = self.stage_dir("evaluate", task, profile)
+        samples_dir = self.stage_dir("sample-paths", task, profile)
 
         def build():
-            out.mkdir(parents=True, exist_ok=True)
             params = siamese.load_checkpoint(
-                self.model_dir(task, profile) / "checkpoint.bin")
+                self.stage_dir("train", task, profile) / "checkpoint.bin")
             pos = paths.load_samples(
                 samples_dir / "eval_pos.txt", self.m.num_paths, self.m.max_length)
             neg = paths.load_samples(
@@ -526,7 +508,7 @@ class Pipeline:
             for task in self.m.expanded_tasks():
                 for profile in self.m.profiles():
                     results.extend(metrics.read_results(
-                        self.eval_dir(task, profile) / "result.tsv"))
+                        self.stage_dir("evaluate", task, profile) / "result.tsv"))
             metrics.write_results(self.out / "results.tsv", results)
             if set(self.m.profiles()) == {"baseline", "rddl"}:
                 text = metrics.report(results)
@@ -631,11 +613,11 @@ class _TrainingStream:
     it, read by ``siamese.train`` like a list.
 
     The walker sends a header, (relation names, pair count), then one record
-    per pair (``Pipeline._sample``), and a failure message, a str, last if
-    its stage failed.  Reading a sample whose pair has not arrived blocks
-    until it has.  While pairs are missing, every read first takes in
-    whatever has arrived, so the walker, which may run ahead, never waits
-    long on a full pipe.
+    per pair (``Pipeline._sample``), and last, if its stage failed, a failure
+    message, a str, or a ``ManifestError``.  Reading a sample whose pair has
+    not arrived blocks until it has.  While pairs are missing, every read
+    first takes in whatever has arrived, so the walker, which may run ahead,
+    never waits long on a full pipe.
     """
 
     def __init__(self, walker: parallel.Forked, per_pair: int):
@@ -644,11 +626,11 @@ class _TrainingStream:
         self.header: Optional[tuple] = None
         self.samples: list = []
         self.missing = -1  # pairs not arrived yet; -1 until the header has
-        self.failure: Optional[str] = None
+        self.failure: Optional[str | ManifestError] = None
 
     def _take(self, block: bool) -> None:
         for obj in self.walker.receive(block):
-            if isinstance(obj, str):
+            if isinstance(obj, (str, ManifestError)):
                 self.failure = obj
             elif self.header is None:
                 self.header = obj
@@ -683,9 +665,9 @@ class _TrainingStream:
                 self._wait()
         return self.samples[index]
 
-    def finish(self) -> Optional[str]:
+    def finish(self) -> Optional[str | ManifestError]:
         """Takes in the rest of what the walker sends and reaps it: the
-        stage's failure message, or None."""
+        stage's failure, or None."""
         while not self.walker.closed:
             self._take(block=True)
         code = self.walker.wait()

@@ -476,7 +476,7 @@ def split_train_test(suite, task_name: str, profile: str,
     # the train graph is reported before resolution, the test graph after
     def build(group: Sequence[Scenario], suffix: str, materialize: Sequence[str],
               populate):
-        db, _ = execute_scenarios(suite.db, list(group))
+        db = execute_scenarios(suite.db, list(group))
         g = KnowledgeGraph()
         report = populate(g, db, profile, _executions_for(group), f"{profile}.{suffix}")
         tuples = [t for scenario in group for t in scenario.all_tuples()]

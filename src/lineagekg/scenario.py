@@ -555,13 +555,6 @@ def lineage_file(directory, view: str) -> Path:
     return Path(directory) / "lineage" / f"{view}.csv"
 
 
-def lineage_files(directory, task: TransformKind, count: int) -> list[Path]:
-    """The lineage CSVs ``save_suite`` writes for ``count`` scenarios of a task."""
-    return [lineage_file(directory, view_name(task, index, step))
-            for index in range(count)
-            for step in range(1, TRANSFORMATIONS_PER_SCENARIO + 1)]
-
-
 def generate_scenario(
     db: Database, task: TransformKind, seed: int, index: int
 ) -> Scenario:
@@ -603,17 +596,14 @@ def generate_scenario(
     return Scenario(scenario_id, task, tuple(specs), tuple(lineage))
 
 
-def execute_scenarios(db: Database, scenarios: list[Scenario]) -> tuple[Database, dict]:
-    """Re-execute scenarios on a copy of db; returns the augmented database and
-    captured lineage keyed by output name."""
+def execute_scenarios(db: Database, scenarios: list[Scenario]) -> Database:
+    """Re-execute scenarios on a copy of db; returns the augmented database."""
     working = db.copy()
-    lineage: dict[str, list[LineageTuple]] = {}
     for scenario in scenarios:
         for spec in scenario.transformations:
-            rel, tuples = execute_transformation(working, spec)
+            rel, _ = execute_transformation(working, spec)
             working.views[spec.output_name] = rel
-            lineage[spec.output_name] = tuples
-    return working, lineage
+    return working
 
 
 # -- suite serialization -----------------------------------------------------------

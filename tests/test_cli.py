@@ -11,6 +11,7 @@ import pytest
 from lineagekg import parallel, paths, siamese
 from lineagekg.cli import (
     PRESETS,
+    STAGE_DIRS,
     STAGES,
     ManifestError,
     RunManifest,
@@ -278,11 +279,12 @@ class TestValidation:
         assert logs == ["validation error: out_dir must be str, got 5"]
 
 
-# ROADMAP item 7: every manifest that validate accepts must run.  Each field
+# ROADMAP item 11: every manifest that validate accepts must run.  Each field
 # of the tiny manifest at its edge must run to finite scores, and each just
-# past it must fail validation.  The strict xfails are known gaps that
-# validate accepts and that fail a stage instead (exit 2).
-ITEM_7_GAP = "ROADMAP item 7: validate accepts it, and a stage fails with exit 2"
+# past it must fail validation, up front or, for a bound that only the data
+# sets, in the stage that meets it.  The strict xfail is a known gap that
+# validate accepts and that fails a stage instead (exit 2).
+ITEM_11_GAP = "ROADMAP item 11: validate accepts it, and a stage fails with exit 2"
 
 
 def edge(accepted, marks=(), **fields):
@@ -303,9 +305,9 @@ def edge(accepted, marks=(), **fields):
     edge(False, scenarios_per_task=2, train_scenarios=2),
     edge(False, scenarios_per_task=2, train_scenarios=0),
     # more negatives than the test graph has unlinked row pairs
-    edge(True, pytest.mark.xfail(strict=True, reason=ITEM_7_GAP), eval_negatives=10 ** 6),
+    edge(False, eval_negatives=10 ** 6),
     # the first Adam step overflows the next batch
-    edge(True, pytest.mark.xfail(strict=True, reason=ITEM_7_GAP), learning_rate=1e300),
+    edge(True, pytest.mark.xfail(strict=True, reason=ITEM_11_GAP), learning_rate=1e300),
 ])
 def test_manifest_at_and_past_each_edge(tmp_path, fields, accepted):
     logs = []
@@ -451,20 +453,36 @@ class TestPipeline:
         assert status == 0
         assert all(not line.startswith("[run ]") for line in logs if line.startswith("["))
 
-    def test_stage_isolation(self, completed_run):
+    @pytest.mark.parametrize("damage", ["missing", "stray"])
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_stage_isolation(self, completed_run, stage, damage):
+        # a stage's outputs are the files in its directory: one file fewer or
+        # one more reruns it and every later stage.  Report's outputs are its
+        # two files in the run's root, where a stray file reruns nothing
         manifest, out, _, _, _ = completed_run
-        (out / "selection-projection" / "rddl" / "model" / "checkpoint.bin").unlink()
-        logs = []
-        status, _ = run_pipeline(manifest, echo=logs.append)
-        assert status == 0
-        ran = [line.split("] ", 1)[1] for line in logs if line.startswith("[run ]")]
-        skipped = [line.split("] ", 1)[1] for line in logs if line.startswith("[skip]")]
-        assert any(label.startswith("train/") for label in ran)
-        assert any(label.startswith("evaluate/") for label in ran)  # downstream
-        assert any(label.startswith("report") for label in ran)
-        assert any(label.startswith("build-kg/") for label in skipped)  # upstream
+        task = "selection-projection"
+        parent = {"gen-scenarios": out / task, "report": out}.get(stage, out / task / "rddl")
+        directory = parent / STAGE_DIRS[stage]
+        if damage == "missing":
+            removed = (out / "report.txt" if stage == "report"
+                       else max(p for p in directory.rglob("*") if p.is_file()))
+            kept = removed.read_bytes()
+            removed.unlink()
+        else:
+            (directory / f"stray-{stage}.txt").write_text("stray\n")
+        labels = [label for label in BOTH_LABELS if "baseline" not in label]
+        first = len(STAGES) if (stage, damage) == ("report", "stray") else STAGES.index(stage)
+        assert run_pipeline_logs(manifest) == (0, [
+            f"[{'run ' if i >= first else 'skip'}] {label}"
+            for i, label in enumerate(labels)])
+        if damage == "missing":
+            assert removed.read_bytes() == kept
+        else:  # left in place, and now one of the stage's recorded outputs
+            assert (directory / f"stray-{stage}.txt").is_file()
+        assert run_pipeline_logs(manifest) == (0, [f"[skip] {label}" for label in labels])
 
-    def test_missing_lineage_file_reruns_gen_scenarios(self, tmp_path):
+    @pytest.mark.parametrize("damage", ["missing", "stray"])
+    def test_missing_lineage_file_reruns_gen_scenarios(self, tmp_path, damage):
         manifest = tiny_manifest(tmp_path)
         status, _ = run_pipeline(manifest, echo=lambda *_: None,
                                  only_stage="gen-scenarios")
@@ -473,7 +491,10 @@ class TestPipeline:
                           / "lineage").glob("*.csv"))
         assert len(lineage) == 3 * 4  # scenarios x transformations
         kept = lineage[-1].read_bytes()
-        lineage[-1].unlink()
+        if damage == "missing":
+            lineage[-1].unlink()
+        else:  # a file in a subdirectory of the stage's directory counts too
+            (lineage[-1].parent / "stray.csv").write_text("t1,c1,v1,t2,c2,v2\n")
         logs = []
         status, _ = run_pipeline(manifest, echo=logs.append,
                                  only_stage="gen-scenarios")
@@ -495,19 +516,26 @@ class TestPipeline:
         assert re.fullmatch(r"stage 'train/selection-projection/rddl' failed: floating-point"
                             r" error at epoch 0 batch [1-9]\d*: overflow .*", logs[-1])
 
-    def test_unsatisfiable_eval_negatives_fail_before_train_walks(self, tmp_path):
-        # the negatives are drawn before any train-set walk, so the stage
-        # fails without writing train.txt
-        logs = []
-        status, _ = run_pipeline(tiny_manifest(tmp_path, eval_negatives=10 ** 6),
-                                 echo=logs.append)
-        assert status == 2
-        assert logs[-2] == "[run ] sample-paths/selection-projection/rddl"
-        assert re.fullmatch(r"stage 'sample-paths/selection-projection/rddl' failed: only"
-                            r" \d+ distinct non-linked row pairs available, 1000000"
-                            r" negatives requested", logs[-1])
-        samples = tmp_path / "selection-projection" / "rddl" / "samples"
-        assert not (samples / "train.txt").exists()
+    def test_unsatisfiable_eval_negatives_fail_before_train_walks(self, tmp_path,
+                                                                  monkeypatch):
+        # only the test graph bounds eval_negatives, so sample-paths checks
+        # it, as a validation error, whether the cell's walker (two CPUs) or
+        # the cell's own process runs the stage; the negatives are drawn
+        # before any train-set walk, so the stage fails without writing
+        # train.txt
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        status, logs = run_pipeline_logs(tiny_manifest(tmp_path / "out",
+                                                       eval_negatives=10 ** 6))
+        assert (status, logs) == serial_run(tmp_path / "serial", monkeypatch,
+                                            eval_negatives=10 ** 6)
+        assert status == 1
+        assert len(logs) == 1 and re.fullmatch(
+            r"validation error: eval_negatives: only \d+ distinct non-linked row"
+            r" pairs available, 1000000 negatives requested", logs[0])
+        for run in ("out", "serial"):
+            samples = tmp_path / run / "selection-projection" / "rddl" / "samples"
+            assert not (samples / "train.txt").exists()
+        assert_no_child_left()
 
     @pytest.mark.parametrize("damage", [
         lambda record: b"[]",
@@ -969,12 +997,15 @@ class TestSampleAndTrainTogether:
             line for line in serial_log() if "baseline" not in line])
 
     def test_walker_that_fails(self, tmp_path, monkeypatch):
-        status, logs = run_pipeline_logs(tiny_manifest(tmp_path / "out",
-                                                       eval_negatives=10 ** 6))
-        assert (status, logs) == serial_run(tmp_path / "serial", monkeypatch,
-                                            eval_negatives=10 ** 6)
+        def failing(*args):
+            raise RuntimeError("no negatives today")
+
+        monkeypatch.setattr(paths, "draw_negatives", failing)
+        status, logs = run_pipeline_logs(tiny_manifest(tmp_path / "out"))
+        assert (status, logs) == serial_run(tmp_path / "serial", monkeypatch)
         assert status == 2
-        assert logs[-2] == f"[run ] sample-paths/{CELL}"
+        assert logs[-2:] == [f"[run ] sample-paths/{CELL}",
+                             f"stage 'sample-paths/{CELL}' failed: no negatives today"]
         cell = tmp_path / "out" / CELL
         assert not (cell / "samples" / "train.txt").exists()
         assert not (cell / "model").exists()

@@ -217,7 +217,7 @@ class TestGroundTruthShape:
     def row_sources(self, db, scenario):
         """Resolve every tuple by value lookup and group source rows per
         (output, output row)."""
-        working, _ = _executed(db, scenario)
+        working = _executed(db, scenario)
         grouped = {}
         for step_tuples in scenario.lineage:
             for t in step_tuples:
