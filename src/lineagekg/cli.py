@@ -12,55 +12,31 @@ removed from a stage's directory, even a stray one, reruns that stage; once
 any stage actually runs, every downstream stage runs too.  The sidecar also
 records the stage's wall seconds and what it counted: build-kg its graphs'
 triples and the lineage edges resolution added per family, sample-paths the
-processes it sampled in, train its samples, per-epoch losses, and the path
+processes it walked in, train its samples, per-epoch losses, and the path
 rows of its batches next to the distinct rows the LSTM ran and their non-PAD
 positions.  No skip decision and no artifact reads these.
 
 Skip decisions are taken up front, in serial order.  The (task, profile)
 cells then run through ``parallel.fork_map``, one worker per usable CPU, after
 gen-scenarios and before report, which run here.  Each worker pins itself to
-its share of the CPUs, so its path sampler, which forks per usable CPU, forks
-only when cells are fewer than CPUs, and processes never outnumber CPUs but
-for a training cell's walker, below.  A single cell runs here on every CPU.
-Workers send their log lines back, and the log is echoed in serial order once
-the cells are done.
+its share of the CPUs, so its sample-paths forks its pairs only when cells are
+fewer than CPUs.  A single cell runs here on every CPU.  Workers send their log
+lines back, and the log is echoed in serial order once the cells are done.
 
-The sample-paths stage walks the training set one way, however it runs
-(``paths.build_training_set``): each pair once, on every usable CPU, each
-process in the order in which the first epoch (``siamese.epoch_orders``)
-first reads one of its pairs' samples.  The walk order changes no artifact:
-every pair walks with its own rng, seeded by its index, the samples are
-written in pair order, and walk counts only enter sums.
-
-A cell that runs both sample-paths and train, on a share of two or more CPUs,
-runs them at once (``Pipeline.stage_sample_and_train``).  The cell's process
-trains; it forks a walker, which lowers its own priority to the lowest (nice
-19) and runs the whole sample-paths stage: its processes hand each training
-pair on as soon as it is walked, the walker sends it to the trainer, and it
-then writes every sample-paths artifact and walks the eval set as the stage
-run alone does.  So the walker's processes and the trainer outnumber the CPUs
-by one, but the walker only takes the CPU time the trainer leaves: while the
-trainer trains, it keeps a CPU to itself, and while it waits for a sample,
-the walks run on every CPU, as in a serial run.  Pinned to the CPUs but one
-instead, a walk-heavy cell on two CPUs took 1.02-1.58 times as long as one
-stage after the other, and niced 0.79-1.05 times (``BENCH_19.json``,
-``walk_heavy``).  The trainer waits only for a sample that has not arrived.
-Train writes its model and sidecar only once the walker has exited 0; a
-walker that fails or dies fails sample-paths, as in a serial run, and a
-failing trainer waits for the walker first.  In such a cell, sample-paths'
-``seconds`` is the walker's wall time and its ``processes`` the most
-processes one of its walk sets ran in (the walker and its children; the
-trainer is not counted); train's ``seconds`` runs from the walker's fork to
-train's sidecar, so it overlaps sample-paths' and includes the waits for
-samples and for the walker's exit.
-
-A cell whose sample-paths is skipped, a run of one stage, and a cell on one
-CPU run each stage on its own: train reads ``train.txt``, and sample-paths
-walks in the same order, its children sending their whole shares when done,
-as handing each pair on cost 4-6% more training-walk time on the
-desk-paths graph.  On one CPU the walker and the trainer would only take
-turns: the fixed desk workload, pinned to one vCPU of a 2-vCPU VM, took 55 s
-that way against 47 s one stage after the other.
+sample-paths walks each pair of its cell once (``paths.PairWalk``): the
+training pairs in the order in which the first epoch (``siamese.epoch_orders``)
+first reads one of each pair's samples, then the eval pairs.  On a share of two
+or more CPUs, forked children walk them at nice 19 and the cell's process walks
+none; run alone, sample-paths' children send their whole shares when done, as
+handing each pair on cost walk time on desk-paths.  The walk order changes no
+artifact (``paths`` module docstring).  There, a cell that runs both
+sample-paths and train runs them at once (``Pipeline.stage_sample_and_train``):
+its process fits the model on the training set as it fills, then writes the
+sample files; where no child can be forked, it walks the pairs between its
+batches.  A walk that fails fails sample-paths, and train writes nothing; a fit
+that fails fails train after sample-paths is done.  sample-paths' ``seconds``
+then includes the training, and train's only the model's writing.  On one CPU
+the stages run one after the other: interleaved, the walks ran slower.
 """
 
 from __future__ import annotations
@@ -235,7 +211,7 @@ class Pipeline:
 
     # -- stage bookkeeping ----------------------------------------------------
 
-    def stage_dir(self, stage: str, task: str, profile: str = "") -> Path:
+    def dir_of(self, stage: str, task: str, profile: str = "") -> Path:
         return self.out.joinpath(task, profile, STAGE_DIRS[stage])
 
     def _ok_path(self, stage: str, task: str, profile: str) -> Path:
@@ -255,7 +231,7 @@ class Pipeline:
         if stage == "report":
             files = [self.out / "results.tsv", self.out / "report.txt"]
         else:
-            files = self.stage_dir(stage, task, profile).rglob("*")
+            files = self.dir_of(stage, task, profile).rglob("*")
         return {str(p.relative_to(self.out)): _sha256(p)
                 for p in sorted(files) if p.is_file()}
 
@@ -282,18 +258,15 @@ class Pipeline:
         self._ok_path(stage, task, profile).write_text(
             json.dumps(record, indent=2) + "\n", encoding="utf-8")
 
-    def _run_stage(self, stage: str, task: str, profile: str, fn,
-                   start: Optional[float] = None) -> None:
-        """Runs ``fn`` as the stage, timed from ``start`` (default: now), once
-        the stage's directory exists."""
+    def _run_stage(self, stage: str, task: str, profile: str, fn) -> None:
+        """Runs ``fn`` as the stage, once its directory exists."""
         label = _label(stage, task, profile)
         if (stage, task, profile) in self.skipped:
             self.echo(f"[skip] {label}")
             return
         self.echo(f"[run ] {label}")
-        if start is None:
-            start = time.perf_counter()
-        self.stage_dir(stage, task, profile).mkdir(parents=True, exist_ok=True)
+        start = time.perf_counter()
+        self.dir_of(stage, task, profile).mkdir(parents=True, exist_ok=True)
         try:
             telemetry = fn() or {}
         except ManifestError:  # the manifest's fault, not the stage's: exit 1
@@ -317,15 +290,15 @@ class Pipeline:
                 scenario.generate_scenario(db, kind, self.m.seed, idx)
                 for idx in range(self.m.scenarios_per_task)
             ]
-            scenario.save_suite(suite, self.stage_dir("gen-scenarios", task))
+            scenario.save_suite(suite, self.dir_of("gen-scenarios", task))
 
         self._run_stage("gen-scenarios", task, "", build)
 
     def stage_build_kg(self, task: str, profile: str) -> None:
-        kg = self.stage_dir("build-kg", task, profile)
+        kg = self.dir_of("build-kg", task, profile)
 
         def build():
-            suite = scenario.load_suite(self.stage_dir("gen-scenarios", task),
+            suite = scenario.load_suite(self.dir_of("gen-scenarios", task),
                                         db=self._database())
             split = convert.split_train_test(
                 suite, task, profile, self.m.train_scenarios)
@@ -346,137 +319,95 @@ class Pipeline:
 
         self._run_stage("build-kg", task, profile, build)
 
-    def _sample(self, task: str, profile: str, send=None) -> dict:
-        """sample-paths' work.  The training pairs are walked in the order
-        the first epoch reads them (``paths.build_training_set``); ``send``,
-        if given, gets a header, (relation names, pair count), and then each
-        pair as it is walked (``stage_sample_and_train``)."""
-        kg = self.stage_dir("build-kg", task, profile)
-        out = self.stage_dir("sample-paths", task, profile)
+    def stage_sample(self, task: str, profile: str, fit=None) -> None:
+        """sample-paths (``paths.PairWalk``); ``fit``, if given, is called with
+        the vocabulary and the training set as it fills, before any sample
+        file is written."""
+        kg = self.dir_of("build-kg", task, profile)
+        out = self.dir_of("sample-paths", task, profile)
         cfg = self.m.sampler_config()
-        train_g = _parse_graph(kg / "train.nt", profile).freeze()
-        test_g = _parse_graph(kg / "test.nt", profile).freeze()
-        if train_g.relation_names() != test_g.relation_names():
-            raise ValueError("train/test relation registries differ")
-        # drawn before the train-set walks, so that too many negatives fail fast
-        ground_truth = convert.read_ground_truth(kg / "ground_truth.csv", test_g)
-        try:
-            negatives = paths.draw_negatives(
-                test_g, ground_truth, self.m.eval_negatives, cfg.seed)
-        except paths.PathError as exc:  # a count that only the data can bound
-            raise ManifestError(f"eval_negatives: {exc}") from exc
-        sampler = paths.PathSampler(train_g, cfg)
-        pairs = paths.TrainingPairs(sampler, self.m.k_negatives)
-        if send is not None:
-            send((sampler.vocab.relation_names, len(pairs)))
-        first_epoch = next(siamese.epoch_orders(len(pairs) * pairs.per_pair, self.m.seed))
-        train_samples = paths.build_training_set(pairs, first_epoch, send)
-        paths.save_samples(out / "train.txt", train_samples)
-        sampler.vocab.save(out / "vocab.txt")
-        stats = {"train": sampler.walk_stats()}
-        processes = sampler.processes
-        del sampler, pairs  # free the train graph's index before indexing the test graph
-        sampler = paths.PathSampler(test_g, cfg)
-        pos, neg = paths.build_eval_set(sampler, ground_truth, negatives)
-        paths.save_samples(out / "eval_pos.txt", pos)
-        paths.save_samples(out / "eval_neg.txt", neg)
-        stats["eval_pos"] = sampler.walk_stats(0, len(pos))
-        stats["eval_neg"] = sampler.walk_stats(len(pos))
-        convert.write_report(out / "walk_stats.txt", {
-            f"{part}.{key}": value
-            for part, counts in stats.items() for key, value in counts.items()
-        })
-        # caller-side only: the artifacts must not depend on the CPU count
-        return {"processes": max(processes, sampler.processes)}
 
-    def stage_sample(self, task: str, profile: str) -> None:
-        self._run_stage("sample-paths", task, profile,
-                        lambda: self._sample(task, profile))
+        def build():
+            train_g = _parse_graph(kg / "train.nt", profile).freeze()
+            test_g = _parse_graph(kg / "test.nt", profile).freeze()
+            if train_g.relation_names() != test_g.relation_names():
+                raise ValueError("train/test relation registries differ")
+            # drawn before the train-set walks, so that too many negatives fail fast
+            ground_truth = convert.read_ground_truth(kg / "ground_truth.csv", test_g)
+            try:
+                negatives = paths.draw_negatives(
+                    test_g, ground_truth, self.m.eval_negatives, cfg.seed)
+            except paths.PathError as exc:  # a count that only the data can bound
+                raise ManifestError(f"eval_negatives: {exc}") from exc
+            pairs = paths.TrainingPairs(paths.PathSampler(train_g, cfg), self.m.k_negatives)
+            first_epoch = next(siamese.epoch_orders(len(pairs) * pairs.per_pair, self.m.seed))
+            walk = paths.PairWalk(pairs, first_epoch, test_g, ground_truth, negatives,
+                                  streamed=fit is not None)
+            del train_g, test_g, pairs  # held by the walk alone, freed here once it forks
+            try:
+                if fit is not None:
+                    fit(walk.vocab, walk)
+                paths.save_samples(out / "train.txt", paths.build_training_set(walk))
+                walk.vocab.save(out / "vocab.txt")
+                for name, samples in zip(("pos", "neg"), paths.build_eval_set(walk)):
+                    paths.save_samples(out / f"eval_{name}.txt", samples)
+                convert.write_report(out / "walk_stats.txt", walk.walk_stats())
+            finally:
+                walk.close()
+            return {"processes": len(walk.pids)}  # must not enter an artifact
+
+        self._run_stage("sample-paths", task, profile, build)
 
     def _fit(self, vocab: paths.EdgeVocabulary, samples) -> tuple:
         cfg = self.m.model_config(vocab.size, len(vocab.relation_names))
         params = siamese.init_parameters(cfg)
-        return params, siamese.train(params, samples, cfg)
+        return len(samples), params, siamese.train(params, samples, cfg)
 
-    def _save_model(self, task: str, profile: str, samples, params: siamese.Parameters,
-                    result: siamese.TrainResult) -> dict:
-        out = self.stage_dir("train", task, profile)
-        siamese.save_checkpoint(params, out / "checkpoint.bin")
-        lines = [f"epoch {i} mean_loss {loss!r}"
-                 for i, loss in enumerate(result.epoch_losses)]
-        (out / "losses.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-        cfg = params.cfg
-        return {"samples": len(samples), "epoch_losses": result.epoch_losses,
-                "path_rows": len(samples) * cfg.num_paths * cfg.epochs,
-                "lstm_rows": result.lstm_rows,
-                "lstm_positions": result.lstm_positions}
-
-    def stage_train(self, task: str, profile: str) -> None:
-        samples_dir = self.stage_dir("sample-paths", task, profile)
+    def stage_train(self, task: str, profile: str, fitted=None) -> None:
+        """train; ``fitted``, if given, is what ``stage_sample_and_train``'s
+        fit gave: saved here, or raised if an exception."""
+        samples_dir = self.dir_of("sample-paths", task, profile)
+        out = self.dir_of("train", task, profile)
 
         def build():
-            vocab = paths.EdgeVocabulary.load(samples_dir / "vocab.txt")
-            samples = paths.load_samples(
-                samples_dir / "train.txt", self.m.num_paths, self.m.max_length)
-            return self._save_model(task, profile, samples, *self._fit(vocab, samples))
+            model = fitted
+            if model is None:
+                vocab = paths.EdgeVocabulary.load(samples_dir / "vocab.txt")
+                model = self._fit(vocab, paths.load_samples(
+                    samples_dir / "train.txt", self.m.num_paths, self.m.max_length))
+            if isinstance(model, Exception):
+                raise model
+            count, params, result = model
+            siamese.save_checkpoint(params, out / "checkpoint.bin")
+            lines = [f"epoch {i} mean_loss {loss!r}"
+                     for i, loss in enumerate(result.epoch_losses)]
+            (out / "losses.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+            return {"samples": count, "epoch_losses": result.epoch_losses,
+                    "path_rows": count * params.cfg.num_paths * params.cfg.epochs,
+                    "lstm_rows": result.lstm_rows, "lstm_positions": result.lstm_positions}
 
         self._run_stage("train", task, profile, build)
 
-    def _walk(self, task: str, profile: str, send) -> None:
-        """The walker of ``stage_sample_and_train``, in its forked process:
-        at the lowest priority, so that it runs on the CPU time the trainer
-        leaves, runs sample-paths, streaming the training set to ``send``,
-        and sends last, if it fails, the stage's failure message, a str, or
-        the ``ManifestError`` itself."""
-        os.nice(19)
-        try:
-            self._run_stage("sample-paths", task, profile,
-                            lambda: self._sample(task, profile, send))
-        except StageError as exc:
-            send(str(exc.cause))
-        except ManifestError as exc:
-            send(exc)
-
     def stage_sample_and_train(self, task: str, profile: str) -> None:
-        """sample-paths in a forked walker (``_walk``) and train here, at once,
-        as the module docstring describes; ``siamese.train`` reads the samples
-        from a ``_TrainingStream``.  Whatever the trainer does, the walker runs
-        to its end and is reaped before train writes or fails.  Where no
-        process can be forked, the two stages run one after the other."""
-        start = time.perf_counter()
-        try:
-            walker = parallel.Forked(lambda send: self._walk(task, profile, send))
-        except OSError:
-            self.stage_sample(task, profile)
-            self.stage_train(task, profile)
-            return
-        self.echo(f"[run ] {_label('sample-paths', task, profile)}")
-        with walker:
-            stream = _TrainingStream(walker, 1 + self.m.k_negatives)
+        """Both stages at once, as the module docstring describes."""
+        fitted = []
+
+        def fit(vocab: paths.EdgeVocabulary, samples) -> None:
             try:
-                model = self._fit(paths.EdgeVocabulary(stream.relation_names()), stream)
-            except Exception as exc:  # raised below, unless the walker failed
-                model = exc
-            failure = stream.finish()
-        if isinstance(failure, ManifestError):
-            raise failure
-        if failure is not None:
-            raise StageError(_label("sample-paths", task, profile), failure)
+                fitted.append(self._fit(vocab, samples))
+            except Exception as exc:  # train's failure, raised once sample-paths is done
+                fitted.append(exc)
 
-        def build():
-            if isinstance(model, Exception):
-                raise model
-            return self._save_model(task, profile, stream, *model)
-
-        self._run_stage("train", task, profile, build, start)
+        self.stage_sample(task, profile, fit)
+        self.stage_train(task, profile, fitted[0])
 
     def stage_evaluate(self, task: str, profile: str) -> None:
-        out = self.stage_dir("evaluate", task, profile)
-        samples_dir = self.stage_dir("sample-paths", task, profile)
+        out = self.dir_of("evaluate", task, profile)
+        samples_dir = self.dir_of("sample-paths", task, profile)
 
         def build():
             params = siamese.load_checkpoint(
-                self.stage_dir("train", task, profile) / "checkpoint.bin")
+                self.dir_of("train", task, profile) / "checkpoint.bin")
             pos = paths.load_samples(
                 samples_dir / "eval_pos.txt", self.m.num_paths, self.m.max_length)
             neg = paths.load_samples(
@@ -508,7 +439,7 @@ class Pipeline:
             for task in self.m.expanded_tasks():
                 for profile in self.m.profiles():
                     results.extend(metrics.read_results(
-                        self.stage_dir("evaluate", task, profile) / "result.tsv"))
+                        self.dir_of("evaluate", task, profile) / "result.tsv"))
             metrics.write_results(self.out / "results.tsv", results)
             if set(self.m.profiles()) == {"baseline", "rddl"}:
                 text = metrics.report(results)
@@ -534,7 +465,7 @@ class Pipeline:
         echo, lines = self.echo, []
         self.echo = lines.append
         stages = [stage for stage, t, p in steps if (t, p) == (task, profile)]
-        # on one CPU the walker and the trainer would only take turns
+        # on one CPU, walks interleaved with training ran slower (module docstring)
         together = ("train" in stages and "sample-paths" in stages
                     and ("sample-paths", task, profile) not in self.skipped
                     and parallel.processes(2) > 1)
@@ -606,74 +537,6 @@ class Pipeline:
 
 def _label(stage: str, task: str, profile: str) -> str:
     return "/".join(p for p in (stage, task, profile) if p)
-
-
-class _TrainingStream:
-    """The training set as ``Pipeline.stage_sample_and_train``'s walker sends
-    it, read by ``siamese.train`` like a list.
-
-    The walker sends a header, (relation names, pair count), then one record
-    per pair (``Pipeline._sample``), and last, if its stage failed, a failure
-    message, a str, or a ``ManifestError``.  Reading a sample whose pair has
-    not arrived blocks until it has.  While pairs are missing, every read
-    first takes in whatever has arrived, so the walker, which may run ahead,
-    never waits long on a full pipe.
-    """
-
-    def __init__(self, walker: parallel.Forked, per_pair: int):
-        self.walker = walker
-        self.per_pair = per_pair
-        self.header: Optional[tuple] = None
-        self.samples: list = []
-        self.missing = -1  # pairs not arrived yet; -1 until the header has
-        self.failure: Optional[str | ManifestError] = None
-
-    def _take(self, block: bool) -> None:
-        for obj in self.walker.receive(block):
-            if isinstance(obj, (str, ManifestError)):
-                self.failure = obj
-            elif self.header is None:
-                self.header = obj
-                self.samples = [None] * (obj[1] * self.per_pair)
-                self.missing = obj[1]
-            else:
-                index, *record = obj
-                start = index * self.per_pair
-                self.samples[start:start + self.per_pair] = paths.pair_samples(*record)
-                self.missing -= 1
-
-    def _wait(self) -> None:
-        """Blocks until more has arrived; raises if nothing more will."""
-        if self.walker.closed or self.failure is not None:
-            raise ChildProcessError(
-                f"forked process {self.walker.pid} stopped sending the training set")
-        self._take(block=True)
-
-    def relation_names(self) -> list[str]:
-        while self.header is None:
-            self._wait()
-        return self.header[0]
-
-    def __len__(self) -> int:
-        self.relation_names()  # the header sizes the set
-        return len(self.samples)
-
-    def __getitem__(self, index: int) -> paths.PathSample:
-        if self.missing:
-            self._take(block=False)
-            while self.samples[index] is None:
-                self._wait()
-        return self.samples[index]
-
-    def finish(self) -> Optional[str | ManifestError]:
-        """Takes in the rest of what the walker sends and reaps it: the
-        stage's failure, or None."""
-        while not self.walker.closed:
-            self._take(block=True)
-        code = self.walker.wait()
-        if self.failure is None and code != 0:
-            self.failure = f"forked process {self.walker.pid} exited with code {code}"
-        return self.failure
 
 
 def _pin(cpus: list[int]) -> None:

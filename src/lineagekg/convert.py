@@ -517,8 +517,10 @@ def read_ground_truth(path, g: KnowledgeGraph) -> list[tuple[int, int]]:
         header = next(reader, None)
         if header != ["src", "dst"]:
             raise ConvertError(f"bad ground truth header: {header!r}")
-        for src_iri, dst_iri in reader:
-            pairs.append((g.node_id(dst_iri), g.node_id(src_iri)))
+        for row in reader:
+            if len(row) != 2:
+                raise ConvertError(f"{path}: line {reader.line_num}: {len(row)} fields, not 2")
+            pairs.append((g.node_id(row[1]), g.node_id(row[0])))
     return pairs
 
 

@@ -116,10 +116,13 @@ def read_results(path) -> list[TaskResult]:
     if not lines or lines[0].split("\t") != list(_RESULT_FIELDS):
         raise MetricsError(f"bad results header in {path}")
     results = []
-    for line in lines[1:]:
-        task, profile, p, r, auc, hits, pos, neg, seed = line.split("\t")
-        results.append(TaskResult(task, profile, float(p), float(r), float(auc),
-                                  float(hits), int(pos), int(neg), int(seed)))
+    for lineno, line in enumerate(lines[1:], start=2):
+        try:
+            task, profile, p, r, auc, hits, pos, neg, seed = line.split("\t")
+            results.append(TaskResult(task, profile, float(p), float(r), float(auc),
+                                      float(hits), int(pos), int(neg), int(seed)))
+        except ValueError as exc:  # a field count or a number that does not parse
+            raise MetricsError(f"{path}: line {lineno}: {exc}") from None
     return results
 
 

@@ -2,14 +2,13 @@
 per usable CPU, its results taken as they come or as a list; ``Forked``: a
 function run in a forked process that sends objects back as it goes.
 
-The path sampler maps its pairs with ``fork_imap`` and the pipeline its
-(task, profile) cells with ``fork_map``; a training cell's walker is a
-``Forked`` child (``cli.Pipeline.stage_sample_and_train``).  Forking with
-numpy loaded is safe: OpenBLAS's pthreads build shuts its thread pool down
-before a fork (``pthread_atfork``) and restarts it at the next BLAS call, in
-parent and child alike, and no other thread runs.
-Python 3.12+ warns on forking a process that has threads; each fork silences
-that warning.
+The pipeline maps its (task, profile) cells with ``fork_map``, and a cell's
+sample-paths its pairs with ``fork_imap`` in the background, while the cell's
+process trains (``paths.PairWalk``).  Forking with numpy loaded is safe:
+OpenBLAS's pthreads build shuts its thread pool down before a fork
+(``pthread_atfork``) and restarts it at the next BLAS call, in parent and
+child alike, and no other thread runs.  Python 3.12+ warns on forking a
+process that has threads; each fork silences that warning.
 """
 
 from __future__ import annotations
@@ -19,7 +18,8 @@ import pickle
 import select
 import signal
 import warnings
-from typing import Callable, Iterator, Optional, TypeVar
+from collections import deque
+from typing import Callable, Generator, Iterable, Iterator, Optional, TypeVar
 
 T = TypeVar("T")
 
@@ -32,7 +32,7 @@ def processes(count: int) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), count))
 
 
-def _outcomes(fn: Callable[[int], T], indices: range) -> Iterator[tuple]:
+def _outcomes(fn: Callable[[int], T], indices: Iterable[int]) -> Iterator[tuple]:
     """``(i, fn(i), None)`` per index, in order, up to the first index that
     raises: ``(i, None, exception)``, and nothing after it."""
     for index in indices:
@@ -44,7 +44,10 @@ def _outcomes(fn: Callable[[int], T], indices: range) -> Iterator[tuple]:
         yield index, value, None
 
 
-def _send_outcomes(fn: Callable[[int], T], indices: range, send, batch: int) -> None:
+def _send_outcomes(fn: Callable[[int], T], indices: range, send, batch: int,
+                   background: bool) -> None:
+    if background:
+        os.nice(19)
     outcomes = []
     for outcome in _outcomes(fn, indices):
         outcomes.append(outcome)
@@ -60,58 +63,83 @@ def _fork() -> int:
         return os.fork()
 
 
-def fork_imap(count: int, fn: Callable[[int], T],
-              batch: int) -> Iterator[tuple[int, T]]:
+def fork_imap(count: int, fn: Callable[[int], T], batch: int, background: bool = False
+              ) -> Generator[Optional[tuple[int, T]], Optional[bool], None]:
     """``(i, fn(i))`` for each i in ``range(count)``, as each is done, with
     index i run in share i % P of P = ``processes(count)`` processes.
 
-    This process runs share 0 and yields each of its results at once;
-    ``Forked`` children run the other shares and send their results in
-    batches of ``batch``, which this process takes in and yields after every
-    ``batch`` of its own indices, and then to the end.  Where a fork fails,
-    this process runs those shares too.  A share stops at its first failing
-    index; the exception of the first failing index of all is raised once
-    every share is done, as a serial loop would raise it.  A child that dies
-    raises ``ChildProcessError``.  Children leave with ``os._exit``, so they
-    run none of this process's cleanup; they are always reaped, and killed
-    first if this process fails or stops iterating.
+    This process runs share 0, yielding each result at once; ``Forked``
+    children run the others and send ``batch`` results at a time, taken in
+    after every ``batch`` of this process's indices and then as they come.
+    With ``background`` and P > 1, every share runs in a child at nice 19, and
+    this process runs none and takes results from whichever child sends
+    first; there, ``send(False)`` in place of ``next``, once iteration has
+    begun, yields ``None`` at once unless a result has arrived.  Shares whose
+    fork fails run here, in index order.  ``fn`` is dropped once every share
+    is forked or run, which frees here what only it holds.
+
+    A share stops at its first failing index; the exception of the first
+    failing index of all is raised once every share is done, as a serial loop
+    would raise it.  A child that dies raises ``ChildProcessError``.  Children
+    leave with ``os._exit``, so they run none of this process's cleanup; they
+    are always reaped, and killed first if this process fails or stops
+    iterating.
     """
     count_processes = processes(count)
+    first_forked = 0 if background and count_processes > 1 else 1
     children: dict[int, Forked] = {}
     failures: list[tuple[int, Exception]] = []
+    arrived: deque = deque()  # results taken in and not yielded yet
 
-    def taken(outcomes) -> Iterator[tuple[int, T]]:
+    def take(outcomes) -> None:
         for index, value, exc in outcomes:
             if exc is None:
-                yield index, value
+                arrived.append((index, value))
             else:
                 failures.append((index, exc))
 
+    def receive(live: list[Forked], block: bool) -> None:
+        """Takes in what the children sent; with ``block``, waits until one
+        of them sends or ends.  A child that ended is reaped."""
+        for child in select.select(live, [], [], None if block else 0)[0]:
+            for outcomes in child.receive(block=False):
+                take(outcomes)
+            if child.closed:
+                live.remove(child)
+                code = child.wait()
+                if code != 0:
+                    raise ChildProcessError(f"forked process {child.pid} exited with code {code}")
+
     try:
-        for share in range(1, count_processes):
+        for share in range(first_forked, count_processes):
             indices = range(share, count, count_processes)
             try:
-                children[share] = Forked(
-                    lambda send, indices=indices: _send_outcomes(fn, indices, send, batch))
+                children[share] = Forked(lambda send, indices=indices: _send_outcomes(
+                    fn, indices, send, batch, background))
             except OSError:
                 break
-        for share in range(count_processes):
-            if share in children:
-                continue
-            outcomes = _outcomes(fn, range(share, count, count_processes))
-            for done, outcome in enumerate(outcomes, 1):
-                yield from taken([outcome])
-                if done % batch == 0:  # so that no child waits long on a full pipe
-                    for child in children.values():
-                        for sent in child.receive(block=False):
-                            yield from taken(sent)
-        for child in children.values():
-            while not child.closed:
-                for sent in child.receive():
-                    yield from taken(sent)
-            code = child.wait()
-            if code != 0:
-                raise ChildProcessError(f"forked process {child.pid} exited with code {code}")
+        here = sorted(index for share in range(count_processes) if share not in children
+                      for index in range(share, count, count_processes))
+        outcomes = enumerate(_outcomes(fn, here), 1) if here else None
+        fn = None  # the children have their copies, and outcomes holds this process's
+        live = list(children.values())
+        block = True  # what the consumer asked for: the next result, or one that arrived
+        while outcomes is not None or live or arrived:
+            if arrived:
+                block = (yield arrived.popleft()) is not False
+            elif outcomes is not None and block:  # run this process's next index
+                done, outcome = next(outcomes, (0, None))
+                if outcome is None:
+                    outcomes = None
+                    continue
+                take([outcome])
+                if done % batch == 0 and live:  # so that no child waits long on a full pipe
+                    receive(live, block=False)
+            else:
+                if live:
+                    receive(live, block)
+                if not arrived and not block:
+                    block = (yield None) is not False
     finally:
         for child in children.values():
             child.kill()
@@ -198,6 +226,10 @@ class Forked:
                 start = end
             del buffer[:start]
         return objects
+
+    def fileno(self) -> int:
+        """The read end of the pipe, for ``select``, until the child is reaped."""
+        return self._fd
 
     def wait(self) -> int:
         """The child's exit code, once it has closed its end; the objects

@@ -24,16 +24,13 @@ once per call, filters the neighbour list at every step and calls
 power of two up to 1024, on sources without a free entry, and on a converted
 rddl graph.
 
-``build_training_set`` and ``build_eval_set`` sample their pairs on every
-usable CPU, through ``parallel.fork_imap``: the j-th pair walked runs in
-share j % P of P = min(usable CPUs, pairs) processes, this one and forked
-children.  The eval set walks its pairs in pair order; the training set in
-the order in which a given sample order first reads one of each pair's
-samples, and it can hand each pair on as soon as it is walked
-(``cli.Pipeline.stage_sample_and_train``).  Neither the process count nor the
-walk order can change an artifact: every pair walks with its own rng, seeded
-by the pair's index alone, on a sampler nobody else mutates; the samples are
-returned in pair order; and the walk counts only ever enter sums.
+``PairWalk`` walks every pair of a cell's sample-paths once, in one
+background ``parallel.fork_imap``: on P = min(usable CPUs, pairs) > 1 the j-th
+pair runs in share j % P of P forked children at nice 19, and the caller walks
+none.  Neither the process count nor the walk order can change an artifact:
+every pair walks with its own rng, seeded by the pair's index alone, on a
+sampler nobody else mutates; the samples are returned in pair order; and the
+walk counts only ever enter sums.
 """
 
 from __future__ import annotations
@@ -42,15 +39,13 @@ import os
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Sequence, TypeVar
+from typing import Callable, Optional, Sequence
 
 from .kgstore import RDF_TYPE, KnowledgeGraph, Literal
 from .parallel import fork_imap
 
 PAD = 0
 NOPATH = 1
-
-T = TypeVar("T")
 
 
 class PathError(Exception):
@@ -162,7 +157,6 @@ class PathSampler:
             for entries, last, previous in zip(adjacency, last_of, previous_of)]
         self.walks_tried: list[int] = []
         self.walks_reached: list[int] = []
-        self.processes = 1
 
     def sample_paths(self, src: int, dst: int, rng: random.Random,
                      excluded: Optional[tuple] = None) -> tuple[tuple[int, ...], ...]:
@@ -286,15 +280,6 @@ class PathSampler:
         padded = [walk + (PAD,) * (max_length - len(walk)) for walk in found]
         return tuple(padded[i % len(padded)] for i in range(num_paths))
 
-    def walk_stats(self, start: int = 0, stop: Optional[int] = None) -> dict[str, int]:
-        """Counts over the ``sample_paths`` calls ``start:stop``: pairs, walks
-        attempted, walks that reached the target and NOPATH samples (pairs no
-        walk reached)."""
-        tried = self.walks_tried[start:stop]
-        reached = self.walks_reached[start:stop]
-        return {"pairs": len(tried), "walks_attempted": sum(tried),
-                "walks_reached": sum(reached), "nopath": reached.count(0)}
-
 
 def _block_excluded(blocked: list[int], node: tuple, neighbour: int,
                     token: int) -> None:
@@ -306,33 +291,6 @@ def _block_excluded(blocked: list[int], node: tuple, neighbour: int,
         if entries[i][0] == token:
             blocked.append(i)
         i = previous[i]
-
-
-def _imap_pairs(sampler: PathSampler, count: int, pair: Callable[[int], T],
-                batch: int) -> Iterator[tuple[int, T]]:
-    """``parallel.fork_imap`` over pairs that call ``sample_paths`` once each,
-    its children sending ``batch`` pairs at a time: ``(index, value)`` as
-    each pair is done.  Once every pair is, their walk counts are appended to
-    the sampler in index order, and ``processes`` counts the processes they
-    ran in."""
-    def counted(index: int) -> tuple:
-        value = pair(index)
-        return (value, sampler.walks_tried.pop(), sampler.walks_reached.pop(),
-                os.getpid())
-
-    counts: list = [None] * count
-    pids = set()
-    try:
-        for index, (value, tried, reached, pid) in fork_imap(count, counted, batch):
-            counts[index] = tried, reached
-            pids.add(pid)
-            yield index, value
-    except ChildProcessError as exc:
-        raise PathError(f"path sampling failed: {exc}") from exc
-    for tried, reached in counts:
-        sampler.walks_tried.append(tried)
-        sampler.walks_reached.append(reached)
-    sampler.processes = max(sampler.processes, len(pids))
 
 
 def node_to_node_triples(g: KnowledgeGraph) -> list[tuple]:
@@ -378,29 +336,6 @@ def pair_samples(relation: int, paths: tuple,
     the positive, then one negative per corrupted relation."""
     return [PathSample(paths=paths, relation=relation, label=1)] + [
         PathSample(paths=paths, relation=c, label=0) for c in corrupted]
-
-
-def build_training_set(pairs: TrainingPairs, sample_order: Sequence[int],
-                       send: Optional[Callable[[tuple], None]] = None
-                       ) -> list[PathSample]:
-    """The samples of ``pairs``, in pair order: one positive plus
-    ``k_negatives`` relation-corrupted negatives per pair (``pair_samples``).
-
-    Each pair is walked once, on every usable CPU, in the order in which
-    ``sample_order``, an order of every sample index, first reads one of the
-    pair's samples.  Given ``send``, each child hands each pair on as soon
-    as it is walked, and ``send`` gets ``(index, *record)``
-    (``TrainingPairs.walk``) as each pair comes; without it, each child sends
-    its whole share when done."""
-    order = list(dict.fromkeys(i // pairs.per_pair for i in sample_order))
-    records: list = [None] * len(pairs)
-    batch = 1 if send is not None else max(1, len(order))
-    for j, record in _imap_pairs(pairs.sampler, len(order),
-                                 lambda j: pairs.walk(order[j]), batch):
-        records[order[j]] = record
-        if send is not None:
-            send((order[j], *record))
-    return [sample for record in records for sample in pair_samples(*record)]
 
 
 def row_nodes(g: KnowledgeGraph) -> list[int]:
@@ -483,30 +418,146 @@ def draw_negatives(g: KnowledgeGraph, ground_truth: Sequence[tuple[int, int]],
     return chosen
 
 
-def build_eval_set(
-    sampler: PathSampler,
-    ground_truth: Sequence[tuple[int, int]],
-    negatives: Sequence[tuple[int, int]],
-) -> tuple[list[PathSample], list[PathSample]]:
-    """Positives for every ground-truth pair plus one negative per row pair
-    of ``negatives`` (from ``draw_negatives``), over the sampler's graph."""
-    g, cfg = sampler.g, sampler.cfg
-    target_rel = g.relation_id("rowDerivedFrom")
-    # positives then negatives, each walked with the rng of its own index
-    pairs = [(dst, src, f"{cfg.seed}:eval:pos:{idx}")
-             for idx, (dst, src) in enumerate(ground_truth)]
-    pairs += [(a, b, f"{cfg.seed}:eval:neg:{idx}")
-              for idx, (a, b) in enumerate(negatives)]
+def _walker(pairs: TrainingPairs, order: list[int], test_g: KnowledgeGraph,
+            eval_pairs: list[tuple[int, int, str]]) -> Callable[[int], tuple]:
+    """``PairWalk``'s j-th pair: the training pair ``order[j]``'s record
+    (``TrainingPairs.walk``), or past those an eval pair's paths, with its
+    walk counts and the walking process's pid."""
+    cfg = pairs.sampler.cfg
+    test_sampler: Optional[PathSampler] = None
 
-    def pair(index: int) -> tuple:
-        src, dst, seed = pairs[index]
-        return sampler.sample_paths(src, dst, random.Random(seed))
+    def walk(j: int) -> tuple:
+        nonlocal pairs, test_sampler
+        if j < len(order):
+            sampler = pairs.sampler
+            value = pairs.walk(order[j])
+        else:
+            if test_sampler is None:
+                pairs = None
+                test_sampler = PathSampler(test_g, cfg)
+            sampler = test_sampler
+            src, dst, seed = eval_pairs[j - len(order)]
+            value = sampler.sample_paths(src, dst, random.Random(seed))
+        return value, sampler.walks_tried.pop(), sampler.walks_reached.pop(), os.getpid()
 
-    samples: list = [None] * len(pairs)
-    for index, paths in _imap_pairs(sampler, len(pairs), pair, max(1, len(pairs))):
-        samples[index] = PathSample(paths=paths, relation=target_rel,
-                                    label=int(index < len(ground_truth)))
-    return samples[:len(ground_truth)], samples[len(ground_truth):]
+    return walk
+
+
+class PairWalk:
+    """The training pairs of ``pairs``, walked in the order in which
+    ``sample_order`` (an order of every training sample) first reads one of
+    each pair's samples, then a positive per ground-truth pair and a negative
+    per row pair of ``negatives`` over ``test_g``, walked in the background
+    (module docstring).  A walking process indexes the test graph at its first
+    eval pair, after dropping the train graph's index (``_walker``).
+
+    As a sequence, the training set in pair order (``pair_samples``), which
+    fills while it is read: a read waits for its pair, and while pairs are
+    missing every 32nd read also takes in whatever has arrived, so a child
+    that runs ahead never waits long on a full pipe.  With ``streamed``,
+    children send each pair as it is walked, else their whole shares.  Once a
+    walk fails, every ``take`` raises its failure; ``close`` kills and reaps
+    the children of a walk not read to its end.
+    """
+
+    def __init__(self, pairs: TrainingPairs, sample_order: Sequence[int],
+                 test_g: KnowledgeGraph, ground_truth: Sequence[tuple[int, int]],
+                 negatives: Sequence[tuple[int, int]], streamed: bool = False):
+        seed = pairs.sampler.cfg.seed
+        # positives then negatives, each walked with the rng of its own index
+        eval_pairs = [(dst, src, f"{seed}:eval:pos:{idx}")
+                      for idx, (dst, src) in enumerate(ground_truth)]
+        eval_pairs += [(a, b, f"{seed}:eval:neg:{idx}") for idx, (a, b) in enumerate(negatives)]
+        self.order = list(dict.fromkeys(i // pairs.per_pair for i in sample_order))
+        self.per_pair = pairs.per_pair
+        count = len(self.order) + len(eval_pairs)
+        self.positives = len(ground_truth)
+        self.target = test_g.relation_id("rowDerivedFrom") if eval_pairs else -1
+        self.vocab = pairs.sampler.vocab
+        self.samples: list[Optional[PathSample]] = [None] * len(self.order) * self.per_pair
+        self.eval_samples: list[Optional[PathSample]] = [None] * len(eval_pairs)
+        # per pair walked, in walk order: (walks attempted, walks that reached)
+        self.walk_counts: list[Optional[tuple[int, int]]] = [None] * count
+        self.pids: set[int] = set()
+        self.missing = len(self.order)  # training pairs not taken in yet
+        self.failure: Optional[Exception] = None
+        self._reads = 0
+        self._results = fork_imap(
+            count,
+            _walker(pairs, self.order, test_g, eval_pairs),
+            1 if streamed else max(1, count), background=True)
+
+    def __len__(self) -> int:
+        return len(self.samples)
+
+    def __getitem__(self, index: int) -> PathSample:
+        sample = self.samples[index]
+        if sample is not None and self.missing:
+            self._reads += 1
+            if self._reads % 32 == 0:
+                self.take(block=False)
+        while sample is None:
+            self.take()
+            sample = self.samples[index]
+        return sample
+
+    def take(self, block: bool = True) -> bool:
+        """Takes in the next pair walked, or, without ``block``, every pair
+        that has arrived; False once every pair is in."""
+        if self.failure is not None:
+            raise self.failure
+        try:  # a poll yields None once nothing more has arrived
+            for result in ([next(self._results, None)] if block
+                           else iter(lambda: self._results.send(False), None)):
+                if result is None:
+                    return False
+                j, (value, tried, reached, pid) = result
+                if j < len(self.order):
+                    start = self.order[j] * self.per_pair
+                    self.samples[start:start + self.per_pair] = pair_samples(*value)
+                    self.missing -= 1
+                else:
+                    e = j - len(self.order)
+                    self.eval_samples[e] = PathSample(value, self.target, int(e < self.positives))
+                self.walk_counts[j] = tried, reached
+                self.pids.add(pid)
+        except ChildProcessError as exc:
+            self.failure = PathError(f"path sampling failed: {exc}")
+            raise self.failure from exc
+        except Exception as exc:
+            self.failure = exc
+            raise
+        return True
+
+    def walk_stats(self) -> dict[str, int]:
+        """Once every pair is in: per part (train, eval_pos, eval_neg), its
+        pairs, walks attempted, walks that reached the target and NOPATH pairs
+        (no walk reached), keyed ``part.count``."""
+        bounds = (0, len(self.order), len(self.order) + self.positives, None)
+        stats = {}
+        for part, start, stop in zip(("train", "eval_pos", "eval_neg"), bounds, bounds[1:]):
+            tried = [t for t, _ in self.walk_counts[start:stop]]
+            reached = [r for _, r in self.walk_counts[start:stop]]
+            stats |= {f"{part}.pairs": len(tried), f"{part}.walks_attempted": sum(tried),
+                      f"{part}.walks_reached": sum(reached), f"{part}.nopath": reached.count(0)}
+        return stats
+
+    def close(self) -> None:
+        self._results.close()
+
+
+def build_training_set(walk: PairWalk) -> list[PathSample]:
+    """The walk's training set, once every training pair is in."""
+    while walk.missing:
+        walk.take()
+    return list(walk.samples)
+
+
+def build_eval_set(walk: PairWalk) -> tuple[list[PathSample], list[PathSample]]:
+    """The walk's eval positives and negatives, once every pair is walked."""
+    while walk.take():
+        pass
+    return walk.eval_samples[:walk.positives], walk.eval_samples[walk.positives:]
 
 
 # -- flat text serialization -----------------------------------------------------

@@ -448,7 +448,7 @@ def epoch_orders(count: int, seed: int) -> Iterator[list[int]]:
     epoch: epoch e shuffles epoch e - 1's order (``range(count)`` before epoch
     0) with the rng seeded ``f"{seed}:epoch:{e}"``.  The pipeline's
     sample-paths walks the training pairs in the first epoch's order
-    (``cli.Pipeline._sample``)."""
+    (``cli.Pipeline.stage_sample``)."""
     indices = list(range(count))
     for epoch in itertools.count():
         random.Random(f"{seed}:epoch:{epoch}").shuffle(indices)
@@ -462,7 +462,7 @@ def train(params: Parameters, samples: Sequence[PathSample],
     Samples are read in batches in ``epoch_orders``' order, one
     ``samples[i]`` at a time, and gradients are averaged per batch.  Only
     ``len`` and indexing are used, so ``samples`` may be a sequence that
-    fills while training runs (``cli.Pipeline.stage_sample_and_train``).
+    fills while training runs, as a cell's pair walk does (``paths.PairWalk``).
     Raises ``RuntimeError``, naming the epoch and batch, on a NaN loss, on
     non-finite parameters, and on a float overflow or invalid operation
     anywhere in a batch's forward, backward or Adam step.

@@ -519,15 +519,16 @@ class TestPipeline:
     def test_unsatisfiable_eval_negatives_fail_before_train_walks(self, tmp_path,
                                                                   monkeypatch):
         # only the test graph bounds eval_negatives, so sample-paths checks
-        # it, as a validation error, whether the cell's walker (two CPUs) or
-        # the cell's own process runs the stage; the negatives are drawn
+        # it, as a validation error, whether the cell's pairs fork (two CPUs)
+        # or nothing forks; the negatives are drawn
         # before any train-set walk, so the stage fails without writing
         # train.txt
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         status, logs = run_pipeline_logs(tiny_manifest(tmp_path / "out",
                                                        eval_negatives=10 ** 6))
-        assert (status, logs) == serial_run(tmp_path / "serial", monkeypatch,
-                                            eval_negatives=10 ** 6)
+        assert serial_run(tmp_path / "serial", monkeypatch, eval_negatives=10 ** 6) == (
+            status, ["[run ] gen-scenarios/selection-projection",
+                     "[run ] build-kg/selection-projection/rddl"] + logs)
         assert status == 1
         assert len(logs) == 1 and re.fullmatch(
             r"validation error: eval_negatives: only \d+ distinct non-linked row"
@@ -701,14 +702,15 @@ class TestCellWorkers:
         assert_no_child_left()
 
     def test_cells_fewer_than_cpus_walk_beside_their_trainers(self, tmp_path, monkeypatch):
-        # four CPUs, two cells: each cell's share holds two, so each cell
-        # forks a walker, which lowers its priority and pins nothing
+        # four CPUs, two cells: each cell's share holds two, so each cell's
+        # process forks two children that walk its pairs at nice 19 and pin
+        # nothing, while it trains
         niced = tmp_path / "niced"
         niced.write_text("")
 
         def nice(increment):
             with niced.open("a") as fh:
-                fh.write(f"{os.getpid()} {increment}\n")
+                fh.write(f"{os.getpid()} {os.getppid()} {increment}\n")
             return increment
 
         monkeypatch.setattr(os, "nice", nice)
@@ -720,8 +722,10 @@ class TestCellWorkers:
         assert pins.pop(os.getpid()) == [[0, 2], [0, 1, 2, 3]]
         assert list(pins.values()) == [[[1, 3]]]
         walkers = [line.split() for line in niced.read_text().splitlines()]
-        assert [increment for _, increment in walkers] == ["19", "19"]
-        assert not {int(pid) for pid, _ in walkers} & {os.getpid(), *pins}
+        assert [increment for _, _, increment in walkers] == ["19"] * 4
+        cells = {os.getpid(), *pins}  # this process ran the baseline cell
+        assert sorted(int(ppid) for _, ppid, _ in walkers) == sorted([*cells] * 2)
+        assert not {int(pid) for pid, _, _ in walkers} & cells
         assert runs[1] == runs[4]
         assert_no_child_left()
 
@@ -866,20 +870,34 @@ def walks_by_process(record):
 
 
 def serial_run(out, monkeypatch, **overrides):
-    """A run of tiny_manifest in this process alone, as where nothing can be
-    forked: the stages of a cell one after the other.  Status and log."""
+    """tiny_manifest run one stage at a time, as the stage subcommands run it,
+    in this process alone, as where nothing can be forked, up to the first
+    stage that fails.  Status and log."""
     with monkeypatch.context() as patch:
         patch.setattr(os, "fork", no_fork)
-        logs = []
-        status, _ = run_pipeline(tiny_manifest(out, **overrides), echo=logs.append)
+        logs, manifest = [], tiny_manifest(out, **overrides)
+        for stage in STAGES:
+            status, _ = run_pipeline(manifest, echo=logs.append, only_stage=stage)
+            if status:
+                break
     return status, logs
+
+
+def unforked_run(out, monkeypatch, **overrides):
+    """tiny_manifest run in one call where no child can be forked: on two or
+    more CPUs, the cell trains between its own walks.  Status and log."""
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "fork", no_fork)
+        return run_pipeline_logs(tiny_manifest(out, **overrides))
 
 
 @pytest.mark.usefixtures("deadline")
 class TestSampleAndTrainTogether:
-    """A cell that runs sample-paths and train on two or more CPUs runs them
-    at once: a forked walker samples while this process (or the cell's
-    worker) trains.  Tests fake two CPUs unless they say otherwise."""
+    """A cell that runs sample-paths and train on two or more CPUs runs them at
+    once: this process (or the cell's worker) trains while its forked
+    children, the walkers, walk the pairs, or, where no child can be forked,
+    between its own walks.  On one CPU it runs them one after the other.
+    Tests fake two CPUs unless they say otherwise."""
 
     @pytest.fixture(autouse=True)
     def two_cpus(self, monkeypatch):
@@ -912,17 +930,21 @@ class TestSampleAndTrainTogether:
 
     def test_walker_walks_each_share_in_first_epoch_order_at_low_priority(
             self, tmp_path, monkeypatch):
+        # the walkers are the cell's walking children
         record = tmp_path / "record"
         record_walks(record, monkeypatch)
-        receive, caller = parallel.Forked.receive, os.getpid()
+        fork_imap, caller = parallel.fork_imap, os.getpid()
 
-        def noting(walker, block=True):  # the records the trainer takes in
-            objects = receive(walker, block)
-            if os.getpid() == caller:
-                for obj in objects:
-                    if isinstance(obj[0], int):
-                        note(record, "received", obj[0])
-            return objects
+        def noting(count, fn, batch, background=False):  # what the trainer takes in
+            results, sent = fork_imap(count, fn, batch, background), None
+            while True:
+                try:
+                    result = results.send(sent)
+                except StopIteration:
+                    return
+                if result is not None and os.getpid() == caller:
+                    note(record, "received", result[0])
+                sent = yield result
 
         save_checkpoint, saved = siamese.save_checkpoint, []
 
@@ -932,28 +954,29 @@ class TestSampleAndTrainTogether:
                           (cell / ".stage_sample-paths.ok").is_file()))
             save_checkpoint(params, path)
 
-        monkeypatch.setattr(parallel.Forked, "receive", noting)
+        monkeypatch.setattr(paths, "fork_imap", noting)
         monkeypatch.setattr(siamese, "save_checkpoint", checking)
         manifest = tiny_manifest(tmp_path / "out", k_negatives=2)
         status, _ = run_pipeline(manifest, echo=lambda *_: None)
         assert status == 0
-        lines = [line.split() for line in record.read_text().splitlines()]
-        received = [int(line[1]) for line in lines if line[0] == "received"]
-        pairs = len(received)
+        walks = walks_by_process(record)
+        pairs = sum(len(indices) for _, indices, _ in walks.values())
         first_epoch = next(siamese.epoch_orders(3 * pairs, manifest.seed))
         order = list(dict.fromkeys(i // 3 for i in first_epoch))
-        assert sorted(received) == list(range(pairs))
-        # the walker and its child each walk every other pair of the order,
-        # in order, at nice 19, and the trainer takes in each one's pairs in
-        # that order; the trainer walks none
-        walks = walks_by_process(record)
-        walker = next(pid for pid, (parents, *_) in walks.items() if parents == {str(caller)})
-        assert walks.pop(walker) == ({str(caller)}, order[0::2], {"19"})
-        assert list(walks.values()) == [({walker}, order[1::2], {"19"})]
-        for share in (order[0::2], order[1::2]):
-            assert [index for index in received if index in set(share)] == share
+        # two children of the cell's process each walk every other pair of
+        # the order, in order, at nice 19, and the cell's process walks none
+        assert str(caller) not in walks
+        assert sorted(walks.values()) == [({str(caller)}, order[0::2], {"19"}),
+                                          ({str(caller)}, order[1::2], {"19"})]
+        # each child then walks its eval pairs, and sends every pair as walked
+        received = [int(line.split()[1]) for line in record.read_text().splitlines()
+                    if line.startswith("received")]
+        assert sorted(received) == list(range(len(received))) and len(received) > pairs
+        for share in (0, 1):
+            assert [j for j in received if j % 2 == share] == list(
+                range(share, len(received), 2))
         assert os.nice(0) < 19  # the trainer's priority is its own
-        # the walker had written every sample file and its sidecar
+        # sample-paths had written every sample file and its sidecar
         assert saved == [(["eval_neg.txt", "eval_pos.txt", "train.txt", "vocab.txt",
                            "walk_stats.txt"], True)]
         sidecar = json.loads((tmp_path / "out" / CELL / ".stage_sample-paths.ok")
@@ -972,18 +995,65 @@ class TestSampleAndTrainTogether:
         pairs = sum(len(indices) for _, indices, _ in walks.values())
         first_epoch = next(siamese.epoch_orders(3 * pairs, manifest.seed))
         order = list(dict.fromkeys(i // 3 for i in first_epoch))
-        here, niceness = str(os.getpid()), {str(os.nice(0))}
-        assert walks.pop(here)[1:] == (order[0::2], niceness)
-        assert list(walks.values()) == [({here}, order[1::2], niceness)]
+        here = str(os.getpid())
+        assert here not in walks
+        assert sorted(walks.values()) == [({here}, order[0::2], {"19"}),
+                                          ({here}, order[1::2], {"19"})]
+        assert_no_child_left()
+
+    def test_cell_process_indexes_no_test_graph_when_pairs_fork(self, tmp_path,
+                                                                 monkeypatch):
+        # each walking child indexes the test graph itself, at its first eval
+        # pair, so the cell's process never holds both graphs' indexes
+        record, init = tmp_path / "record", paths.PathSampler.__init__
+
+        def noting(sampler, g, cfg):
+            note(record, os.getpid(), os.getppid(), len(g))
+            init(sampler, g, cfg)
+
+        manifest = tiny_manifest(tmp_path / "out")
+        for stage in ("gen-scenarios", "build-kg"):
+            assert run_pipeline(manifest, echo=lambda *_: None, only_stage=stage)[0] == 0
+        record.write_text("")
+        monkeypatch.setattr(paths.PathSampler, "__init__", noting)
+        assert run_pipeline(manifest, echo=lambda *_: None, only_stage="sample-paths")[0] == 0
+        kg = tmp_path / "out" / CELL / "kg"
+        train, test = (len((kg / f"{part}.nt").read_text().splitlines())
+                       for part in ("train", "test"))
+        assert train != test
+        here, parent = str(os.getpid()), str(os.getppid())
+        built = sorted(line.split() for line in record.read_text().splitlines())
+        assert [words for words in built if words[0] == here] == [[here, parent, str(train)]]
+        children = [words for words in built if words[0] != here]
+        assert [(ppid, triples) for _, ppid, triples in children] == [(here, str(test))] * 2
         assert_no_child_left()
 
     def test_cell_runs_its_stages_one_by_one_where_nothing_forks(
             self, tmp_path, monkeypatch):
-        logs = []
-        status, _ = run_pipeline(tiny_manifest(tmp_path / "forked"), echo=logs.append)
-        assert status == 0
-        assert serial_run(tmp_path / "serial", monkeypatch) == (0, logs)
+        # on one CPU, nothing forks, and train reads train.txt once every
+        # pair is walked
+        record, forward_batch = tmp_path / "record", siamese.forward_batch
+
+        def noting(params, samples):
+            note(record, "batch")
+            return forward_batch(params, samples)
+
+        def no_child(fn):
+            raise AssertionError("a child was forked")
+
+        forked = run_pipeline_logs(tiny_manifest(tmp_path / "forked"))
+        assert forked[0] == 0
+        record_walks(record, monkeypatch)
+        monkeypatch.setattr(siamese, "forward_batch", noting)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(parallel, "Forked", no_child)
+        assert run_pipeline_logs(tiny_manifest(tmp_path / "out")) == forked
+        kinds = [line.split()[0] for line in record.read_text().splitlines()]
+        assert set(walks_by_process(record)) == {str(os.getpid())}
+        assert "batch" not in kinds[:len(kinds) - kinds[::-1].index("walk")]
+        assert serial_run(tmp_path / "serial", monkeypatch) == forked
         assert (TestCellWorkers.tree(tmp_path / "forked")
+                == TestCellWorkers.tree(tmp_path / "out")
                 == TestCellWorkers.tree(tmp_path / "serial"))
         assert_no_child_left()
 
@@ -995,6 +1065,27 @@ class TestSampleAndTrainTogether:
         monkeypatch.setattr(parallel, "Forked", no_walker)
         assert run_pipeline_logs(tiny_manifest(tmp_path)) == (0, [
             line for line in serial_log() if "baseline" not in line])
+
+    def test_cell_where_no_child_forks_trains_between_its_walks(
+            self, tmp_path, monkeypatch):
+        # two CPUs and a failing fork: the cell's process walks every pair,
+        # and trains on each batch once its pairs are in
+        record, forward_batch = tmp_path / "record", siamese.forward_batch
+
+        def noting(params, samples):
+            note(record, "batch")
+            return forward_batch(params, samples)
+
+        record_walks(record, monkeypatch)
+        monkeypatch.setattr(siamese, "forward_batch", noting)
+        status, logs = unforked_run(tmp_path / "out", monkeypatch)
+        kinds = [line.split()[0] for line in record.read_text().splitlines()]
+        assert set(walks_by_process(record)) == {str(os.getpid())}
+        assert kinds.index("batch") < len(kinds) - 1 - kinds[::-1].index("walk")
+        assert serial_run(tmp_path / "serial", monkeypatch) == (status, logs) == (
+            0, [line for line in serial_log() if "baseline" not in line])
+        assert (TestCellWorkers.tree(tmp_path / "out")
+                == TestCellWorkers.tree(tmp_path / "serial"))
 
     def test_walker_that_fails(self, tmp_path, monkeypatch):
         def failing(*args):
@@ -1013,7 +1104,29 @@ class TestSampleAndTrainTogether:
         assert not (cell / ".stage_sample-paths.ok").exists()
         assert_no_child_left()
 
+    def test_walk_that_raises(self, tmp_path, monkeypatch):
+        walk = paths.TrainingPairs.walk
+
+        def raising(pairs, index):
+            if index == 5:
+                raise KeyError("no pair 5 today")
+            return walk(pairs, index)
+
+        monkeypatch.setattr(paths.TrainingPairs, "walk", raising)
+        status, logs = run_pipeline_logs(tiny_manifest(tmp_path / "out"))
+        assert (status, logs) == serial_run(tmp_path / "serial", monkeypatch) == (
+            unforked_run(tmp_path / "unforked", monkeypatch))
+        assert status == 2
+        assert logs[-1] == f"stage 'sample-paths/{CELL}' failed: 'no pair 5 today'"
+        for run in ("out", "serial", "unforked"):
+            cell = tmp_path / run / CELL
+            assert not (cell / "samples" / "train.txt").exists()
+            assert not (cell / "model").exists()
+            assert not list(cell.glob(".stage_[st]*.ok"))
+        assert_no_child_left()
+
     def test_walker_that_dies(self, tmp_path, monkeypatch):
+        # a walking child of the cell's process dies
         walk, caller = paths.TrainingPairs.walk, os.getpid()
 
         def dying(pairs, index):
@@ -1026,8 +1139,8 @@ class TestSampleAndTrainTogether:
         assert status == 2
         assert logs[:-1] == [f"[run ] gen-scenarios/{CELL.split('/')[0]}",
                              f"[run ] build-kg/{CELL}", f"[run ] sample-paths/{CELL}"]
-        assert re.fullmatch(rf"stage 'sample-paths/{CELL}' failed: forked process"
-                            r" \d+ exited with code 3", logs[-1])
+        assert re.fullmatch(rf"stage 'sample-paths/{CELL}' failed: path sampling failed:"
+                            r" forked process \d+ exited with code 3", logs[-1])
         cell = tmp_path / CELL
         assert not (cell / "samples" / "train.txt").exists()
         assert not (cell / "model").exists()
@@ -1040,7 +1153,8 @@ class TestSampleAndTrainTogether:
             status, logs = run_pipeline_logs(tiny_manifest(tmp_path / "out",
                                                            learning_rate=1e300))
             assert (status, logs) == serial_run(tmp_path / "serial", monkeypatch,
-                                                learning_rate=1e300)
+                                                learning_rate=1e300) == (
+                unforked_run(tmp_path / "unforked", monkeypatch, learning_rate=1e300))
         assert status == 2
         assert re.fullmatch(rf"stage 'train/{CELL}' failed: floating-point error at"
                             r" epoch 0 batch [1-9]\d*: overflow .*", logs[-1])
@@ -1050,7 +1164,8 @@ class TestSampleAndTrainTogether:
         assert (cell / ".stage_sample-paths.ok").is_file()
         assert not (cell / ".stage_train.ok").exists()
         assert (TestCellWorkers.tree(tmp_path / "out")
-                == TestCellWorkers.tree(tmp_path / "serial"))
+                == TestCellWorkers.tree(tmp_path / "serial")
+                == TestCellWorkers.tree(tmp_path / "unforked"))
         assert_no_child_left()
 
 

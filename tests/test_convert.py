@@ -1,4 +1,5 @@
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -579,6 +580,19 @@ class TestSplit:
         write_ground_truth(path, split)
         loaded = read_ground_truth(path, split.test)
         assert loaded == split.ground_truth
+
+    @pytest.mark.parametrize("damage", [
+        lambda fields: fields[:1],  # a short row
+        lambda fields: fields + ["x"],  # a long row
+    ], ids=["short", "long"])
+    def test_malformed_ground_truth_row_names_file_and_line(self, split, tmp_path, damage):
+        path = tmp_path / "gt.csv"
+        write_ground_truth(path, split)
+        lines = path.read_text().splitlines()
+        lines[2] = ",".join(damage(lines[2].split(",")))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConvertError, match=rf"^{re.escape(str(path))}: line 3: "):
+            read_ground_truth(path, split.test)
 
     def test_validates_under_profile(self, suite):
         for profile in ("baseline", "rddl"):

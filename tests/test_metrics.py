@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -210,3 +211,18 @@ class TestResultsFile:
         path = tmp_path / "results.tsv"
         write_results(path, results)
         assert read_results(path) == results
+
+    @pytest.mark.parametrize("damage", [
+        lambda fields: fields[:-1],  # a short row
+        lambda fields: fields + ["x"],  # a long row
+        lambda fields: fields[:4] + ["high"] + fields[5:],  # a non-numeric pr_auc
+        lambda fields: fields[:6] + ["1.5"] + fields[7:],  # a non-integer count
+    ], ids=["short", "long", "non-numeric", "non-integer"])
+    def test_malformed_row_names_file_and_line(self, tmp_path, damage):
+        path = tmp_path / "results.tsv"
+        write_results(path, [result("selection-linear", "baseline", 0.9, 0.8, 0.7, 0.6)] * 2)
+        lines = path.read_text().splitlines()
+        lines[2] = "\t".join(damage(lines[2].split("\t")))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MetricsError, match=rf"^{re.escape(str(path))}: line 3: "):
+            read_results(path)

@@ -1,6 +1,7 @@
 import dataclasses
 import os
 import random
+import time
 
 import pytest
 
@@ -11,6 +12,7 @@ from lineagekg.paths import (
     NOPATH,
     PAD,
     EdgeVocabulary,
+    PairWalk,
     PathError,
     PathSample,
     PathSampler,
@@ -21,7 +23,6 @@ from lineagekg.paths import (
     draw_negatives,
     load_samples,
     node_to_node_triples,
-    pair_samples,
     row_nodes,
     save_samples,
 )
@@ -68,10 +69,24 @@ def chain_graph():
     return g, src, c, island
 
 
+def walked(pairs, sample_order=None, test_g=None, ground_truth=(), negatives=()):
+    """A PairWalk of pairs, in pair order unless sample_order says otherwise,
+    and of the eval pairs over test_g, read to its end: the walk, its training
+    set, and its eval positives and negatives."""
+    if sample_order is None:
+        sample_order = range(len(pairs) * pairs.per_pair)
+    walk = PairWalk(pairs, sample_order, pairs.sampler.g if test_g is None else test_g,
+                    ground_truth, negatives)
+    try:
+        train = build_training_set(walk)
+        return (walk, train, *build_eval_set(walk))
+    finally:
+        walk.close()
+
+
 def training_set(sampler, k_negatives=1):
     """build_training_set over the sampler's pairs, walked in pair order."""
-    pairs = TrainingPairs(sampler, k_negatives)
-    return build_training_set(pairs, range(len(pairs) * pairs.per_pair))
+    return walked(TrainingPairs(sampler, k_negatives))[1]
 
 
 @pytest.fixture(scope="module")
@@ -431,10 +446,9 @@ class TestEvalSet:
         with pytest.raises(PathError, match="only 6 distinct non-linked row pairs"):
             draw_negatives(g, ground_truth, 7, cfg.seed)
         use_cpus(monkeypatch, 1)
-        sampler = RecordingSampler(g, cfg)
-        eval_set(sampler, ground_truth, num_negatives=6)
-        assert set(sampler.pairs[2:]) == {(a, d), (d, a), (b, d), (d, b),
-                                          (c, d), (d, c)}
+        walked_pairs = record_pairs(monkeypatch)
+        eval_set(PathSampler(g, cfg), ground_truth, num_negatives=6)
+        assert set(walked_pairs[2:]) == {(a, d), (d, a), (b, d), (d, b), (c, d), (d, c)}
 
     @pytest.mark.parametrize("task", ["selection-projection", "selection-linear",
                                       "selection-nonlinear"])
@@ -454,10 +468,10 @@ class TestEvalSet:
             linked |= derived
         assert len(linked) > len(split.ground_truth)
         use_cpus(monkeypatch, 1)
-        sampler = RecordingSampler(
-            split.test, SamplerConfig(num_paths=1, walk_budget=1, seed=0))
-        eval_set(sampler, split.ground_truth, num_negatives=4000)
-        negatives = sampler.pairs[len(split.ground_truth):]
+        walked_pairs = record_pairs(monkeypatch)
+        eval_set(PathSampler(split.test, SamplerConfig(num_paths=1, walk_budget=1, seed=0)),
+                 split.ground_truth, num_negatives=4000)
+        negatives = walked_pairs[len(split.ground_truth):]
         assert len(negatives) == 4000
         assert not [(x, y) for (x, y) in negatives
                     if (x, y) in linked or (y, x) in linked]
@@ -476,9 +490,10 @@ def use_cpus(monkeypatch, count):
 
 
 def eval_set(sampler, ground_truth, num_negatives):
-    """build_eval_set over the negatives the pipeline draws for the sampler's seed."""
+    """build_eval_set over the sampler's graph and the negatives the pipeline
+    draws for the sampler's seed, with no training pair."""
     negatives = draw_negatives(sampler.g, ground_truth, num_negatives, sampler.cfg.seed)
-    return build_eval_set(sampler, ground_truth, negatives)
+    return walked(TrainingPairs(sampler, 0), (), sampler.g, ground_truth, negatives)[2:]
 
 
 def fail_at(monkeypatch, failures):
@@ -505,99 +520,127 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-class RecordingSampler(PathSampler):
-    """Records the (src, dst) pair of every sample_paths call in this process."""
+def record_pairs(monkeypatch):
+    """The (src, dst) pair of every sample_paths call in this process, as
+    they are made."""
+    sample_paths, pairs = PathSampler.sample_paths, []
 
-    def __init__(self, g, cfg):
-        super().__init__(g, cfg)
-        self.pairs = []
+    def recording(self, src, dst, rng, excluded=None):
+        pairs.append((src, dst))
+        return sample_paths(self, src, dst, rng, excluded)
 
-    def sample_paths(self, src, dst, rng, excluded=None):
-        self.pairs.append((src, dst))
-        return super().sample_paths(src, dst, rng, excluded)
+    monkeypatch.setattr(PathSampler, "sample_paths", recording)
+    return pairs
 
 
 class TestProcesses:
     def build_both(self, converted, cpus, monkeypatch):
         use_cpus(monkeypatch, cpus)
         cfg = SamplerConfig(num_paths=3, max_length=6, walk_budget=3, seed=6)
-        train_sampler = PathSampler(converted.train, cfg)
-        train = training_set(train_sampler, k_negatives=2)
-        eval_sampler = PathSampler(converted.test, cfg)
-        pos, neg = eval_set(eval_sampler, converted.ground_truth, num_negatives=40)
-        return {"train": train, "train_tried": train_sampler.walks_tried,
-                "train_reached": train_sampler.walks_reached, "pos": pos, "neg": neg,
-                "eval_tried": eval_sampler.walks_tried,
-                "eval_reached": eval_sampler.walks_reached,
-                "processes": (train_sampler.processes, eval_sampler.processes)}
+        negatives = draw_negatives(converted.test, converted.ground_truth, 40, cfg.seed)
+        walk, train, pos, neg = walked(
+            TrainingPairs(PathSampler(converted.train, cfg), k_negatives=2),
+            test_g=converted.test, ground_truth=converted.ground_truth, negatives=negatives)
+        return {"train": train, "pos": pos, "neg": neg, "walk_counts": walk.walk_counts,
+                "walk_stats": walk.walk_stats(), "processes": len(walk.pids)}
 
     def test_same_samples_and_walk_stats_for_any_process_count(
             self, converted, monkeypatch):
         serial = self.build_both(converted, 1, monkeypatch)
         forked = self.build_both(converted, 3, monkeypatch)
-        assert serial.pop("processes") == (1, 1)
-        assert forked.pop("processes") == (3, 3)
+        assert serial.pop("processes") == 1
+        assert forked.pop("processes") == 3
         assert forked == serial
         assert_no_child_left()
-        # the serial loop the builders replace: each pair walks with its own rng
+        # the serial loops the walk replaces: each pair walks with its own rng
         cfg = SamplerConfig(num_paths=3, max_length=6, walk_budget=3, seed=6)
         loop = PathSampler(converted.train, cfg)
         paths = [loop.sample_paths(s, o, random.Random(f"6:train:{i}"), (s, r, o))
                  for i, (s, r, o) in enumerate(node_to_node_triples(converted.train))]
         assert [sample.paths for sample in forked["train"][::3]] == paths
-        assert forked["train_tried"] == loop.walks_tried
-        assert forked["train_reached"] == loop.walks_reached
+        counts = list(zip(loop.walks_tried, loop.walks_reached))
+        assert forked["walk_counts"][:len(paths)] == counts  # walked in pair order
         assert len(set(loop.walks_tried)) > 1 and len(set(loop.walks_reached)) > 1
         loop = PathSampler(converted.test, cfg)
-        for i, (d, s) in enumerate(converted.ground_truth):
-            loop.sample_paths(d, s, random.Random(f"6:eval:pos:{i}"))
-        assert forked["eval_tried"][:len(loop.walks_tried)] == loop.walks_tried
-        assert forked["eval_reached"][:len(loop.walks_reached)] == loop.walks_reached
+        pos = [loop.sample_paths(d, s, random.Random(f"6:eval:pos:{i}"))
+               for i, (d, s) in enumerate(converted.ground_truth)]
+        assert [sample.paths for sample in forked["pos"]] == pos
+        assert forked["walk_counts"][len(paths):len(paths) + len(pos)] == list(
+            zip(loop.walks_tried, loop.walks_reached))
+        stats = forked["walk_stats"]
+        assert stats["train.pairs"] == len(paths) and stats["eval_neg.pairs"] == 40
+        assert stats["train.walks_attempted"] == sum(t for t, _ in counts)
 
     def test_training_set_walks_each_pair_once_in_first_read_order(
-            self, converted, monkeypatch):
+            self, converted, monkeypatch, tmp_path):
         cfg = SamplerConfig(num_paths=3, max_length=6, walk_budget=3, seed=6)
         count = len(node_to_node_triples(converted.train))
         sample_order = list(range(3 * count))
         random.Random(1).shuffle(sample_order)
         order = list(dict.fromkeys(i // 3 for i in sample_order))
-        batches = []
-        fork_imap = parallel.fork_imap
+        batches, record = [], tmp_path / "walks"
+        fork_imap, walk_pair = parallel.fork_imap, TrainingPairs.walk
 
-        def recording(count, fn, batch):
+        def recording(count, fn, batch, background=False):
             batches.append(batch)
-            return fork_imap(count, fn, batch)
+            return fork_imap(count, fn, batch, background)
 
+        def noting(pairs, index):
+            with record.open("a") as fh:
+                fh.write(f"{os.getpid()} {os.getppid()} {os.nice(0)} {index}\n")
+            return walk_pair(pairs, index)
+
+        expected = training_set(PathSampler(converted.train, cfg), k_negatives=2)
         monkeypatch.setattr("lineagekg.paths.fork_imap", recording)
-        runs = {}
+        monkeypatch.setattr(TrainingPairs, "walk", noting)
         for cpus in (1, 3):
             use_cpus(monkeypatch, cpus)
-            for sending in (False, True):
-                sampler = PathSampler(converted.train, cfg)
-                sent = []
-                samples = build_training_set(TrainingPairs(sampler, k_negatives=2),
-                                             sample_order, sent.append if sending else None)
-                runs[cpus, sending] = samples, sampler.walk_stats(), sampler.processes, sent
-        # children send each pair at once only when there is a send
+            for streamed in (False, True):
+                record.write_text("")
+                pairs = TrainingPairs(PathSampler(converted.train, cfg), k_negatives=2)
+                walk = PairWalk(pairs, sample_order, converted.train, [], [], streamed)
+                try:  # read as the trainer reads it, then whole
+                    read = [walk[i] for i in sample_order]
+                    samples = build_training_set(walk)
+                finally:
+                    walk.close()
+                assert samples == expected  # in pair order, whatever the walk order
+                assert read == [expected[i] for i in sample_order]
+                by_pid = {}
+                for line in record.read_text().splitlines():
+                    pid, ppid, niceness, index = map(int, line.split())
+                    by_pid.setdefault((pid, ppid, niceness), []).append(index)
+                if cpus == 1:  # this process walks every pair, in the order read
+                    assert by_pid == {(os.getpid(), os.getppid(), os.nice(0)): order}
+                    continue
+                # each child of this process, at nice 19, walks its share in order
+                assert {key[1:] for key in by_pid} == {(os.getpid(), 19)}
+                assert sorted(by_pid.values()) == sorted(order[share::3] for share in range(3))
+        # children send each pair at once only to a reader that reads as they walk
         assert batches == [count, 1, count, 1]
-        sampler = PathSampler(converted.train, cfg)
-        pairs = TrainingPairs(sampler, k_negatives=2)
-        records = [(index, *pairs.walk(index)) for index in range(count)]
-        expected = [sample for _, *record in records for sample in pair_samples(*record)]
-        assert training_set(PathSampler(converted.train, cfg), k_negatives=2) == expected
-        for (cpus, sending), (samples, stats, processes, sent) in runs.items():
-            assert samples == expected  # in pair order, whatever the walk order
-            assert stats == sampler.walk_stats()
-            assert processes == cpus
-            if not sending:
-                assert sent == []
-                continue
-            assert sorted(sent) == records  # every pair once, as walk gives it
-            # each process walked its share of the order in order
-            indices = [index for index, *_ in sent]
-            for share in range(cpus):
-                mine = set(order[share::cpus])
-                assert [index for index in indices if index in mine] == order[share::cpus]
+        assert_no_child_left()
+
+    def test_reads_take_in_what_has_arrived_every_32nd_read(self, converted, monkeypatch):
+        # a reader that has its samples still takes in, every 32nd read while
+        # pairs are missing, every pair walked so far, so that no child waits
+        # on a full pipe: the records overflow the pipe buffer
+        use_cpus(monkeypatch, 2)
+        cfg = SamplerConfig(num_paths=1, max_length=4, walk_budget=1, seed=0)
+        pairs = TrainingPairs(PathSampler(converted.train, cfg))
+        walk = PairWalk(pairs, range(2 * len(pairs)), converted.train, [], [], streamed=True)
+        try:
+            first = walk[0]
+            missing = walk.missing
+            for _ in range(31):
+                assert walk[0] is first
+            assert walk.missing == missing > 0
+            deadline = time.monotonic() + 30
+            while walk.missing:
+                assert time.monotonic() < deadline, "the reads took nothing in"
+                assert walk[0] is first
+            assert build_training_set(walk) == training_set(PathSampler(converted.train, cfg))
+        finally:
+            walk.close()
         assert_no_child_left()
 
     def test_fork_missing_or_failing_runs_every_share_here(
@@ -618,12 +661,11 @@ class TestProcesses:
         runs = []
         for cpus in (1, 8):
             use_cpus(monkeypatch, cpus)
-            sampler = PathSampler(g, cfg)
-            runs.append((training_set(sampler), sampler.walk_stats(),
-                         sampler.processes))
+            walk, train, _, _ = walked(TrainingPairs(PathSampler(g, cfg)))
+            runs.append((train, walk.walk_stats(), len(walk.pids)))
         assert runs[0][2] == 1 and runs[1][2] == 2  # one process per pair
         assert runs[0][:2] == runs[1][:2]
-        assert runs[0][1]["pairs"] == 2
+        assert runs[0][1]["train.pairs"] == 2
 
     def test_graph_without_node_to_node_triples(self, monkeypatch):
         use_cpus(monkeypatch, 3)
@@ -631,9 +673,9 @@ class TestProcesses:
         rel = g.add_relation("exactValue")
         g.add_relation("hasCellValue")
         g.add_triple(g.add_node("t:a"), rel, Literal("v", "string"))
-        sampler = PathSampler(g, SamplerConfig(seed=0))
-        assert training_set(sampler) == []
-        assert sampler.walk_stats()["pairs"] == 0
+        walk, train, _, _ = walked(TrainingPairs(PathSampler(g, SamplerConfig(seed=0))))
+        assert train == []
+        assert walk.walk_stats()["train.pairs"] == 0
 
     def test_child_exception_reraised(self, converted, monkeypatch):
         triples = node_to_node_triples(converted.train)
@@ -655,7 +697,7 @@ class TestProcesses:
         cfg = SamplerConfig(num_paths=1, max_length=4, walk_budget=1, seed=0)
         pairs = TrainingPairs(PathSampler(converted.train, cfg))
         with pytest.raises(PathError, match="^first$"):
-            build_training_set(pairs, range(2 * len(pairs) - 1, -1, -1))
+            walked(pairs, range(2 * len(pairs) - 1, -1, -1))
         assert_no_child_left()
 
     def test_unknown_ground_truth_node_reraised(self, converted, monkeypatch):
