@@ -24,7 +24,7 @@ fewer than CPUs.  A single cell runs here on every CPU.  Workers send their log
 lines back, and the log is echoed in serial order once the cells are done.
 
 sample-paths walks each pair of its cell once (``paths.PairWalk``): the
-training pairs in the order in which the first epoch (``siamese.epoch_orders``)
+training pairs in the order in which the first epoch (``model.epoch_orders``)
 first reads one of each pair's samples, then the eval pairs.  On a share of two
 or more CPUs, forked children walk them at nice 19 and the cell's process walks
 none; run alone, sample-paths' children send their whole shares when done, as
@@ -37,6 +37,15 @@ batches.  A walk that fails fails sample-paths, and train writes nothing; a fit
 that fails fails train after sample-paths is done.  sample-paths' ``seconds``
 then includes the training, and train's only the model's writing.  On one CPU
 the stages run one after the other: interleaved, the walks ran slower.
+
+Only train and evaluate run the model (``siamese``), and only the model needs
+numpy, whose import is about a third of a process's set-up and about 11 MiB of
+peak memory; manifest validation and sample-paths' walk order read ``model``
+alone.  So ``Pipeline.run`` imports the model once, before its first stage, and
+only when a train or evaluate step will run: a run of the other stages never
+loads numpy, and in one that trains, the import is done before any cell or
+walking child forks, so each shares the loaded module instead of importing it
+again or importing it while the walks compete for the CPU.
 """
 
 from __future__ import annotations
@@ -51,8 +60,9 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
-from . import convert, metrics, parallel, paths, scenario, siamese
+from . import convert, metrics, parallel, paths, scenario
 from .kgstore import KnowledgeGraph, parse_ntriples, serialize_ntriples
+from .model import ModelConfig, ModelError, epoch_orders
 from .ontology import export_profile, vocabulary
 from .reldb import northwind_fixture
 
@@ -141,7 +151,7 @@ class RunManifest:
         try:  # the graphs give the model its vocabulary and relation counts, each >= 1
             self.sampler_config()
             self.model_config(vocab_size=1, num_relations=1)
-        except (paths.PathError, siamese.ModelError) as exc:
+        except (paths.PathError, ModelError) as exc:
             raise ManifestError(str(exc)) from exc
 
     def expanded_tasks(self) -> list[str]:
@@ -159,8 +169,8 @@ class RunManifest:
             seed=self.seed,
         )
 
-    def model_config(self, vocab_size: int, num_relations: int) -> siamese.ModelConfig:
-        return siamese.ModelConfig(
+    def model_config(self, vocab_size: int, num_relations: int) -> ModelConfig:
+        return ModelConfig(
             vocab_size=vocab_size, num_relations=num_relations,
             num_paths=self.num_paths, embed_dim=self.embed_dim,
             hidden_dim=self.hidden_dim, layers=self.layers,
@@ -340,7 +350,7 @@ class Pipeline:
             except paths.PathError as exc:  # a count that only the data can bound
                 raise ManifestError(f"eval_negatives: {exc}") from exc
             pairs = paths.TrainingPairs(paths.PathSampler(train_g, cfg), self.m.k_negatives)
-            first_epoch = next(siamese.epoch_orders(len(pairs) * pairs.per_pair, self.m.seed))
+            first_epoch = next(epoch_orders(len(pairs) * pairs.per_pair, self.m.seed))
             walk = paths.PairWalk(pairs, first_epoch, test_g, ground_truth, negatives,
                                   streamed=fit is not None)
             del train_g, test_g, pairs  # held by the walk alone, freed here once it forks
@@ -359,6 +369,8 @@ class Pipeline:
         self._run_stage("sample-paths", task, profile, build)
 
     def _fit(self, vocab: paths.EdgeVocabulary, samples) -> tuple:
+        from . import siamese
+
         cfg = self.m.model_config(vocab.size, len(vocab.relation_names))
         params = siamese.init_parameters(cfg)
         return len(samples), params, siamese.train(params, samples, cfg)
@@ -370,6 +382,8 @@ class Pipeline:
         out = self.dir_of("train", task, profile)
 
         def build():
+            from . import siamese
+
             model = fitted
             if model is None:
                 vocab = paths.EdgeVocabulary.load(samples_dir / "vocab.txt")
@@ -406,6 +420,8 @@ class Pipeline:
         samples_dir = self.dir_of("sample-paths", task, profile)
 
         def build():
+            from . import siamese
+
             params = siamese.load_checkpoint(
                 self.dir_of("train", task, profile) / "checkpoint.bin")
             pos = paths.load_samples(
@@ -496,6 +512,8 @@ class Pipeline:
         first = next((i for i, step in enumerate(steps) if not self._should_skip(*step)),
                      len(steps))
         self.skipped = set(steps[:first])
+        if any(step[0] in ("train", "evaluate") for step in steps[first:]):
+            from . import siamese  # noqa: F401 - once, before any fork (module docstring)
         logs, cells = {}, []
         for key in sections:  # scenarios, and cells with nothing to run, first
             if key[1] and any(step[1:] == key and step not in self.skipped

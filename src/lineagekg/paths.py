@@ -127,10 +127,9 @@ class PathSampler:
     tuple over its node-to-node triples in both directions: the adjacency
     entries ``(token, neighbour)``; per neighbour, its last position in
     ``entries``; per position, the previous one with the same neighbour (-1:
-    none); and ``len(entries)``.  Each ``sample_paths`` call appends its walks
-    attempted and walks that reached the target to ``walks_tried`` and
-    ``walks_reached``; ``processes`` is the most processes one training or
-    eval set ran in (1 + forked children).
+    none); and ``len(entries)``.  Each ``sample_paths`` call appends one
+    entry to ``walks_tried`` and one to ``walks_reached``: its walks attempted
+    and the walks that reached the target, which ``_walker`` pops per pair.
     """
 
     def __init__(self, g: KnowledgeGraph, cfg: SamplerConfig):

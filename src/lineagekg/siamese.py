@@ -28,20 +28,24 @@ vectorised over the batch, and a single sample is scored as a batch of one.
 
 PAD positions are skipped by the LSTM and masked out of pooling, so appending
 extra padding never changes a score.
+
+The config (``ModelConfig``), the error (``ModelError``) and the order in
+which ``train`` reads its samples (``epoch_orders``) live in ``model``, which
+needs no numpy, so the stages that never run the model do not load this
+module.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
-import random
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterator, Optional, Sequence, get_type_hints
+from typing import Optional, Sequence, get_type_hints
 
 import numpy as np
 
+from .model import ModelConfig, ModelError, epoch_orders
 from .paths import PAD, PathSample
 
 CHECKPOINT_MAGIC = b"LKGCKPT/1\n"
@@ -49,33 +53,6 @@ CHECKPOINT_MAGIC = b"LKGCKPT/1\n"
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
-
-
-class ModelError(Exception):
-    pass
-
-
-@dataclass(frozen=True)
-class ModelConfig:
-    vocab_size: int
-    num_relations: int
-    num_paths: int = 3
-    embed_dim: int = 32
-    hidden_dim: int = 32
-    layers: int = 2
-    fusion_dim: int = 64
-    learning_rate: float = 1e-3
-    batch_size: int = 32
-    epochs: int = 3
-    seed: int = 0
-
-    def __post_init__(self):
-        for name in ("vocab_size", "num_relations", "num_paths", "embed_dim",
-                     "hidden_dim", "layers", "fusion_dim", "batch_size", "epochs"):
-            if getattr(self, name) < 1:
-                raise ModelError(f"{name} must be >= 1")
-        if not 0.0 <= self.learning_rate < math.inf:
-            raise ModelError("learning_rate must be finite and >= 0")
 
 
 class Parameters:
@@ -443,23 +420,11 @@ class TrainResult:
     lstm_positions: int  # their non-PAD (row, t) positions, which it computed
 
 
-def epoch_orders(count: int, seed: int) -> Iterator[list[int]]:
-    """The order in which ``train`` reads its ``count`` samples, epoch after
-    epoch: epoch e shuffles epoch e - 1's order (``range(count)`` before epoch
-    0) with the rng seeded ``f"{seed}:epoch:{e}"``.  The pipeline's
-    sample-paths walks the training pairs in the first epoch's order
-    (``cli.Pipeline.stage_sample``)."""
-    indices = list(range(count))
-    for epoch in itertools.count():
-        random.Random(f"{seed}:epoch:{epoch}").shuffle(indices)
-        yield indices
-
-
 def train(params: Parameters, samples: Sequence[PathSample],
           cfg: Optional[ModelConfig] = None) -> TrainResult:
     """Mini-batch Adam over the sample sequence; deterministic under the seed.
 
-    Samples are read in batches in ``epoch_orders``' order, one
+    Samples are read in batches in ``model.epoch_orders``' order, one
     ``samples[i]`` at a time, and gradients are averaged per batch.  Only
     ``len`` and indexing are used, so ``samples`` may be a sequence that
     fills while training runs, as a cell's pair walk does (``paths.PairWalk``).

@@ -4,11 +4,15 @@ import math
 import os
 import re
 import signal
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
-from lineagekg import parallel, paths, siamese
+import lineagekg
+from lineagekg import model, parallel, paths, siamese
 from lineagekg.cli import (
     PRESETS,
     STAGE_DIRS,
@@ -961,7 +965,7 @@ class TestSampleAndTrainTogether:
         assert status == 0
         walks = walks_by_process(record)
         pairs = sum(len(indices) for _, indices, _ in walks.values())
-        first_epoch = next(siamese.epoch_orders(3 * pairs, manifest.seed))
+        first_epoch = next(model.epoch_orders(3 * pairs, manifest.seed))
         order = list(dict.fromkeys(i // 3 for i in first_epoch))
         # two children of the cell's process each walk every other pair of
         # the order, in order, at nice 19, and the cell's process walks none
@@ -993,7 +997,7 @@ class TestSampleAndTrainTogether:
             assert run_pipeline(manifest, echo=lambda *_: None, only_stage=stage)[0] == 0
         walks = walks_by_process(record)
         pairs = sum(len(indices) for _, indices, _ in walks.values())
-        first_epoch = next(siamese.epoch_orders(3 * pairs, manifest.seed))
+        first_epoch = next(model.epoch_orders(3 * pairs, manifest.seed))
         order = list(dict.fromkeys(i // 3 for i in first_epoch))
         here = str(os.getpid())
         assert here not in walks
@@ -1233,3 +1237,69 @@ class TestMainEntry:
         assert PRESETS["paper"]["eval_negatives"] == 4000
         assert PRESETS["paper"]["scenarios_per_task"] == 20
         assert PRESETS["paper"]["train_scenarios"] == 17
+
+
+# Run in a fresh interpreter, as this one has numpy loaded: with the CPUs
+# faked, tiny_manifest(profile="both") runs its stages all in one process (one
+# CPU), or its rddl cell in a forked worker and, on the baseline cell's
+# two-CPU share, its pairs in forked walking children (three CPUs).  Every
+# section, run here or in a cell's worker, adds to its log lines whether its
+# process had numpy loaded as it began and as it ended.  Train runs last, as
+# the first call that loads the model.
+NUMPY_PROBE = """
+import json, os, sys
+from lineagekg import cli
+
+root = sys.argv[1]
+usable = set()
+
+def pin(pid, mask):
+    usable.clear()
+    usable.update(mask)
+
+os.sched_getaffinity = lambda pid: set(usable)
+os.sched_setaffinity = pin
+section = cli.Pipeline._section
+
+def noting(self, steps, task, profile):
+    before = "numpy" in sys.modules
+    lines, failure = section(self, steps, task, profile)
+    return lines + [f"numpy {before} {'numpy' in sys.modules}"], failure
+
+cli.Pipeline._section = noting
+seen = {}
+
+def run(stage, cpus):
+    pin(0, range(cpus))
+    manifest = cli.RunManifest.load(os.path.join(root, "manifest.json"))
+    manifest.out_dir = os.path.join(root, str(cpus))
+    manifest.validate()
+    logs = []
+    status, _ = cli.run_pipeline(manifest, echo=logs.append, only_stage=stage)
+    cells = {line for line in logs if line.startswith("numpy")}
+    seen[f"{stage}/{cpus}"] = [status, "numpy" in sys.modules, sorted(cells)]
+
+for cpus in (1, 3):
+    for stage in ("gen-scenarios", "build-kg", "sample-paths"):
+        run(stage, cpus)
+run("train", 3)
+print(json.dumps(seen))
+"""
+
+
+def test_only_the_model_stages_load_numpy(tmp_path):
+    tiny_manifest(tmp_path, profile="both").save(tmp_path / "manifest.json")
+    src = str(Path(lineagekg.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", NUMPY_PROBE, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    seen = json.loads(done.stdout)
+    for cpus in (1, 3):
+        for stage in ("gen-scenarios", "build-kg", "sample-paths"):
+            assert seen.pop(f"{stage}/{cpus}") == [0, False, ["numpy False False"]], stage
+    sidecar = tmp_path / "3" / "selection-projection" / "baseline" / ".stage_sample-paths.ok"
+    assert json.loads(sidecar.read_text())["processes"] == 2
+    # loaded here before any cell runs, so the rddl cell's worker forks with it
+    assert seen == {"train/3": [0, True, ["numpy True True"]]}
