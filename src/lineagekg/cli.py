@@ -45,7 +45,8 @@ alone.  So ``Pipeline.run`` imports the model once, before its first stage, and
 only when a train or evaluate step will run: a run of the other stages never
 loads numpy, and in one that trains, the import is done before any cell or
 walking child forks, so each shares the loaded module instead of importing it
-again or importing it while the walks compete for the CPU.
+again or importing it while the walks compete for the CPU.  Where numpy is
+missing, that import fails the run with one line and exit status 2.
 """
 
 from __future__ import annotations
@@ -575,6 +576,9 @@ def run_pipeline(manifest: RunManifest, echo=print,
         return 1, None
     except (StageError, ChildProcessError) as exc:
         echo(str(exc))
+        return 2, None
+    except ImportError as exc:  # the model's, imported by Pipeline.run before any stage
+        echo(f"cannot import {exc.name or exc}, which train and evaluate need")
         return 2, None
     return 0, pipeline.out / "results.tsv"
 

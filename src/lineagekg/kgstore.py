@@ -8,8 +8,7 @@ runs.  Objects are either node ids or typed literals.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 LITERAL_KINDS = ("string", "integer", "decimal", "boolean")
 
@@ -65,14 +64,13 @@ def canonical_lexical(lexical: str, kind: str) -> str:
     raise ValueError(f"unknown literal kind: {kind!r}")
 
 
-@dataclass(frozen=True)
-class Literal:
+class Literal(NamedTuple):
+    """A typed literal, ``kind`` one of ``LITERAL_KINDS``: a tuple, so that
+    hashing and comparing it run in C.  Kinds are checked where outside input
+    arrives (``parse_ntriples``, ``canonical_lexical``)."""
+
     lexical: str
     kind: str = "string"
-
-    def __post_init__(self):
-        if self.kind not in LITERAL_KINDS:
-            raise ValueError(f"unknown literal kind: {self.kind!r}")
 
 
 Object = Union[int, Literal]

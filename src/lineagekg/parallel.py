@@ -1,12 +1,14 @@
 """``fork_imap`` and ``fork_map``: a serial map run in forked processes, one
-per usable CPU, its results taken as they come or as a list; ``Forked``: a
-function run in a forked process that sends objects back as it goes.
+per usable CPU, its results yielded by a generator that blocks only for a
+result it lacks, or returned as a list; ``Forked``: a function run in a
+forked process that sends objects back as it goes.
 
 The pipeline maps its (task, profile) cells with ``fork_map``, and a cell's
 sample-paths its pairs with ``fork_imap`` in the background, while the cell's
-process trains (``paths.PairWalk``).  Forking with numpy loaded is safe:
-OpenBLAS's pthreads build shuts its thread pool down before a fork
-(``pthread_atfork``) and restarts it at the next BLAS call, in parent and
+process trains (``paths.PairWalk``): a child that runs a full pipe ahead of
+the trainer waits until the trainer next lacks a pair.  Forking with numpy
+loaded is safe: OpenBLAS's pthreads build shuts its thread pool down before a
+fork (``pthread_atfork``) and restarts it at the next BLAS call, in parent and
 child alike, and no other thread runs.  Python 3.12+ warns on forking a
 process that has threads; each fork silences that warning.
 """
@@ -18,8 +20,7 @@ import pickle
 import select
 import signal
 import warnings
-from collections import deque
-from typing import Callable, Generator, Iterable, Iterator, Optional, TypeVar
+from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
 T = TypeVar("T")
 
@@ -64,17 +65,15 @@ def _fork() -> int:
 
 
 def fork_imap(count: int, fn: Callable[[int], T], batch: int, background: bool = False
-              ) -> Generator[Optional[tuple[int, T]], Optional[bool], None]:
-    """``(i, fn(i))`` for each i in ``range(count)``, as each is done, with
-    index i run in share i % P of P = ``processes(count)`` processes.
+              ) -> Iterator[tuple[int, T]]:
+    """``(i, fn(i))`` for each i in ``range(count)``, with index i run in share
+    i % P of P = ``processes(count)`` processes.
 
-    This process runs share 0, yielding each result at once; ``Forked``
-    children run the others and send ``batch`` results at a time, taken in
-    after every ``batch`` of this process's indices and then as they come.
-    With ``background`` and P > 1, every share runs in a child at nice 19, and
-    this process runs none and takes results from whichever child sends
-    first; there, ``send(False)`` in place of ``next``, once iteration has
-    begun, yields ``None`` at once unless a result has arrived.  Shares whose
+    This process runs share 0, one index per ``next``, then yields the
+    children's results as each ``select`` returns, having read every ready
+    pipe: a child that runs a full pipe ahead waits until then.  ``Forked``
+    children run the other shares and send ``batch`` results at a time; with
+    ``background`` and P > 1 they run every share, at nice 19.  Shares whose
     fork fails run here, in index order.  ``fn`` is dropped once every share
     is forked or run, which frees here what only it holds.
 
@@ -89,27 +88,6 @@ def fork_imap(count: int, fn: Callable[[int], T], batch: int, background: bool =
     first_forked = 0 if background and count_processes > 1 else 1
     children: dict[int, Forked] = {}
     failures: list[tuple[int, Exception]] = []
-    arrived: deque = deque()  # results taken in and not yielded yet
-
-    def take(outcomes) -> None:
-        for index, value, exc in outcomes:
-            if exc is None:
-                arrived.append((index, value))
-            else:
-                failures.append((index, exc))
-
-    def receive(live: list[Forked], block: bool) -> None:
-        """Takes in what the children sent; with ``block``, waits until one
-        of them sends or ends.  A child that ended is reaped."""
-        for child in select.select(live, [], [], None if block else 0)[0]:
-            for outcomes in child.receive(block=False):
-                take(outcomes)
-            if child.closed:
-                live.remove(child)
-                code = child.wait()
-                if code != 0:
-                    raise ChildProcessError(f"forked process {child.pid} exited with code {code}")
-
     try:
         for share in range(first_forked, count_processes):
             indices = range(share, count, count_processes)
@@ -120,26 +98,27 @@ def fork_imap(count: int, fn: Callable[[int], T], batch: int, background: bool =
                 break
         here = sorted(index for share in range(count_processes) if share not in children
                       for index in range(share, count, count_processes))
-        outcomes = enumerate(_outcomes(fn, here), 1) if here else None
+        outcomes: Iterable[tuple] = _outcomes(fn, here)
         fn = None  # the children have their copies, and outcomes holds this process's
         live = list(children.values())
-        block = True  # what the consumer asked for: the next result, or one that arrived
-        while outcomes is not None or live or arrived:
-            if arrived:
-                block = (yield arrived.popleft()) is not False
-            elif outcomes is not None and block:  # run this process's next index
-                done, outcome = next(outcomes, (0, None))
-                if outcome is None:
-                    outcomes = None
-                    continue
-                take([outcome])
-                if done % batch == 0 and live:  # so that no child waits long on a full pipe
-                    receive(live, block=False)
-            else:
-                if live:
-                    receive(live, block)
-                if not arrived and not block:
-                    block = (yield None) is not False
+        while True:
+            for index, value, exc in outcomes:
+                if exc is None:
+                    yield index, value
+                else:
+                    failures.append((index, exc))
+            if not live:
+                break
+            ready = select.select(live, [], [])[0]
+            outcomes = [outcome for child in ready for sent in child.receive(block=False)
+                        for outcome in sent]
+            for child in ready:
+                if child.closed:
+                    live.remove(child)
+                    code = child.wait()
+                    if code != 0:
+                        raise ChildProcessError(
+                            f"forked process {child.pid} exited with code {code}")
     finally:
         for child in children.values():
             child.kill()
@@ -163,8 +142,8 @@ class Forked:
     The child leaves with ``os._exit``: status 0 once ``fn`` returned, 1 if it
     raised.  ``os.fork`` raising ``OSError`` (or missing) raises ``OSError``
     here and starts nothing.  ``wait`` reaps the child after its last object;
-    ``kill`` (also on leaving a ``with`` block) kills and reaps a child not
-    reaped yet, so the child is reaped on every path.
+    ``kill`` kills and reaps a child not reaped yet, so the child is reaped
+    on every path.
     """
 
     def __init__(self, fn: Callable[[Callable[[object], None]], None]):
@@ -254,9 +233,3 @@ class Forked:
         if self._fd is not None:
             os.close(self._fd)
             self._fd = None
-
-    def __enter__(self) -> "Forked":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.kill()

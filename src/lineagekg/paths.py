@@ -317,7 +317,8 @@ class TrainingPairs:
 
     def walk(self, index: int) -> tuple[int, tuple, list[int]]:
         """Pair ``index``'s record: its triple's relation, its paths and its
-        corrupted relations, for ``pair_samples``."""
+        corrupted relations, from which ``PairWalk.take`` makes the pair's
+        samples."""
         s, r, o = self.triples[index]
         rng = random.Random(f"{self.sampler.cfg.seed}:train:{index}")
         paths = self.sampler.sample_paths(s, o, rng, excluded=(s, r, o))
@@ -327,14 +328,6 @@ class TrainingPairs:
             relation = rng.randrange(num_relations - 1)
             corrupted.append(relation + 1 if relation >= r else relation)
         return r, paths, corrupted
-
-
-def pair_samples(relation: int, paths: tuple,
-                 corrupted: Sequence[int]) -> list[PathSample]:
-    """A training pair's samples from its record (``TrainingPairs.walk``):
-    the positive, then one negative per corrupted relation."""
-    return [PathSample(paths=paths, relation=relation, label=1)] + [
-        PathSample(paths=paths, relation=c, label=0) for c in corrupted]
 
 
 def row_nodes(g: KnowledgeGraph) -> list[int]:
@@ -450,10 +443,11 @@ class PairWalk:
     (module docstring).  A walking process indexes the test graph at its first
     eval pair, after dropping the train graph's index (``_walker``).
 
-    As a sequence, the training set in pair order (``pair_samples``), which
-    fills while it is read: a read waits for its pair, and while pairs are
-    missing every 32nd read also takes in whatever has arrived, so a child
-    that runs ahead never waits long on a full pipe.  With ``streamed``,
+    As a sequence, the training set in pair order, which fills while it is
+    read: a read of a present sample takes nothing in, and a read of a missing
+    one calls ``take`` until its pair is in.  Pairs this process walks (a fork
+    failed, or P = 1) come first; a child a full pipe ahead of the reader waits
+    until the reader's next miss (``parallel.fork_imap``).  With ``streamed``,
     children send each pair as it is walked, else their whole shares.  Once a
     walk fails, every ``take`` raises its failure; ``close`` kills and reaps
     the children of a walk not read to its end.
@@ -480,7 +474,6 @@ class PairWalk:
         self.pids: set[int] = set()
         self.missing = len(self.order)  # training pairs not taken in yet
         self.failure: Optional[Exception] = None
-        self._reads = 0
         self._results = fork_imap(
             count,
             _walker(pairs, self.order, test_g, eval_pairs),
@@ -490,42 +483,38 @@ class PairWalk:
         return len(self.samples)
 
     def __getitem__(self, index: int) -> PathSample:
-        sample = self.samples[index]
-        if sample is not None and self.missing:
-            self._reads += 1
-            if self._reads % 32 == 0:
-                self.take(block=False)
-        while sample is None:
+        while self.samples[index] is None:
             self.take()
-            sample = self.samples[index]
-        return sample
+        return self.samples[index]
 
-    def take(self, block: bool = True) -> bool:
-        """Takes in the next pair walked, or, without ``block``, every pair
-        that has arrived; False once every pair is in."""
+    def take(self) -> bool:
+        """Takes in the next pair walked, waiting for it; False once every
+        pair is in."""
         if self.failure is not None:
             raise self.failure
-        try:  # a poll yields None once nothing more has arrived
-            for result in ([next(self._results, None)] if block
-                           else iter(lambda: self._results.send(False), None)):
-                if result is None:
-                    return False
-                j, (value, tried, reached, pid) = result
-                if j < len(self.order):
-                    start = self.order[j] * self.per_pair
-                    self.samples[start:start + self.per_pair] = pair_samples(*value)
-                    self.missing -= 1
-                else:
-                    e = j - len(self.order)
-                    self.eval_samples[e] = PathSample(value, self.target, int(e < self.positives))
-                self.walk_counts[j] = tried, reached
-                self.pids.add(pid)
+        try:
+            result = next(self._results, None)
         except ChildProcessError as exc:
             self.failure = PathError(f"path sampling failed: {exc}")
             raise self.failure from exc
         except Exception as exc:
             self.failure = exc
             raise
+        if result is None:
+            return False
+        j, (value, tried, reached, pid) = result
+        if j < len(self.order):
+            # the positive, then one negative per corrupted relation
+            relation, paths, corrupted = value
+            start = self.order[j] * self.per_pair
+            self.samples[start:start + self.per_pair] = [PathSample(paths, relation, 1)] + [
+                PathSample(paths, c, 0) for c in corrupted]
+            self.missing -= 1
+        else:
+            e = j - len(self.order)
+            self.eval_samples[e] = PathSample(value, self.target, int(e < self.positives))
+        self.walk_counts[j] = tried, reached
+        self.pids.add(pid)
         return True
 
     def walk_stats(self) -> dict[str, int]:

@@ -940,15 +940,10 @@ class TestSampleAndTrainTogether:
         fork_imap, caller = parallel.fork_imap, os.getpid()
 
         def noting(count, fn, batch, background=False):  # what the trainer takes in
-            results, sent = fork_imap(count, fn, batch, background), None
-            while True:
-                try:
-                    result = results.send(sent)
-                except StopIteration:
-                    return
-                if result is not None and os.getpid() == caller:
+            for result in fork_imap(count, fn, batch, background):
+                if os.getpid() == caller:
                     note(record, "received", result[0])
-                sent = yield result
+                yield result
 
         save_checkpoint, saved = siamese.save_checkpoint, []
 
@@ -1303,3 +1298,33 @@ def test_only_the_model_stages_load_numpy(tmp_path):
     assert json.loads(sidecar.read_text())["processes"] == 2
     # loaded here before any cell runs, so the rddl cell's worker forks with it
     assert seen == {"train/3": [0, True, ["numpy True True"]]}
+
+
+# numpy hidden behind an import hook, as where it is not installed
+WITHOUT_NUMPY = """
+import sys
+from lineagekg import cli
+
+class NoNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "numpy":
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+
+sys.modules.pop("numpy", None)
+sys.meta_path.insert(0, NoNumpy())
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_train_without_numpy_fails_with_one_line(tmp_path):
+    tiny_manifest(tmp_path / "out").save(tmp_path / "manifest.json")
+    src = str(Path(lineagekg.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", WITHOUT_NUMPY, "train", "--manifest",
+                           str(tmp_path / "manifest.json")], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (2, "")
+    assert done.stdout == "cannot import numpy, which train and evaluate need\n"
+    # no stage ran
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["manifest.json"]

@@ -20,12 +20,15 @@ class TestForked:
             for i in range(4000):
                 send((i, "x" * 256))
 
-        with Forked(child) as forked:
+        forked = Forked(child)
+        try:
             time.sleep(0.05)
             received = []
             while not forked.closed:
                 received += forked.receive()
             assert forked.wait() == 0
+        finally:
+            forked.kill()
         assert received == [(i, "x" * 256) for i in range(4000)]
         assert_no_child_left()
 
@@ -34,22 +37,31 @@ class TestForked:
             send("first")
             raise ValueError("boom")
 
-        with Forked(child) as forked:
+        forked = Forked(child)
+        try:
             received = []
             while not forked.closed:
                 received += forked.receive()
             assert forked.wait() == 1
+        finally:
+            forked.kill()
         assert received == ["first"]
         assert_no_child_left()
 
     def test_wait_drains_what_nobody_read(self):
-        with Forked(lambda send: [send(b"y" * 4096) for _ in range(100)]) as forked:
+        forked = Forked(lambda send: [send(b"y" * 4096) for _ in range(100)])
+        try:
             assert forked.wait() == 0
+        finally:
+            forked.kill()
         assert_no_child_left()
 
-    def test_leaving_the_block_kills_and_reaps_a_running_child(self):
-        with Forked(lambda send: time.sleep(60)) as forked:
+    def test_kill_kills_and_reaps_a_running_child(self):
+        forked = Forked(lambda send: time.sleep(60))
+        try:
             assert forked.receive(block=False) == []
+        finally:
+            forked.kill()
         assert_no_child_left()
 
     def test_fork_failure_raises_and_starts_nothing(self, monkeypatch):
@@ -69,9 +81,8 @@ class TestForkImap:
         assert sorted(results) == [(i, i * i) for i in range(300)]
         for share in range(3):
             assert [i for i, _ in results if i % 3 == share] == list(range(share, 300, 3))
-        # this process yields its own results at once, and the children's
-        # after each batch of its own
-        assert results[:min(batch, 100)] == [(i, i * i) for i in range(0, 3 * batch, 3)][:100]
+        # this process yields its whole share first, the children's after it
+        assert results[:100] == [(i, i * i) for i in range(0, 300, 3)]
         assert_no_child_left()
 
     def test_stopping_early_kills_and_reaps_the_children(self, monkeypatch):
@@ -128,8 +139,7 @@ class TestForkImapInTheBackground:
         assert list(results) == [(0, 0), (2, 2)]
         assert_no_child_left()
 
-    def test_a_poll_answers_at_once_and_the_next_read_blocks_again(self, monkeypatch,
-                                                                    tmp_path):
+    def test_a_read_waits_for_its_result_without_spinning(self, monkeypatch, tmp_path):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         go = tmp_path / "go"
 
@@ -140,14 +150,10 @@ class TestForkImapInTheBackground:
 
         results = fork_imap(2, fn, 1, background=True)
         assert next(results) == (0, 0)
-        start = time.monotonic()
-        assert results.send(False) is None
-        assert results.send(False) is None
-        assert time.monotonic() - start < 1
         timer = threading.Timer(0.3, go.touch)
         timer.start()
         start, cpu = time.monotonic(), time.process_time()
-        assert next(results) == (1, 1)  # blocks until it has arrived: no None
+        assert next(results) == (1, 1)  # blocks until it has arrived
         assert time.monotonic() - start >= 0.25
         assert time.process_time() - cpu < 0.1  # and waits without spinning
         timer.join()

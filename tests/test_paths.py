@@ -620,25 +620,48 @@ class TestProcesses:
         assert batches == [count, 1, count, 1]
         assert_no_child_left()
 
-    def test_reads_take_in_what_has_arrived_every_32nd_read(self, converted, monkeypatch):
-        # a reader that has its samples still takes in, every 32nd read while
-        # pairs are missing, every pair walked so far, so that no child waits
-        # on a full pipe: the records overflow the pipe buffer
+    def test_a_child_a_full_pipe_ahead_waits_for_the_next_missed_read(
+            self, converted, monkeypatch, tmp_path):
+        # ten 16-token paths a pair: each child's records overflow its pipe
+        cfg = SamplerConfig(num_paths=10, max_length=16, walk_budget=2, seed=0)
+        use_cpus(monkeypatch, 1)
+        expected = training_set(PathSampler(converted.train, cfg), k_negatives=2)
+        record, walk_pair = tmp_path / "walks", TrainingPairs.walk
+
+        def noting(pairs, index):
+            with record.open("a") as fh:
+                fh.write(f"{index}\n")
+            return walk_pair(pairs, index)
+
+        def walked_once_still():
+            """The pairs walked, once half a second passed without a walk."""
+            deadline = time.monotonic() + 30
+            last, walked = None, record.read_text().split()
+            while walked != last:
+                assert time.monotonic() < deadline, "the children never stopped"
+                time.sleep(0.5)
+                last, walked = walked, record.read_text().split()
+            return {int(index) for index in walked}
+
         use_cpus(monkeypatch, 2)
-        cfg = SamplerConfig(num_paths=1, max_length=4, walk_budget=1, seed=0)
-        pairs = TrainingPairs(PathSampler(converted.train, cfg))
-        walk = PairWalk(pairs, range(2 * len(pairs)), converted.train, [], [], streamed=True)
+        monkeypatch.setattr(TrainingPairs, "walk", noting)
+        record.write_text("")
+        pairs = TrainingPairs(PathSampler(converted.train, cfg), k_negatives=2)
+        walk = PairWalk(pairs, range(3 * len(pairs)), converted.train, [], [], streamed=True)
         try:
             first = walk[0]
+            stopped = walked_once_still()
+            assert len(stopped) < len(pairs)  # the children wait on full pipes
             missing = walk.missing
-            for _ in range(31):
+            for _ in range(100):  # reads of present samples take nothing in
                 assert walk[0] is first
-            assert walk.missing == missing > 0
-            deadline = time.monotonic() + 30
-            while walk.missing:
-                assert time.monotonic() < deadline, "the reads took nothing in"
-                assert walk[0] is first
-            assert build_training_set(walk) == training_set(PathSampler(converted.train, cfg))
+            assert walk.missing == missing
+            assert walked_once_still() == stopped
+            # a read of a pair not walked yet takes in what the pipes hold
+            unwalked = min(set(range(len(pairs))) - stopped)
+            assert walk[3 * unwalked] == expected[3 * unwalked]
+            assert len(walked_once_still()) > len(stopped)
+            assert build_training_set(walk) == expected
         finally:
             walk.close()
         assert_no_child_left()
