@@ -8,21 +8,25 @@ pair, the degenerate [NOPATH, PAD, ...] encoding is used.
 ``PathSampler.sample_paths`` runs a pair's whole walk budget in one loop.  It
 binds the per-node tables, the rng's methods and the excluded triple's tokens
 once per pair.  The source step (each walk's first step, and the one after a
-restart) sees only the source visited, so its blocked positions, free count
-and draw width are computed once per pair as well.  Any other step costs
-O(visited nodes), not O(degree): it draws among the current node's unblocked
-adjacency entries by stepping over the few blocked positions, which a
-per-node neighbour index finds.  The draw is ``rng.randrange(free)`` inlined
-as the getrandbits rejection loop that CPython's ``randrange(n)`` runs for
-``n > 0`` (``Random._randbelow_with_getrandbits``), so a step makes the same
-rng calls without two Python frames.  That helper is private; the inlined loop
-was checked against ``randrange`` (values and final rng state) on CPython
+restart) sees only the source visited, so the source's free entries are listed
+once per pair and the step indexes that list.  Any other step draws among the
+current node's adjacency entries by stepping over the few blocked positions,
+those of the entries back to a visited node.  Each node maps every neighbour
+to its entry positions, so the positions back to the node the walk came from
+take one lookup, and the other visited nodes (the current one included, for
+its self-loops) are scanned only when the map's keys view is not disjoint from
+them: on the desk preset's union-linear graph, about one step in ten.  The
+draw is ``rng.randrange(free)`` inlined as the getrandbits rejection loop that
+CPython's ``randrange(n)`` runs for ``n > 0``
+(``Random._randbelow_with_getrandbits``), so a step makes the same rng calls
+without two Python frames.  That helper is private; the inlined loop was
+checked against ``randrange`` (values and final rng state) on CPython
 3.9-3.13, and ``TestWalkStepMatchesFilteredList`` in ``tests/test_paths.py``
 compares every sample, walk count and rng state with a sampler that walks
 once per call, filters the neighbour list at every step and calls
-``randrange``: on random multigraphs, on star graphs whose draws straddle each
-power of two up to 1024, on sources without a free entry, and on a converted
-rddl graph.
+``randrange``: on random multigraphs, on a dense multigraph with parallel
+edges and self-loops, on star graphs whose draws straddle each power of two up
+to 1024, on sources without a free entry, and on a converted rddl graph.
 
 ``PairWalk`` walks every pair of a cell's sample-paths once, in one
 background ``parallel.fork_imap``: on P = min(usable CPUs, pairs) > 1 the j-th
@@ -39,7 +43,7 @@ import os
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, KeysView, Optional, Sequence
 
 from .kgstore import RDF_TYPE, KnowledgeGraph, Literal
 from .parallel import fork_imap
@@ -123,13 +127,14 @@ class PathSample:
 class PathSampler:
     """Seeded random-walk path sampler over one (frozen) graph.
 
-    ``nodes`` holds, per node, one ``(entries, last, previous, degree)``
+    ``nodes`` holds, per node, one ``(entries, positions, keys, degree)``
     tuple over its node-to-node triples in both directions: the adjacency
-    entries ``(token, neighbour)``; per neighbour, its last position in
-    ``entries``; per position, the previous one with the same neighbour (-1:
-    none); and ``len(entries)``.  Each ``sample_paths`` call appends one
-    entry to ``walks_tried`` and one to ``walks_reached``: its walks attempted
-    and the walks that reached the target, which ``_walker`` pops per pair.
+    entries ``(token, neighbour)``; ``positions``, a map from each neighbour
+    to the ascending tuple of its positions in ``entries`` (more than one for
+    parallel edges, and two for each self-loop); that map's keys view; and
+    ``len(entries)``.  Each ``sample_paths`` call appends one entry to
+    ``walks_tried`` and one to ``walks_reached``: its walks attempted and the
+    walks that reached the target, which ``_walker`` pops per pair.
     """
 
     def __init__(self, g: KnowledgeGraph, cfg: SamplerConfig):
@@ -137,23 +142,18 @@ class PathSampler:
         self.cfg = cfg
         self.vocab = EdgeVocabulary(g.relation_names())
         adjacency: list[list[tuple[int, int]]] = [[] for _ in range(g.num_nodes)]
-        last_of: list[dict[int, int]] = [{} for _ in range(g.num_nodes)]
-        previous_of: list[list[int]] = [[] for _ in range(g.num_nodes)]
-
-        def link(node: int, token: int, neighbour: int) -> None:
-            last = last_of[node]
-            previous_of[node].append(last.get(neighbour, -1))
-            last[neighbour] = len(adjacency[node])
-            adjacency[node].append((token, neighbour))
-
         for (s, r, o) in g.triples():
             if isinstance(o, Literal):
                 continue
-            link(s, self.vocab.forward(r), o)
-            link(o, self.vocab.inverse(r), s)
-        self.nodes: list[tuple[list[tuple[int, int]], dict[int, int], list[int], int]] = [
-            (entries, last, previous, len(entries))
-            for entries, last, previous in zip(adjacency, last_of, previous_of)]
+            adjacency[s].append((self.vocab.forward(r), o))
+            adjacency[o].append((self.vocab.inverse(r), s))
+        self.nodes: list[tuple[list[tuple[int, int]], dict[int, tuple[int, ...]],
+                               KeysView[int], int]] = []
+        for entries in adjacency:
+            positions: dict[int, tuple[int, ...]] = {}
+            for i, (_, neighbour) in enumerate(entries):
+                positions[neighbour] = positions.get(neighbour, ()) + (i,)
+            self.nodes.append((entries, positions, positions.keys(), len(entries)))
         self.walks_tried: list[int] = []
         self.walks_reached: list[int] = []
 
@@ -172,8 +172,9 @@ class PathSampler:
         as the getrandbits rejection loop of
         ``Random._randbelow_with_getrandbits``; the module docstring names the
         versions and tests that check it.  The source step, each walk's first
-        and the one after a restart, sees only ``src`` visited, so its blocked
-        positions, free count and draw width are computed once per pair.
+        and the one after a restart, sees only ``src`` visited, so its free
+        entries and draw width are computed once per pair, and its draw is
+        the index into those entries.
         """
         self.g._check_node(src)
         self.g._check_node(dst)
@@ -182,26 +183,22 @@ class PathSampler:
         random_, getrandbits = rng.random, rng.getrandbits
         restart_prob = cfg.restart_prob
         max_length, num_paths = cfg.max_length, cfg.num_paths
+        steps = range(max_length)
         ex_s = ex_o = -1
         if excluded is not None:
             ex_s, ex_r, ex_o = excluded
             ex_forward = self.vocab.forward(ex_r)
             ex_inverse = self.vocab.inverse(ex_r)
-        # the source step: its entries back to src (self-loops) and the
-        # excluded triple's entry, unless that is a self-loop and blocked already
-        src_node = nodes[src]
-        src_entries, src_last, src_previous, src_degree = src_node
-        src_blocked: list[int] = []
-        i = src_last.get(src, -1)
-        while i >= 0:
-            src_blocked.append(i)
-            i = src_previous[i]
-        if src == ex_s and ex_o != src:
-            _block_excluded(src_blocked, src_node, ex_o, ex_forward)
-        if src == ex_o and ex_s != src:
-            _block_excluded(src_blocked, src_node, ex_s, ex_inverse)
-        src_blocked.sort()
-        src_free = src_degree - len(src_blocked)
+        # the source step draws among src's entries that are neither back to
+        # src (self-loops) nor the excluded triple's
+        src_entries, src_positions, _, _ = nodes[src]
+        src_blocked = set(src_positions.get(src, ()))
+        if src == ex_s:
+            src_blocked.update(_entries_to(src_entries, src_positions, ex_o, ex_forward))
+        if src == ex_o:
+            src_blocked.update(_entries_to(src_entries, src_positions, ex_s, ex_inverse))
+        src_choices = [entry for i, entry in enumerate(src_entries) if i not in src_blocked]
+        src_free = len(src_choices)
         src_bits = src_free.bit_length()
         found: list[tuple[int, ...]] = []
         seen: set = set()
@@ -211,36 +208,36 @@ class PathSampler:
         # draws nothing
         for attempt in range(budget if src_free else 0):
             tokens: list[int] = []
-            for _ in range(max_length):
+            for _ in steps:
                 if tokens and random_() < restart_prob:
                     tokens = []
                 if not tokens:
                     pick = getrandbits(src_bits)
                     while pick >= src_free:
                         pick = getrandbits(src_bits)
-                    for i in src_blocked:
-                        if i > pick:
-                            break
-                        pick += 1
-                    token, position = src_entries[pick]
-                    visited = [src]  # distinct, as the walk is simple
+                    token, position = src_choices[pick]
+                    # the walk came from ``back``; ``earlier`` holds the other
+                    # visited nodes, the current one last
+                    back, earlier = src, [position]
                 else:
-                    node = nodes[position]
-                    entries, last, previous, degree = node
-                    # positions of the entries to visited nodes
-                    blocked: list[int] = []
-                    for visited_node in visited:
-                        if visited_node in last:
-                            i = last[visited_node]
-                            while i >= 0:
-                                blocked.append(i)
-                                i = previous[i]
-                    # the excluded triple's entry, unless it leads to a visited
-                    # node and is blocked already
-                    if position == ex_s and ex_o not in visited:
-                        _block_excluded(blocked, node, ex_o, ex_forward)
-                    if position == ex_o and ex_s not in visited:
-                        _block_excluded(blocked, node, ex_s, ex_inverse)
+                    entries, positions, keys, degree = nodes[position]
+                    # positions of the entries to visited nodes: those back to
+                    # ``back``, and only if one is adjacent, those to the
+                    # ``earlier`` nodes, this one included (self-loops)
+                    blocked = positions[back]
+                    if not keys.isdisjoint(earlier):
+                        blocked = [*blocked]
+                        for node in earlier:
+                            if node in keys:
+                                blocked += positions[node]
+                        blocked.sort()
+                    # the excluded triple's entry, once: it may lead to a visited node
+                    if position == ex_s:
+                        blocked = sorted({*blocked, *_entries_to(
+                            entries, positions, ex_o, ex_forward)})
+                    if position == ex_o:
+                        blocked = sorted({*blocked, *_entries_to(
+                            entries, positions, ex_s, ex_inverse)})
                     free = degree - len(blocked)
                     if not free:
                         break
@@ -251,16 +248,17 @@ class PathSampler:
                     if len(blocked) == 1:
                         if blocked[0] <= pick:
                             pick += 1
-                    elif blocked:
-                        for i in sorted(blocked):
+                    else:
+                        for i in blocked:
                             if i > pick:
                                 break
                             pick += 1
+                    earlier[-1], back = back, position
                     token, position = entries[pick]
+                    earlier.append(position)
                 tokens.append(token)
                 if position == dst:
                     break
-                visited.append(position)
             if position != dst:
                 continue  # no free entry, or max_length steps
             reached += 1
@@ -280,16 +278,11 @@ class PathSampler:
         return tuple(padded[i % len(padded)] for i in range(num_paths))
 
 
-def _block_excluded(blocked: list[int], node: tuple, neighbour: int,
-                    token: int) -> None:
-    """Append to ``blocked`` the positions of ``node``'s entries to
-    ``neighbour`` with ``token``: the excluded triple's entry."""
-    entries, last, previous, _ = node
-    i = last.get(neighbour, -1)
-    while i >= 0:
-        if entries[i][0] == token:
-            blocked.append(i)
-        i = previous[i]
+def _entries_to(entries: list[tuple[int, int]], positions: dict[int, tuple[int, ...]],
+                neighbour: int, token: int) -> list[int]:
+    """The positions of the entries to ``neighbour`` with ``token``: the
+    excluded triple's entry."""
+    return [i for i in positions.get(neighbour, ()) if entries[i][0] == token]
 
 
 def node_to_node_triples(g: KnowledgeGraph) -> list[tuple]:
@@ -552,11 +545,15 @@ def build_eval_set(walk: PairWalk) -> tuple[list[PathSample], list[PathSample]]:
 
 
 def save_samples(path, samples) -> None:
+    # a pair's positive and its corrupted copies share their paths, so each
+    # distinct path set is formatted once
+    formatted: dict[tuple, str] = {}
     with Path(path).open("w", encoding="utf-8") as fh:
         for sample in samples:
-            tokens = " ".join(
-                str(t) for path_tokens in sample.paths for t in path_tokens
-            )
+            tokens = formatted.get(sample.paths)
+            if tokens is None:
+                tokens = formatted[sample.paths] = " ".join(
+                    str(t) for path_tokens in sample.paths for t in path_tokens)
             fh.write(f"{sample.label} {sample.relation} {tokens}\n")
 
 

@@ -256,6 +256,23 @@ def random_multigraph(rng):
     return g.freeze()
 
 
+def dense_multigraph():
+    """Five nodes with two parallel edges each way between every pair and
+    self-loops on two of them, so that most steps find an earlier visited node
+    adjacent, and every excluded triple is one of several parallel edges."""
+    g = KnowledgeGraph()
+    rels = [g.add_relation(f"r{i}") for i in range(2)]
+    nodes = [g.add_node(f"t:n{i}") for i in range(5)]
+    for a in nodes:
+        for b in nodes:
+            if a != b:
+                g.add_triple(a, rels[0], b)
+                g.add_triple(a, rels[1], b)
+    for loop in nodes[:2]:
+        g.add_triple(loop, rels[0], loop)
+    return g.freeze()
+
+
 def star_graph(degree):
     """A centre node with ``degree`` leaves, one edge each, alternating the
     relation and the direction, so the centre has ``degree`` adjacency entries."""
@@ -291,8 +308,8 @@ class TestWalkStepMatchesFilteredList:
     @pytest.mark.parametrize("restart_prob", [0.0, 0.5, 1.0])
     def test_same_paths_and_rng_state(self, restart_prob):
         cases = 0
-        for graph_seed in range(25):
-            g = random_multigraph(random.Random(graph_seed))
+        graphs = [random_multigraph(random.Random(graph_seed)) for graph_seed in range(25)]
+        for graph_seed, g in enumerate(graphs + [dense_multigraph()]):
             cfg = SamplerConfig(num_paths=3, max_length=4, walk_budget=5,
                                 restart_prob=restart_prob, seed=graph_seed)
             triples = node_to_node_triples(g)
@@ -765,6 +782,7 @@ class TestSampleFiles:
         samples = [
             PathSample(paths=((2, 3, 0), (5, 0, 0)), relation=1, label=1),
             PathSample(paths=((1, 0, 0), (1, 0, 0)), relation=0, label=0),
+            PathSample(paths=((2, 3, 0), (5, 0, 0)), relation=0, label=0),
         ]
         path = tmp_path / "samples.txt"
         save_samples(path, samples)
