@@ -16,18 +16,21 @@ processes it walked in, train its samples, per-epoch losses, and the path
 rows of its batches next to the distinct rows the LSTM ran and their non-PAD
 positions.  No skip decision and no artifact reads these.
 
-Skip decisions are taken up front, in serial order.  The (task, profile)
-cells then run through ``parallel.fork_map``, one worker per usable CPU, after
-gen-scenarios and before report, which run here.  Each worker pins itself to
-its share of the CPUs, so its sample-paths forks its pairs only when cells are
-fewer than CPUs.  A single cell runs here on every CPU.  Workers send their log
-lines back, and the log is echoed in serial order once the cells are done.
+Skip decisions are taken up front, in serial order.  gen-scenarios and
+report run here.  Between them, the (task, profile) cells with a stage to run
+go through ``parallel.fork_imap``: on two or more usable CPUs each runs in a
+forked worker, one per CPU share, and this process only waits.  Each worker
+pins itself to its share of the CPUs, so its sample-paths forks its pairs only
+when cells are fewer than CPUs.  A single cell runs here on every CPU.  A cell
+returns only its failure.  Once the cells are done, the log is printed from
+the skip plan: one ``[run ]`` or ``[skip]`` line per stage, in serial order, up
+to the first stage that failed.
 
 sample-paths walks each pair of its cell once (``paths.PairWalk``): the
 training pairs in the order in which the first epoch (``model.epoch_orders``)
 first reads one of each pair's samples, then the eval pairs.  On a share of two
-or more CPUs, forked children walk them at nice 19 and the cell's process walks
-none; run alone, sample-paths' children send their whole shares when done, as
+or more CPUs, forked children walk them and the cell's process walks none;
+run alone, sample-paths' children send their whole shares when done, as
 handing each pair on cost walk time on desk-paths.  The walk order changes no
 artifact (``paths`` module docstring).  There, a cell that runs both
 sample-paths and train runs them at once (``Pipeline.stage_sample_and_train``):
@@ -47,6 +50,13 @@ loads numpy, and in one that trains, the import is done before any cell or
 walking child forks, so each shares the loaded module instead of importing it
 again or importing it while the walks compete for the CPU.  Where numpy is
 missing, that import fails the run with one line and exit status 2.
+
+BLAS sizes its thread pool to the CPUs it sees as it loads, and a cell worker
+pinned to one of them ran that many threads on it, several times slower.  So
+before that import, ``Pipeline.run`` sets ``OPENBLAS_NUM_THREADS``,
+``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` to 1 where the environment leaves
+them unset; a value set there wins.  An API caller that loaded numpy before its
+first run keeps the pool size it loaded with, which cannot change afterwards.
 """
 
 from __future__ import annotations
@@ -270,12 +280,11 @@ class Pipeline:
             json.dumps(record, indent=2) + "\n", encoding="utf-8")
 
     def _run_stage(self, stage: str, task: str, profile: str, fn) -> None:
-        """Runs ``fn`` as the stage, once its directory exists."""
-        label = _label(stage, task, profile)
+        """Runs ``fn`` as the stage, once its directory exists, unless the
+        stage is skipped."""
         if (stage, task, profile) in self.skipped:
-            self.echo(f"[skip] {label}")
             return
-        self.echo(f"[run ] {label}")
+        label = _label(stage, task, profile)
         start = time.perf_counter()
         self.dir_of(stage, task, profile).mkdir(parents=True, exist_ok=True)
         try:
@@ -473,14 +482,12 @@ class Pipeline:
 
     # -- full run ------------------------------------------------------------------
 
-    def _section(self, steps, task: str, profile: str) -> tuple[list[str], Optional[tuple]]:
-        """Runs the steps of a task's scenarios (profile "") or of one cell: the
-        log lines, and the label and message of a stage that failed (a cell may
+    def _section(self, steps, task: str, profile: str) -> Optional[tuple]:
+        """Runs the steps of a task's scenarios (profile "") or of one cell:
+        the label and message of a stage that failed, if one did (a cell may
         run in a worker, and a StageError does not unpickle).  A cell that
         runs both sample-paths and train on two or more CPUs runs them at
         once."""
-        echo, lines = self.echo, []
-        self.echo = lines.append
         stages = [stage for stage, t, p in steps if (t, p) == (task, profile)]
         # on one CPU, walks interleaved with training ran slower (module docstring)
         together = ("train" in stages and "sample-paths" in stages
@@ -495,10 +502,8 @@ class Pipeline:
                 elif not (together and stage == "train"):
                     getattr(self, CELL_STAGES[stage])(task, profile)
         except StageError as exc:
-            return lines, (exc.stage, str(exc.cause))
-        finally:
-            self.echo = echo
-        return lines, None
+            return exc.stage, str(exc.cause)
+        return None
 
     def run(self, only_stage: Optional[str] = None) -> None:
         self.out.mkdir(parents=True, exist_ok=True)
@@ -514,42 +519,45 @@ class Pipeline:
                      len(steps))
         self.skipped = set(steps[:first])
         if any(step[0] in ("train", "evaluate") for step in steps[first:]):
+            for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+                os.environ.setdefault(name, "1")  # read as BLAS loads (module docstring)
             from . import siamese  # noqa: F401 - once, before any fork (module docstring)
-        logs, cells = {}, []
-        for key in sections:  # scenarios, and cells with nothing to run, first
-            if key[1] and any(step[1:] == key and step not in self.skipped
-                              for step in steps):
+        failures, cells = [], []
+        for key in sections:  # scenarios here, first; cells with nothing to run not at all
+            if not any(step[1:] == key and step not in self.skipped for step in steps):
+                continue
+            if key[1]:
                 cells.append(key)
                 continue
-            logs[key] = self._section(steps, *key)
-            if logs[key][1]:
+            failure = self._section(steps, *key)
+            if failure:
+                failures.append(failure)
                 break  # a serial run would stop here
         shares = parallel.processes(len(cells))
-        cpus = sorted(os.sched_getaffinity(0)) if shares > 1 else []
-        # fork_map runs index i in share i % shares.  Cells alternate profiles
+        # fork_imap runs index i in share i % shares.  Cells alternate profiles
         # in serial order, so dealt in that order over two shares one would get
         # every baseline cell and the other every rddl cell; every other round
         # of shares cells is dealt in reverse instead
         rounds = [cells[i:i + shares] for i in range(0, len(cells), shares)]
         dealt = [key for k, keys in enumerate(rounds)
                  for key in (keys[::-1] if k % 2 else keys)]
+        coordinator = os.getpid()
 
-        def cell(index: int) -> tuple:
-            if shares > 1:  # every shares-th CPU: the cell's sampler forks over these
-                _pin(cpus[index % shares::shares])
+        def cell(index: int) -> Optional[tuple]:
+            # a worker pins itself to every shares-th CPU, over which the
+            # cell's sampler forks; a cell run here keeps this process's CPUs
+            if os.getpid() != coordinator:
+                _pin(sorted(os.sched_getaffinity(0))[index % shares::shares])
             return self._section(steps, *dealt[index])
 
-        try:
-            logs.update(zip(dealt, parallel.fork_map(len(dealt), cell)))
-        finally:
-            if shares > 1:
-                _pin(cpus)
-        for key in sections:
-            lines, failure = logs[key]
-            for line in lines:
-                self.echo(line)
-            if failure:
-                raise StageError(*failure)
+        failures += [failure for _, failure in
+                     parallel.fork_imap(len(dealt), cell, batch=max(1, len(dealt))) if failure]
+        labels = [_label(*step) for step in steps]
+        failure = min(failures, key=lambda f: labels.index(f[0]), default=None)
+        for step in steps[:labels.index(failure[0]) + 1 if failure else len(steps)]:
+            self.echo(f"[{'skip' if step in self.skipped else 'run '}] {_label(*step)}")
+        if failure:
+            raise StageError(*failure)
         if only_stage in (None, "report"):
             self.stage_report()
 

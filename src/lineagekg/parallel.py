@@ -1,14 +1,15 @@
-"""``fork_imap`` and ``fork_map``: a serial map run in forked processes, one
-per usable CPU, its results yielded by a generator that blocks only for a
-result it lacks, or returned as a list; ``Forked``: a function run in a
-forked process that sends objects back as it goes.
+"""``fork_imap``: a serial map run in forked processes, one per usable CPU,
+its results yielded by a generator that blocks only for a result it lacks;
+``Forked``: a function run in a forked process that sends objects back as it
+goes.
 
-The pipeline maps its (task, profile) cells with ``fork_map``, and a cell's
-sample-paths its pairs with ``fork_imap`` in the background, while the cell's
-process trains (``paths.PairWalk``): a child that runs a full pipe ahead of
-the trainer waits until the trainer next lacks a pair.  Forking with numpy
-loaded is safe: OpenBLAS's pthreads build shuts its thread pool down before a
-fork (``pthread_atfork``) and restarts it at the next BLAS call, in parent and
+When it forks, ``fork_imap`` runs every index in a child, and the calling
+process only reads.  The pipeline maps its (task, profile) cells with it, and
+a cell's sample-paths its pairs, while the cell's process trains
+(``paths.PairWalk``): a child that runs a full pipe ahead of the trainer waits
+until the trainer next lacks a pair.  Forking with numpy loaded is safe:
+OpenBLAS's pthreads build shuts its thread pool down before a fork
+(``pthread_atfork``) and restarts it at the next BLAS call, in parent and
 child alike, and no other thread runs.  Python 3.12+ warns on forking a
 process that has threads; each fork silences that warning.
 """
@@ -45,10 +46,7 @@ def _outcomes(fn: Callable[[int], T], indices: Iterable[int]) -> Iterator[tuple]
         yield index, value, None
 
 
-def _send_outcomes(fn: Callable[[int], T], indices: range, send, batch: int,
-                   background: bool) -> None:
-    if background:
-        os.nice(19)
+def _send_outcomes(fn: Callable[[int], T], indices: range, send, batch: int) -> None:
     outcomes = []
     for outcome in _outcomes(fn, indices):
         outcomes.append(outcome)
@@ -64,18 +62,17 @@ def _fork() -> int:
         return os.fork()
 
 
-def fork_imap(count: int, fn: Callable[[int], T], batch: int, background: bool = False
-              ) -> Iterator[tuple[int, T]]:
+def fork_imap(count: int, fn: Callable[[int], T], batch: int) -> Iterator[tuple[int, T]]:
     """``(i, fn(i))`` for each i in ``range(count)``, with index i run in share
     i % P of P = ``processes(count)`` processes.
 
-    This process runs share 0, one index per ``next``, then yields the
-    children's results as each ``select`` returns, having read every ready
-    pipe: a child that runs a full pipe ahead waits until then.  ``Forked``
-    children run the other shares and send ``batch`` results at a time; with
-    ``background`` and P > 1 they run every share, at nice 19.  Shares whose
-    fork fails run here, in index order.  ``fn`` is dropped once every share
-    is forked or run, which frees here what only it holds.
+    With P = 1 this process runs every index, one per ``next``.  Otherwise
+    ``Forked`` children run the shares, each sending ``batch`` results at a
+    time, and this process yields their results as each ``select`` returns,
+    having read every ready pipe: a child that runs a full pipe ahead waits
+    until then.  Shares whose fork fails run here first, in index order.
+    ``fn`` is dropped once every share is forked or run, which frees here what
+    only it holds.
 
     A share stops at its first failing index; the exception of the first
     failing index of all is raised once every share is done, as a serial loop
@@ -85,15 +82,14 @@ def fork_imap(count: int, fn: Callable[[int], T], batch: int, background: bool =
     iterating.
     """
     count_processes = processes(count)
-    first_forked = 0 if background and count_processes > 1 else 1
     children: dict[int, Forked] = {}
     failures: list[tuple[int, Exception]] = []
     try:
-        for share in range(first_forked, count_processes):
+        for share in range(count_processes if count_processes > 1 else 0):
             indices = range(share, count, count_processes)
             try:
                 children[share] = Forked(lambda send, indices=indices: _send_outcomes(
-                    fn, indices, send, batch, background))
+                    fn, indices, send, batch))
             except OSError:
                 break
         here = sorted(index for share in range(count_processes) if share not in children
@@ -110,7 +106,7 @@ def fork_imap(count: int, fn: Callable[[int], T], batch: int, background: bool =
             if not live:
                 break
             ready = select.select(live, [], [])[0]
-            outcomes = [outcome for child in ready for sent in child.receive(block=False)
+            outcomes = [outcome for child in ready for sent in child.receive()
                         for outcome in sent]
             for child in ready:
                 if child.closed:
@@ -124,15 +120,6 @@ def fork_imap(count: int, fn: Callable[[int], T], batch: int, background: bool =
             child.kill()
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
-
-
-def fork_map(count: int, fn: Callable[[int], T]) -> list[T]:
-    """``[fn(i) for i in range(count)]``, run as ``fork_imap`` runs it; each
-    child sends its whole share at once."""
-    results: list = [None] * count
-    for index, value in fork_imap(count, fn, batch=max(1, count)):
-        results[index] = value
-    return results
 
 
 class Forked:
@@ -178,19 +165,15 @@ class Forked:
         self._buffer = bytearray()
         self._status: Optional[int] = None
 
-    def receive(self, block: bool = True) -> list:
+    def receive(self) -> list:
         """The objects that arrived since the last call, in the order sent:
-        everything the pipe holds is read.  With ``block``, waits until at
-        least one object arrived or the child closed its end."""
+        everything the pipe holds is read, without waiting for more."""
         objects: list = []
         while not self.closed:
             try:
                 chunk = os.read(self._fd, 1 << 16)
             except BlockingIOError:
-                if objects or not block:
-                    break
-                select.select([self._fd], [], [])
-                continue
+                break
             if not chunk:
                 self.closed = True
                 break
@@ -214,6 +197,7 @@ class Forked:
         """The child's exit code, once it has closed its end; the objects
         still on their way are dropped."""
         while not self.closed:
+            select.select([self._fd], [], [])
             self.receive()
         if self._status is None:
             self._status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])

@@ -29,12 +29,12 @@ edges and self-loops, on star graphs whose draws straddle each power of two up
 to 1024, on sources without a free entry, and on a converted rddl graph.
 
 ``PairWalk`` walks every pair of a cell's sample-paths once, in one
-background ``parallel.fork_imap``: on P = min(usable CPUs, pairs) > 1 the j-th
-pair runs in share j % P of P forked children at nice 19, and the caller walks
-none.  Neither the process count nor the walk order can change an artifact:
-every pair walks with its own rng, seeded by the pair's index alone, on a
-sampler nobody else mutates; the samples are returned in pair order; and the
-walk counts only ever enter sums.
+``parallel.fork_imap``: on P = min(usable CPUs, pairs) > 1 the j-th pair runs
+in share j % P of P forked children, and the caller walks none.  Neither the
+process count nor the walk order can change an artifact: every pair walks
+with its own rng, seeded by the pair's index alone, on a sampler nobody else
+mutates; the samples are returned in pair order; and the walk counts only
+ever enter sums.
 """
 
 from __future__ import annotations
@@ -432,9 +432,10 @@ class PairWalk:
     """The training pairs of ``pairs``, walked in the order in which
     ``sample_order`` (an order of every training sample) first reads one of
     each pair's samples, then a positive per ground-truth pair and a negative
-    per row pair of ``negatives`` over ``test_g``, walked in the background
-    (module docstring).  A walking process indexes the test graph at its first
-    eval pair, after dropping the train graph's index (``_walker``).
+    per row pair of ``negatives`` over ``test_g``, walked in forked children
+    where it can (module docstring).  A walking process indexes the test graph
+    at its first eval pair, after dropping the train graph's index
+    (``_walker``).
 
     As a sequence, the training set in pair order, which fills while it is
     read: a read of a present sample takes nothing in, and a read of a missing
@@ -470,7 +471,7 @@ class PairWalk:
         self._results = fork_imap(
             count,
             _walker(pairs, self.order, test_g, eval_pairs),
-            1 if streamed else max(1, count), background=True)
+            1 if streamed else max(1, count))
 
     def __len__(self) -> int:
         return len(self.samples)

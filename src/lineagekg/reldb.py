@@ -160,9 +160,6 @@ class Database:
             return self.views[name]
         raise SchemaError(f"unknown relation: {name!r}")
 
-    def relation_names(self) -> list[str]:
-        return list(self.tables) + list(self.views)
-
     def copy(self) -> "Database":
         return Database(
             tables={k: Relation(v.table, list(v.rows), v.object_class)

@@ -655,8 +655,8 @@ def assert_no_child_left():
 
 class TestCellWorkers:
     """tiny_manifest(profile="both") has two cells.  With two usable CPUs
-    (faked) the rddl cell runs in a forked worker, and each cell's process is
-    pinned to one of them; with one, both run here, as a serial loop would."""
+    (faked) each cell runs in a forked worker pinned to one of them, and this
+    process only waits; with one, both run here, as a serial loop would."""
 
     @staticmethod
     def run(out, cpus, monkeypatch, **overrides):
@@ -697,9 +697,9 @@ class TestCellWorkers:
             runs[cpus] = logs, self.tree(tmp_path / str(cpus))
             if cpus == 1:
                 assert pins == {}
-            else:  # this process ran the baseline cell on CPU 0, then got both back
-                assert pins.pop(os.getpid()) == [[0], [0, 1]]
-                assert list(pins.values()) == [[[1]]]
+            else:  # a worker per cell, each pinned to its own CPU; none here
+                assert os.getpid() not in pins
+                assert sorted(pins.values()) == [[[0]], [[1]]]
         assert runs[1][0] == runs[2][0] == serial_log()
         assert runs[1][1] == runs[2][1]
         assert len(runs[1][1]) > 30
@@ -707,29 +707,21 @@ class TestCellWorkers:
 
     def test_cells_fewer_than_cpus_walk_beside_their_trainers(self, tmp_path, monkeypatch):
         # four CPUs, two cells: each cell's share holds two, so each cell's
-        # process forks two children that walk its pairs at nice 19 and pin
-        # nothing, while it trains
-        niced = tmp_path / "niced"
-        niced.write_text("")
-
-        def nice(increment):
-            with niced.open("a") as fh:
-                fh.write(f"{os.getpid()} {os.getppid()} {increment}\n")
-            return increment
-
-        monkeypatch.setattr(os, "nice", nice)
+        # worker forks two children that walk its pairs and pin nothing,
+        # while it trains
+        record = tmp_path / "record"
         runs = {}
         for cpus in (1, 4):
+            record_walks(record, monkeypatch)
             status, logs, pins = self.run(tmp_path / str(cpus), cpus, monkeypatch)
             assert (status, logs) == (0, serial_log())
             runs[cpus] = self.tree(tmp_path / str(cpus))
-        assert pins.pop(os.getpid()) == [[0, 2], [0, 1, 2, 3]]
-        assert list(pins.values()) == [[[1, 3]]]
-        walkers = [line.split() for line in niced.read_text().splitlines()]
-        assert [increment for _, _, increment in walkers] == ["19"] * 4
-        cells = {os.getpid(), *pins}  # this process ran the baseline cell
-        assert sorted(int(ppid) for _, ppid, _ in walkers) == sorted([*cells] * 2)
-        assert not {int(pid) for pid, _, _ in walkers} & cells
+        assert os.getpid() not in pins
+        assert sorted(pins.values()) == [[[0, 2]], [[1, 3]]]
+        walkers = walks_by_process(record)
+        assert len(walkers) == 4 and not {int(pid) for pid in walkers} & {*pins}
+        assert sorted(int(ppid) for parents, _ in walkers.values()
+                      for ppid in parents) == sorted([*pins] * 2)
         assert runs[1] == runs[4]
         assert_no_child_left()
 
@@ -816,6 +808,21 @@ class TestCellWorkers:
         monkeypatch.undo()
         assert os.sched_getaffinity(0) == real
 
+    def test_cells_whose_fork_fails_run_here_as_on_one_cpu(self, tmp_path, monkeypatch):
+        # two CPUs (faked) and no fork: both cells run in this process, one
+        # after the other, and it ends the run on the CPUs it began with
+        real = os.sched_getaffinity(0)
+        status, logs, _ = self.run(tmp_path / "1", 1, monkeypatch)
+        assert (status, logs) == (0, serial_log())
+        monkeypatch.undo()
+        with monkeypatch.context() as patch:  # the CPUs faked, the pins made
+            patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+            patch.setattr(os, "fork", no_fork)
+            assert run_pipeline_logs(tiny_manifest(tmp_path / "2", profile="both")) == (
+                0, serial_log())
+        assert self.tree(tmp_path / "1") == self.tree(tmp_path / "2")
+        assert os.sched_getaffinity(0) == real
+
 
 CELL = "selection-projection/rddl"
 
@@ -847,11 +854,11 @@ def note(record, *words):
 
 def record_walks(record, monkeypatch):
     """Notes each training pair walked in ``record``: "walk", the walking
-    process's pid, its parent's pid, the pair index and its niceness."""
+    process's pid, its parent's pid and the pair index."""
     walk = paths.TrainingPairs.walk
 
     def recording(pairs, index):
-        note(record, "walk", os.getpid(), os.getppid(), index, os.nice(0))
+        note(record, "walk", os.getpid(), os.getppid(), index)
         return walk(pairs, index)
 
     record.write_text("")
@@ -860,16 +867,15 @@ def record_walks(record, monkeypatch):
 
 def walks_by_process(record):
     """The training pairs walked per ``record_walks``, by pid: the parent
-    pids, the pair indices in the order walked and the nicenesses."""
+    pids and the pair indices in the order walked."""
     by_pid = {}
     for line in record.read_text().splitlines():
         kind, *words = line.split()
         if kind == "walk":
-            pid, ppid, index, niceness = words
-            parents, indices, nicenesses = by_pid.setdefault(pid, (set(), [], set()))
+            pid, ppid, index = words
+            parents, indices = by_pid.setdefault(pid, (set(), []))
             parents.add(ppid)
             indices.append(int(index))
-            nicenesses.add(niceness)
     return by_pid
 
 
@@ -932,15 +938,14 @@ class TestSampleAndTrainTogether:
         assert trees[1] == trees[2] == trees[3]
         assert_no_child_left()
 
-    def test_walker_walks_each_share_in_first_epoch_order_at_low_priority(
-            self, tmp_path, monkeypatch):
+    def test_walker_walks_each_share_in_first_epoch_order(self, tmp_path, monkeypatch):
         # the walkers are the cell's walking children
         record = tmp_path / "record"
         record_walks(record, monkeypatch)
         fork_imap, caller = parallel.fork_imap, os.getpid()
 
-        def noting(count, fn, batch, background=False):  # what the trainer takes in
-            for result in fork_imap(count, fn, batch, background):
+        def noting(count, fn, batch):  # what the trainer takes in
+            for result in fork_imap(count, fn, batch):
                 if os.getpid() == caller:
                     note(record, "received", result[0])
                 yield result
@@ -959,14 +964,14 @@ class TestSampleAndTrainTogether:
         status, _ = run_pipeline(manifest, echo=lambda *_: None)
         assert status == 0
         walks = walks_by_process(record)
-        pairs = sum(len(indices) for _, indices, _ in walks.values())
+        pairs = sum(len(indices) for _, indices in walks.values())
         first_epoch = next(model.epoch_orders(3 * pairs, manifest.seed))
         order = list(dict.fromkeys(i // 3 for i in first_epoch))
         # two children of the cell's process each walk every other pair of
-        # the order, in order, at nice 19, and the cell's process walks none
+        # the order, in order, and the cell's process walks none
         assert str(caller) not in walks
-        assert sorted(walks.values()) == [({str(caller)}, order[0::2], {"19"}),
-                                          ({str(caller)}, order[1::2], {"19"})]
+        assert sorted(walks.values()) == [({str(caller)}, order[0::2]),
+                                          ({str(caller)}, order[1::2])]
         # each child then walks its eval pairs, and sends every pair as walked
         received = [int(line.split()[1]) for line in record.read_text().splitlines()
                     if line.startswith("received")]
@@ -974,7 +979,6 @@ class TestSampleAndTrainTogether:
         for share in (0, 1):
             assert [j for j in received if j % 2 == share] == list(
                 range(share, len(received), 2))
-        assert os.nice(0) < 19  # the trainer's priority is its own
         # sample-paths had written every sample file and its sidecar
         assert saved == [(["eval_neg.txt", "eval_pos.txt", "train.txt", "vocab.txt",
                            "walk_stats.txt"], True)]
@@ -991,13 +995,12 @@ class TestSampleAndTrainTogether:
         for stage in ("gen-scenarios", "build-kg", "sample-paths"):
             assert run_pipeline(manifest, echo=lambda *_: None, only_stage=stage)[0] == 0
         walks = walks_by_process(record)
-        pairs = sum(len(indices) for _, indices, _ in walks.values())
+        pairs = sum(len(indices) for _, indices in walks.values())
         first_epoch = next(model.epoch_orders(3 * pairs, manifest.seed))
         order = list(dict.fromkeys(i // 3 for i in first_epoch))
         here = str(os.getpid())
         assert here not in walks
-        assert sorted(walks.values()) == [({here}, order[0::2], {"19"}),
-                                          ({here}, order[1::2], {"19"})]
+        assert sorted(walks.values()) == [({here}, order[0::2]), ({here}, order[1::2])]
         assert_no_child_left()
 
     def test_cell_process_indexes_no_test_graph_when_pairs_fork(self, tmp_path,
@@ -1236,10 +1239,10 @@ class TestMainEntry:
 
 # Run in a fresh interpreter, as this one has numpy loaded: with the CPUs
 # faked, tiny_manifest(profile="both") runs its stages all in one process (one
-# CPU), or its rddl cell in a forked worker and, on the baseline cell's
+# CPU), or each cell in a forked worker and, on the baseline cell's
 # two-CPU share, its pairs in forked walking children (three CPUs).  Every
-# section, run here or in a cell's worker, adds to its log lines whether its
-# process had numpy loaded as it began and as it ended.  Train runs last, as
+# section, run here or in a cell's worker, notes in a file whether its process
+# had numpy loaded as it began and as it ended.  Train runs last, as
 # the first call that loads the model.
 NUMPY_PROBE = """
 import json, os, sys
@@ -1247,6 +1250,7 @@ from lineagekg import cli
 
 root = sys.argv[1]
 usable = set()
+sections = os.path.join(root, "sections")
 
 def pin(pid, mask):
     usable.clear()
@@ -1258,20 +1262,24 @@ section = cli.Pipeline._section
 
 def noting(self, steps, task, profile):
     before = "numpy" in sys.modules
-    lines, failure = section(self, steps, task, profile)
-    return lines + [f"numpy {before} {'numpy' in sys.modules}"], failure
+    failure = section(self, steps, task, profile)
+    with open(sections, "a") as fh:
+        fh.write(f"numpy {before} {'numpy' in sys.modules}\\n")
+    return failure
 
 cli.Pipeline._section = noting
 seen = {}
 
 def run(stage, cpus):
     pin(0, range(cpus))
+    open(sections, "w").close()
     manifest = cli.RunManifest.load(os.path.join(root, "manifest.json"))
     manifest.out_dir = os.path.join(root, str(cpus))
     manifest.validate()
     logs = []
     status, _ = cli.run_pipeline(manifest, echo=logs.append, only_stage=stage)
-    cells = {line for line in logs if line.startswith("numpy")}
+    with open(sections) as fh:
+        cells = set(fh.read().splitlines())
     seen[f"{stage}/{cpus}"] = [status, "numpy" in sys.modules, sorted(cells)]
 
 for cpus in (1, 3):
@@ -1296,8 +1304,51 @@ def test_only_the_model_stages_load_numpy(tmp_path):
             assert seen.pop(f"{stage}/{cpus}") == [0, False, ["numpy False False"]], stage
     sidecar = tmp_path / "3" / "selection-projection" / "baseline" / ".stage_sample-paths.ok"
     assert json.loads(sidecar.read_text())["processes"] == 2
-    # loaded here before any cell runs, so the rddl cell's worker forks with it
+    # loaded here before any cell runs, so each cell's worker forks with it
     assert seen == {"train/3": [0, True, ["numpy True True"]]}
+
+
+# Run in a fresh interpreter with no BLAS variable set, as numpy loads during
+# the run there: each cell's worker, pinned to its share of the CPUs, notes the
+# threads of its process once it has trained.  The products of a model of the
+# manifest's default size are large enough for OpenBLAS to start its pool.
+BLAS_PROBE = """
+import os, sys
+from lineagekg import cli
+
+root = sys.argv[1]
+fit = cli.Pipeline._fit
+
+def noting(self, vocab, samples):
+    fitted = fit(self, vocab, samples)
+    with open(os.path.join(root, "threads"), "a") as fh:
+        fh.write(f"{os.getpid()} {len(os.listdir('/proc/self/task'))}\\n")
+    return fitted
+
+cli.Pipeline._fit = noting
+manifest = cli.RunManifest.load(os.path.join(root, "manifest.json"))
+sys.exit(cli.run_pipeline(manifest, echo=lambda *_: None)[0])
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task")
+                    or len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+                    reason="needs /proc/self/task and two usable CPUs")
+def test_each_cell_worker_runs_blas_on_one_thread(tmp_path):
+    defaults = RunManifest()
+    tiny_manifest(tmp_path / "out", profile="both", embed_dim=defaults.embed_dim,
+                  hidden_dim=defaults.hidden_dim, layers=defaults.layers,
+                  fusion_dim=defaults.fusion_dim, batch_size=defaults.batch_size,
+                  ).save(tmp_path / "manifest.json")
+    src = str(Path(lineagekg.__file__).resolve().parent.parent)
+    env = {name: value for name, value in os.environ.items() if name not in (
+        "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", BLAS_PROBE, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    threads = dict(line.split() for line in (tmp_path / "threads").read_text().splitlines())
+    assert list(threads.values()) == ["1", "1"]  # two workers, one thread each
 
 
 # numpy hidden behind an import hook, as where it is not installed

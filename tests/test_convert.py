@@ -218,7 +218,7 @@ def random_lineage_db(rng):
 
 def random_tuples(rng, db, count):
     def side():
-        rel = db.relation(rng.choice(sorted(db.relation_names())))
+        rel = db.relation(rng.choice(sorted([*db.tables, *db.views])))
         col = rng.choice(rel.table.columns)
         values = [v for dtype in LEXICALS for v in LEXICALS[dtype]]
         return rel.name, col.name, rng.choice(values)

@@ -1,4 +1,5 @@
 import os
+import select
 import threading
 import time
 import weakref
@@ -25,6 +26,7 @@ class TestForked:
             time.sleep(0.05)
             received = []
             while not forked.closed:
+                select.select([forked], [], [])
                 received += forked.receive()
             assert forked.wait() == 0
         finally:
@@ -41,6 +43,7 @@ class TestForked:
         try:
             received = []
             while not forked.closed:
+                select.select([forked], [], [])
                 received += forked.receive()
             assert forked.wait() == 1
         finally:
@@ -59,7 +62,7 @@ class TestForked:
     def test_kill_kills_and_reaps_a_running_child(self):
         forked = Forked(lambda send: time.sleep(60))
         try:
-            assert forked.receive(block=False) == []
+            assert forked.receive() == []
         finally:
             forked.kill()
         assert_no_child_left()
@@ -81,14 +84,13 @@ class TestForkImap:
         assert sorted(results) == [(i, i * i) for i in range(300)]
         for share in range(3):
             assert [i for i, _ in results if i % 3 == share] == list(range(share, 300, 3))
-        # this process yields its whole share first, the children's after it
-        assert results[:100] == [(i, i * i) for i in range(0, 300, 3)]
         assert_no_child_left()
 
     def test_stopping_early_kills_and_reaps_the_children(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         results = fork_imap(300, lambda i: time.sleep(0.01) or i, 1)
-        assert next(results) == (0, 0)
+        index, value = next(results)
+        assert index == value < 3  # the first index of some share
         results.close()
         assert_no_child_left()
 
@@ -102,7 +104,10 @@ def wait_for(path):
 
 
 class TestForkImapInTheBackground:
-    def test_every_share_runs_in_a_child_at_nice_19(self, monkeypatch):
+    """When fork_imap forks, every share runs in a child, and the caller
+    only reads."""
+
+    def test_every_share_runs_in_a_child(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
 
         class Where:  # a weak reference to fn tells when the caller dropped it
@@ -111,7 +116,7 @@ class TestForkImapInTheBackground:
 
         fn = Where()
         dropped = weakref.ref(fn)
-        results = fork_imap(9, fn, 1, background=True)
+        results = fork_imap(9, fn, 1)
         del fn
         first = next(results)
         assert dropped() is None  # every share forked: fn is freed here
@@ -119,7 +124,9 @@ class TestForkImapInTheBackground:
         assert sorted(where) == list(range(9))
         pids = {pid for pid, _, _ in where.values()}
         assert len(pids) == 3 and os.getpid() not in pids
-        assert {(ppid, niceness) for _, ppid, niceness in where.values()} == {(os.getpid(), 19)}
+        # children of this process, at its own priority
+        assert {(ppid, niceness) for _, ppid, niceness in where.values()} == {
+            (os.getpid(), os.nice(0))}
         for share in range(3):  # one child per share
             assert len({where[index][0] for index in range(share, 9, 3)}) == 1
         assert_no_child_left()
@@ -133,7 +140,7 @@ class TestForkImapInTheBackground:
                 wait_for(go)
             return index
 
-        results = fork_imap(4, fn, 1, background=True)
+        results = fork_imap(4, fn, 1)
         assert [next(results), next(results)] == [(1, 1), (3, 3)]
         go.touch()
         assert list(results) == [(0, 0), (2, 2)]
@@ -148,7 +155,7 @@ class TestForkImapInTheBackground:
                 wait_for(go)
             return index
 
-        results = fork_imap(2, fn, 1, background=True)
+        results = fork_imap(2, fn, 1)
         assert next(results) == (0, 0)
         timer = threading.Timer(0.3, go.touch)
         timer.start()
@@ -171,7 +178,7 @@ class TestForkImapInTheBackground:
             return fork()
 
         monkeypatch.setattr(os, "fork", first_fork_only)
-        results = list(fork_imap(9, lambda index: os.getpid(), 1, background=True))
+        results = list(fork_imap(9, lambda index: os.getpid(), 1))
         here = [index for index, pid in results if pid == os.getpid()]
         assert here == [1, 2, 4, 5, 7, 8]  # shares 1 and 2, in index order
         assert sorted(index for index, pid in results if pid != os.getpid()) == [0, 3, 6]
@@ -187,5 +194,5 @@ class TestForkImapInTheBackground:
             return index
 
         with pytest.raises(ChildProcessError, match=r"forked process \d+ exited with code 3"):
-            list(fork_imap(30, fn, 1, background=True))
+            list(fork_imap(30, fn, 1))
         assert_no_child_left()

@@ -598,13 +598,13 @@ class TestProcesses:
         batches, record = [], tmp_path / "walks"
         fork_imap, walk_pair = parallel.fork_imap, TrainingPairs.walk
 
-        def recording(count, fn, batch, background=False):
+        def recording(count, fn, batch):
             batches.append(batch)
-            return fork_imap(count, fn, batch, background)
+            return fork_imap(count, fn, batch)
 
         def noting(pairs, index):
             with record.open("a") as fh:
-                fh.write(f"{os.getpid()} {os.getppid()} {os.nice(0)} {index}\n")
+                fh.write(f"{os.getpid()} {os.getppid()} {index}\n")
             return walk_pair(pairs, index)
 
         expected = training_set(PathSampler(converted.train, cfg), k_negatives=2)
@@ -625,13 +625,13 @@ class TestProcesses:
                 assert read == [expected[i] for i in sample_order]
                 by_pid = {}
                 for line in record.read_text().splitlines():
-                    pid, ppid, niceness, index = map(int, line.split())
-                    by_pid.setdefault((pid, ppid, niceness), []).append(index)
+                    pid, ppid, index = map(int, line.split())
+                    by_pid.setdefault((pid, ppid), []).append(index)
                 if cpus == 1:  # this process walks every pair, in the order read
-                    assert by_pid == {(os.getpid(), os.getppid(), os.nice(0)): order}
+                    assert by_pid == {(os.getpid(), os.getppid()): order}
                     continue
-                # each child of this process, at nice 19, walks its share in order
-                assert {key[1:] for key in by_pid} == {(os.getpid(), 19)}
+                # each child of this process walks its share in order
+                assert {ppid for _, ppid in by_pid} == {os.getpid()}
                 assert sorted(by_pid.values()) == sorted(order[share::3] for share in range(3))
         # children send each pair at once only to a reader that reads as they walk
         assert batches == [count, 1, count, 1]
@@ -728,7 +728,7 @@ class TestProcesses:
 
     def test_first_failing_pair_in_walk_order_is_raised(self, converted, monkeypatch):
         # walked last pair first, pair n - 3 fails in share 2 and pair n - 4
-        # in this process's share 0: a serial loop in walk order meets pair
+        # in share 0: a serial loop in walk order meets pair
         # n - 3 first, though pair order puts it later
         triples = node_to_node_triples(converted.train)
         use_cpus(monkeypatch, 3)
