@@ -5,17 +5,20 @@ table columns are prefixed with the table name (the published procedure's
 asymmetry, kept verbatim), so views with a column of the same name share one
 Column node.  Rows and cells are emitted relation by relation, with what every
 cell of a relation shares (relation ids, each column's literal kind, the row
-IRI prefix) looked up once per relation; every triple still goes through the
-checked ``KnowledgeGraph.add_triple``.  The population report counts the
-rdf:type objects in one pass and names each class node once.
+IRI prefix) looked up once per relation, and each relation's row and cell
+triples go through one checked ``KnowledgeGraph.add_triples`` call.  The
+population report counts the rdf:type objects in one pass and names each
+class node once.
 
-Lineage resolution indexes the graph once per call, in one pass over its
-triples (each object's columns and rows, each column's literal kind, and the
-(row, cell) pairs of each (column, value)), resolves the objects and columns
-of each distinct (t1, c1, t2, c2) once, then looks each tuple's values up in
-that index and links every (source row, target row) pair whose rows belong to
-the objects the tuple names.  Row pairs come out in first-match order: tuple
-by tuple, dst rows × src rows, each side in cell insertion order.
+Population also records, as it emits them, what resolution reads (each
+object's columns and rows, each column's literal kind, and the (row, cell)
+pairs of each (column, value)): the graph carries that index, so resolution
+never reads its triples.  Resolution resolves the objects and columns of each
+distinct (t1, c1, t2, c2) once, canonicalises each (value, kind) once and
+matches each distinct (object, column, value) once, and links every (source
+row, target row) pair whose rows belong to the objects the tuple names.  Row
+pairs come out in first-match order: tuple by tuple, dst rows × src rows,
+each side in cell insertion order.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .kgstore import (
     RDF_TYPE,
     KnowledgeGraph,
     Literal,
+    UnknownNodeError,
     canonical_lexical,
 )
 from .ontology import LINEAGE_PROPERTIES, OntologyProfile, ProfileError, vocabulary
@@ -86,30 +90,36 @@ def resolve_type(
 
 def _emit_rows(g: KnowledgeGraph, rel: Relation, obj_node: int,
                column_nodes: list[int], rels: dict,
-               row_class: int, cell_class: int) -> list[int]:
-    """Emit the relation's rows and their non-NULL cells; returns the row nodes."""
-    add_node, add_triple = g.add_node, g.add_triple
+               row_class: int, cell_class: int, index: _GraphIndex) -> list[int]:
+    """Emit the relation's rows and their non-NULL cells, and record them in
+    ``index``; returns the row nodes."""
+    add_node = g.add_node
     rdf_type, has_row, has_cell, belongs, exact = (
         rels[name] for name in
         (RDF_TYPE, "hasRow", "hasCellValue", "belongsToColumn", "exactValue"))
     columns = [(j, DTYPE_KINDS[col.dtype], column_node) for j, (col, column_node)
                in enumerate(zip(rel.table.columns, column_nodes))]
     prefix = _iri(g.namespace, f"{sanitize(rel.name)}_r")
+    kinds, cells = index.kinds, index.cells
     row_nodes = []
+    triples: list = []
     for i, row in enumerate(rel.rows):
         row_iri = f"{prefix}{i}"
         row_node = add_node(row_iri)
         row_nodes.append(row_node)
-        add_triple(row_node, rdf_type, row_class)
-        add_triple(obj_node, has_row, row_node)
+        triples += ((row_node, rdf_type, row_class), (obj_node, has_row, row_node))
         for (j, kind, column_node), value in zip(columns, row):
             if value is None:
                 continue  # NULL cells have no value individual
             cell_node = add_node(f"{row_iri}_c{j}")
-            add_triple(cell_node, rdf_type, cell_class)
-            add_triple(row_node, has_cell, cell_node)
-            add_triple(cell_node, belongs, column_node)
-            add_triple(cell_node, exact, Literal(value, kind))
+            literal = Literal(value, kind)
+            triples += ((cell_node, rdf_type, cell_class), (row_node, has_cell, cell_node),
+                        (cell_node, belongs, column_node), (cell_node, exact, literal))
+            kinds.setdefault(column_node, kind)
+            cells += (column_node, literal, row_node, cell_node)
+    g.add_triples(triples)
+    if row_nodes:
+        index.rows.setdefault(obj_node, set()).update(row_nodes)
     return row_nodes
 
 
@@ -135,6 +145,12 @@ def _populate(g: KnowledgeGraph, db: Database, profile: str,
     """``populate_kg`` without the report."""
     if len(g) != 0:
         raise ConvertError("populate_kg requires an empty graph")
+    # two relations of one IRI would share their row and cell nodes
+    named: set[str] = set()
+    for rel in [*db.views.values(), *db.tables.values()]:
+        if sanitize(rel.name) in named:
+            raise ConvertError(f"two relations share the IRI {sanitize(rel.name)!r}")
+        named.add(sanitize(rel.name))
     onto = vocabulary(profile)
     ns = namespace or profile
     g.namespace = ns
@@ -156,6 +172,7 @@ def _populate(g: KnowledgeGraph, db: Database, profile: str,
         g.add_triple(node, rels[RDF_TYPE], class_node(cls))
         return node
 
+    index = _GraphIndex()
     object_nodes: dict[str, int] = {}
     row_nodes: dict[str, list[int]] = {}
     row_class = class_node("Row")
@@ -171,9 +188,10 @@ def _populate(g: KnowledgeGraph, db: Database, profile: str,
         for col in view.table.columns:
             c_node = typed_node(sanitize(col.name), "Column")
             g.add_triple(v_node, rels["hasColumn"], c_node)
+            index.add_column(g, v_node, c_node)
             column_nodes.append(c_node)
         row_nodes[view_name] = _emit_rows(
-            g, view, v_node, column_nodes, rels, row_class, cell_class)
+            g, view, v_node, column_nodes, rels, row_class, cell_class, index)
 
     # tables, with prefixed column names and (rddl) schema metadata
     for table_name in sorted(db.tables):
@@ -185,6 +203,7 @@ def _populate(g: KnowledgeGraph, db: Database, profile: str,
         for col in table.table.columns:
             c_node = typed_node(f"{sanitize(table_name)}_{sanitize(col.name)}", "Column")
             g.add_triple(t_node, rels["hasColumn"], c_node)
+            index.add_column(g, t_node, c_node)
             column_nodes.append(c_node)
             if not is_rddl:
                 continue
@@ -207,7 +226,7 @@ def _populate(g: KnowledgeGraph, db: Database, profile: str,
                 )
                 g.add_triple(c_node, rels["hasConstraint"], nn_node)
         row_nodes[table_name] = _emit_rows(
-            g, table, t_node, column_nodes, rels, row_class, cell_class)
+            g, table, t_node, column_nodes, rels, row_class, cell_class, index)
 
     if is_rddl:
         for table_name in sorted(db.tables):
@@ -232,8 +251,9 @@ def _populate(g: KnowledgeGraph, db: Database, profile: str,
                 g.add_triple(e_node, rels["usesTable"], object_nodes[source])
             if record.output not in object_nodes:
                 raise ConvertError(f"execution output {record.output!r} absent from graph")
-            for row_node in row_nodes[record.output]:
-                g.add_triple(e_node, rels["generatesRow"], row_node)
+            g.add_triples([(e_node, rels["generatesRow"], row_node)
+                           for row_node in row_nodes[record.output]])
+    g.meta["index"] = index
 
 
 def population_report(g: KnowledgeGraph) -> dict[str, int]:
@@ -262,57 +282,31 @@ class LineageResolution:
     tuples_matched: int  # tuples whose source and target both matched rows
 
 
-def _locals_index(g: KnowledgeGraph) -> dict[str, int]:
-    return {g.local_name(node_id): node_id for node_id in range(g.num_nodes)}
-
-
 class _GraphIndex:
-    """What resolution reads of a graph, gathered in one pass over its triples.
+    """What resolution reads of a graph, recorded by ``_populate`` as it emits
+    the triples, so resolution never reads the triples themselves.
 
     ``columns`` maps an object to its columns by local name, each with its
     position in the object's hasColumn order; ``rows`` maps an object to its
     rows; ``kinds`` maps a column to the literal kind of its first cell, in
-    belongsToColumn order, that has a literal; ``cells`` maps (column, literal)
-    to the (row, cell) pairs holding that value, in exactValue then
-    hasCellValue insertion order.
+    belongsToColumn order; ``cells`` lists each cell's column, literal, row
+    and cell node, four items a cell, in insertion order.  The graph carries
+    the index as ``meta["index"]``; resolution adds no triple of these
+    relations, so the index stays true of the graph as long as nothing else
+    adds one.  The cells stay a flat list, grouped by value only for the
+    length of a resolution call, as a graph's serialization would otherwise
+    run beside a dict of every cell.
     """
 
-    def __init__(self, g: KnowledgeGraph):
-        has_column, has_row, has_cell, belongs, exact = (
-            g.relation_id(name) for name in
-            ("hasColumn", "hasRow", "hasCellValue", "belongsToColumn", "exactValue"))
+    def __init__(self):
         self.columns: dict[int, dict[str, tuple[int, int]]] = {}
         self.rows: dict[int, set[int]] = {}
-        cell_rows: dict[int, list[int]] = {}
-        cell_columns: dict[int, list[int]] = {}
-        column_cells: dict[int, list[int]] = {}
-        cell_literal: dict[int, Literal] = {}  # each cell's first literal
-        values: list[tuple[int, Literal]] = []  # (cell, literal), insertion order
-        for (s, r, o) in g.triples():
-            if r == exact:
-                if isinstance(o, Literal):
-                    values.append((s, o))
-                    cell_literal.setdefault(s, o)
-            elif r == belongs:
-                column_cells.setdefault(o, []).append(s)
-                cell_columns.setdefault(s, []).append(o)
-            elif r == has_cell:
-                cell_rows.setdefault(o, []).append(s)
-            elif r == has_row:
-                self.rows.setdefault(s, set()).add(o)
-            elif r == has_column:
-                names = self.columns.setdefault(s, {})
-                names.setdefault(g.local_name(o), (len(names), o))
         self.kinds: dict[int, str] = {}
-        for column, cells in column_cells.items():
-            kind = next((cell_literal[c].kind for c in cells if c in cell_literal), None)
-            if kind is not None:
-                self.kinds[column] = kind
-        self.cells: dict[tuple[int, Literal], list[tuple[int, int]]] = {}
-        for cell, literal in values:
-            for column in cell_columns.get(cell, ()):
-                self.cells.setdefault((column, literal), []).extend(
-                    (row, cell) for row in cell_rows.get(cell, ()))
+        self.cells: list = []
+
+    def add_column(self, g: KnowledgeGraph, obj_node: int, column_node: int) -> None:
+        names = self.columns.setdefault(obj_node, {})
+        names.setdefault(g.local_name(column_node), (len(names), column_node))
 
     def column(self, obj_node: int, table: str, column: str) -> Optional[int]:
         """The object's first column, in hasColumn order, named bare or table-prefixed."""
@@ -322,20 +316,57 @@ class _GraphIndex:
                  if name in names]
         return min(found)[1] if found else None
 
+    def cells_by_value(self) -> dict[tuple[int, Literal], list[tuple[int, int]]]:
+        """The (row, cell) pairs of each (column, literal), in insertion order."""
+        by_value: dict[tuple[int, Literal], list[tuple[int, int]]] = {}
+        items = iter(self.cells)
+        for column, literal, row, cell in zip(items, items, items, items):
+            pairs = by_value.get((column, literal))
+            if pairs is None:
+                by_value[(column, literal)] = [(row, cell)]
+            else:
+                pairs.append((row, cell))
+        return by_value
 
-def _match_rows(index: _GraphIndex, obj_node: int, col_node: int,
+
+class _Lookup:
+    """One resolution call's view of the index: the cells grouped by value,
+    the matches of each (object, column, value), and the canonical literal of
+    each (value, kind), None where the value does not parse as the kind."""
+
+    def __init__(self, index: _GraphIndex):
+        self.index = index
+        self.cells = index.cells_by_value()
+        self.matches: dict[tuple[int, int, str], list[tuple[int, int]]] = {}
+        self.literals: dict[tuple[str, str], Optional[Literal]] = {}
+
+
+def _match_rows(lookup: _Lookup, obj_node: int, col_node: int,
                 value: str) -> list[tuple[int, int]]:
     """Rows (and their cells) of obj whose cell in col has the exact value."""
-    kind = index.kinds.get(col_node)
+    key = (obj_node, col_node, value)
+    matches = lookup.matches.get(key)
+    if matches is not None:
+        return matches
+    matches = lookup.matches[key] = []
+    kind = lookup.index.kinds.get(col_node)
     if kind is None:
-        return []
-    try:
-        literal = Literal(canonical_lexical(value, kind), kind)
-    except ValueError:
-        return []
-    # views share Column nodes, so a cell of col may sit in another object's row
-    rows = index.rows.get(obj_node, ())
-    return [(r, x) for (r, x) in index.cells.get((col_node, literal), ()) if r in rows]
+        return matches
+    literal_key = (value, kind)
+    if literal_key in lookup.literals:
+        literal = lookup.literals[literal_key]
+    else:
+        try:
+            literal = Literal(canonical_lexical(value, kind), kind)
+        except ValueError:
+            literal = None
+        lookup.literals[literal_key] = literal
+    if literal is not None:
+        # views share Column nodes, so a cell of col may sit in another object's row
+        rows = lookup.index.rows.get(obj_node, ())
+        matches += [(r, x) for (r, x) in lookup.cells.get((col_node, literal), ())
+                    if r in rows]
+    return matches
 
 
 def resolve_lineage_detailed(
@@ -345,35 +376,41 @@ def resolve_lineage_detailed(
 ) -> LineageResolution:
     """Match each tuple against the graph and link the satisfying pairs.
 
-    The graph is indexed once per call (see ``_GraphIndex``), so a tuple costs
-    O(its matches).  A tuple's rows are the named object's rows whose cell in
-    the named column equals the value, read as the kind of the column's first
-    valued cell.  ``row_pairs`` lists the matched (dst row, src row) pairs in
-    first-match order, deduplicated; within a tuple, dst rows × src rows, each
-    side in cell insertion order.  Only the edge families listed in
-    ``materialize`` are inserted, in that same order, and each lineage edge and
-    each object's rddl role type once per call; the row pairs are reported
-    regardless, so a caller can withhold rowDerivedFrom edges and keep them as
-    ground truth.
+    The graph must come from ``populate_kg``: resolution reads the index that
+    population built (see ``_GraphIndex``) and matches each distinct (object,
+    column, value) once, so a tuple costs O(its matches).  A tuple's rows are
+    the named object's rows whose cell in the named column equals the value,
+    read as the kind of the column's first valued cell.  ``row_pairs`` lists
+    the matched (dst row, src row) pairs in first-match order, deduplicated;
+    within a tuple, dst rows × src rows, each side in cell insertion order.
+    Only the edge families listed in ``materialize`` are inserted, in that
+    same order, and each lineage edge and each object's rddl role type once
+    per call; the row pairs are reported regardless, so a caller can withhold
+    rowDerivedFrom edges and keep them as ground truth.
     """
     for family in materialize:
         if family not in LINEAGE_PROPERTIES:
             raise ConvertError(f"unknown lineage family: {family!r}")
     rels = {family: g.relation_id(family) for family in LINEAGE_PROPERTIES}
     rdf_type = g.relation_id(RDF_TYPE)
-    locals_index = _locals_index(g)
     profile_name = g.meta.get("profile")
     if profile_name is None:
         raise ConvertError("graph records no ontology profile")
+    index = g.meta.get("index")
+    if index is None:
+        raise ConvertError("graph was not built by populate_kg")
     role_nodes: dict[str, int] = {}
     if profile_name == "rddl":
         for role in ("SourceDataCandidate", "TargetDataCandidate"):
-            node = locals_index.get(role)
-            if node is None:
-                node = g.add_node(f"{g.namespace}:{role}")
-            role_nodes[role] = node
-    index = _GraphIndex(g)
+            role_nodes[role] = g.add_node(_iri(g.namespace, role))
 
+    def object_node(name: str) -> Optional[int]:
+        try:
+            return g.node_id(_iri(g.namespace, sanitize(name)))
+        except UnknownNodeError:
+            return None
+
+    lookup = _Lookup(index)
     added = {family: 0 for family in LINEAGE_PROPERTIES}
     row_pairs: dict[tuple[int, int], None] = {}  # insertion-ordered set
     linked_columns: set[tuple[int, int]] = set()
@@ -383,29 +420,30 @@ def resolve_lineage_detailed(
     tuples_matched = 0
 
     def link(family: str, pairs: list[tuple[int, int]]) -> None:
-        if family in materialize:
-            for (dst, src) in pairs:
-                added[family] += g.add_triple(dst, rels[family], src)
+        if pairs and family in materialize:
+            rel = rels[family]
+            added[family] += g.add_triples([(dst, rel, src) for (dst, src) in pairs])
 
     # (src object, dst object, c1, c2) per distinct (t1, c1, t2, c2); the loop
     # adds triples but no node, column or row, so a key resolves the same each time
     resolved: dict[tuple[str, str, str, str], tuple[int, int, int, int]] = {}
     for t in tuples:
-        key = (t.t1, t.c1, t.t2, t.c2)
+        t1, column1, v1, t2, column2, v2 = t
+        key = (t1, column1, t2, column2)
         nodes = resolved.get(key)
         if nodes is None:
-            src_obj = locals_index.get(sanitize(t.t1))
-            dst_obj = locals_index.get(sanitize(t.t2))
+            src_obj = object_node(t1)
+            dst_obj = object_node(t2)
             if src_obj is None or dst_obj is None:
                 raise ConvertError(f"unresolvable table in tuple {t}")
-            c1 = index.column(src_obj, t.t1, t.c1)
-            c2 = index.column(dst_obj, t.t2, t.c2)
+            c1 = index.column(src_obj, t1, column1)
+            c2 = index.column(dst_obj, t2, column2)
             if c1 is None or c2 is None:
                 raise ConvertError(f"unresolvable column in tuple {t}")
             nodes = resolved[key] = (src_obj, dst_obj, c1, c2)
         src_obj, dst_obj, c1, c2 = nodes
-        src_matches = _match_rows(index, src_obj, c1, t.v1)
-        dst_matches = _match_rows(index, dst_obj, c2, t.v2)
+        src_matches = _match_rows(lookup, src_obj, c1, v1)
+        dst_matches = _match_rows(lookup, dst_obj, c2, v2)
         if not src_matches or not dst_matches:
             continue
         tuples_matched += 1

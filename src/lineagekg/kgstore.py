@@ -8,7 +8,7 @@ runs.  Objects are either node ids or typed literals.
 from __future__ import annotations
 
 import re
-from typing import Iterator, NamedTuple, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 LITERAL_KINDS = ("string", "integer", "decimal", "boolean")
 
@@ -165,8 +165,8 @@ class KnowledgeGraph:
         """Insert (s, r, o); returns True when newly added.
 
         The checks of ``_check_node`` (on s, and on o unless it is a literal)
-        and ``_check_mutable`` are written out here, with the same errors: graph
-        population calls this once per triple.
+        and ``_check_mutable`` are written out here and in ``add_triples``,
+        with the same errors.
         """
         nodes = len(self._iris)
         if not isinstance(s, int) or not 0 <= s < nodes:
@@ -182,6 +182,28 @@ class KnowledgeGraph:
             raise KgError("graph is frozen")
         self._triples[triple] = None
         return True
+
+    def add_triples(self, triples: Iterable[Triple]) -> int:
+        """Insert each (s, r, o) tuple in turn as ``add_triple`` would, with its
+        checks and errors; returns how many were new.  A triple that fails
+        leaves the ones before it inserted.  Graph population inserts each
+        relation's rows through one call."""
+        nodes, relations = len(self._iris), len(self._rel_names)
+        store, frozen = self._triples, self._frozen
+        before = len(store)
+        for triple in triples:
+            s, r, o = triple
+            if not isinstance(s, int) or not 0 <= s < nodes:
+                raise UnknownNodeError(f"unknown node: {s!r}")
+            if not isinstance(o, Literal) and (not isinstance(o, int) or not 0 <= o < nodes):
+                raise UnknownNodeError(f"unknown node: {o!r}")
+            if not 0 <= r < relations:
+                raise KgError(f"unknown relation id: {r}")
+            if triple not in store:
+                if frozen:
+                    raise KgError("graph is frozen")
+                store[triple] = None
+        return len(store) - before
 
     def triples(self) -> Iterator[Triple]:
         return iter(self._triples)
@@ -228,21 +250,32 @@ def _unescape(match: re.Match) -> str:
 def serialize_ntriples(g: KnowledgeGraph) -> str:
     """One sorted line per triple: ``<subj> <rel> <obj> .``
 
-    Lines are formatted straight from the graph's IRI and relation-name lists:
-    ``add_triple`` admits only ids in range, so no lookup needs its check.
+    Each node's and relation's ``<iri>`` term is formatted once, straight from
+    the graph's lists (``add_triple`` admits only ids in range, so no lookup
+    needs its check), and each distinct literal once.  The terms are dropped
+    before the lines are sorted, and the text is joined once, its final
+    newline included, so the sorted lines and one copy of the text are the
+    most this holds at a time.
     """
-    iris, rel_names = g._iris, g._rel_names
+    nodes = [f"<{iri}>" for iri in g._iris]
+    relations = [f"<{name}>" for name in g._rel_names]
+    literals: dict[Literal, str] = {}
     lines = []
     for (s, r, o) in g._triples:
         if isinstance(o, Literal):
-            obj = f'"{o.lexical.translate(_ESCAPE_TABLE)}"'
-            if o.kind != "string":
-                obj += f"^^<xsd:{o.kind}>"
+            obj = literals.get(o)
+            if obj is None:
+                obj = f'"{o.lexical.translate(_ESCAPE_TABLE)}"'
+                if o.kind != "string":
+                    obj += f"^^<xsd:{o.kind}>"
+                literals[o] = obj
         else:
-            obj = f"<{iris[o]}>"
-        lines.append(f"<{iris[s]}> <{rel_names[r]}> {obj} .")
+            obj = nodes[o]
+        lines.append(f"{nodes[s]} {relations[r]} {obj} .")
+    del nodes, literals
     lines.sort()
-    return "\n".join(lines) + ("\n" if lines else "")
+    lines.append("")  # the final newline
+    return "\n".join(lines)
 
 
 def parse_ntriples(text: str, relations: tuple[str, ...] = ()) -> KnowledgeGraph:

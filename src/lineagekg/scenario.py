@@ -16,7 +16,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .kgstore import render_decimal
 from .reldb import ColumnDef, Database, Relation, TableDef
@@ -62,8 +62,10 @@ class FilterSpec:
     value: str
 
 
-@dataclass(frozen=True)
-class LineageTuple:
+class LineageTuple(NamedTuple):
+    """Source cell (t1, c1, v1) to target cell (t2, c2, v2): a tuple, so that
+    building one from a lineage CSV row runs in C."""
+
     t1: str
     c1: str
     v1: str
@@ -614,6 +616,9 @@ _MANIFEST_HEADER = [
 ]
 
 
+_LINEAGE_HEADER = list(LineageTuple._fields)
+
+
 def _pack_cols(groups: tuple[tuple[str, ...], ...]) -> str:
     return ";".join(",".join(g) for g in groups)
 
@@ -643,21 +648,42 @@ def save_suite(suite: ScenarioSuite, directory) -> None:
                     with lineage_file(root, spec.output_name).open(
                             "w", newline="", encoding="utf-8") as lf:
                         writer = csv.writer(lf)
-                        writer.writerow(["t1", "c1", "v1", "t2", "c2", "v2"])
-                        for t in tuples:
-                            writer.writerow([t.t1, t.c1, t.v1, t.t2, t.c2, t.v2])
+                        writer.writerow(_LINEAGE_HEADER)
+                        writer.writerows(tuples)
+
+
+def _load_lineage(path: Path) -> tuple[LineageTuple, ...]:
+    tuples = []
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != _LINEAGE_HEADER:
+            raise ScenarioError(f"{path}: line 1: bad lineage header: {header!r}")
+        for row in reader:
+            if len(row) != len(_LINEAGE_HEADER):
+                raise ScenarioError(f"{path}: line {reader.line_num}: {len(row)} fields,"
+                                    f" not {len(_LINEAGE_HEADER)}")
+            tuples.append(LineageTuple._make(row))
+    return tuple(tuples)
 
 
 def load_suite(directory, db: Optional[Database] = None) -> ScenarioSuite:
+    """Read a suite that ``save_suite`` wrote; a manifest line or lineage row
+    with the wrong number of fields, or a bad header, raises ``ScenarioError``
+    naming the file and line."""
     root = Path(directory)
     rows_by_scenario: dict[str, list] = {}
     task_of: dict[str, str] = {}
-    with (root / "manifest.tsv").open(encoding="utf-8") as fh:
+    path = root / "manifest.tsv"
+    with path.open(encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split("\t")
         if header != _MANIFEST_HEADER:
             raise ScenarioError(f"bad manifest header: {header!r}")
-        for line in fh:
+        for number, line in enumerate(fh, start=2):
             parts = line.rstrip("\n").split("\t")
+            if len(parts) != len(_MANIFEST_HEADER):
+                raise ScenarioError(f"{path}: line {number}: {len(parts)} fields,"
+                                    f" not {len(_MANIFEST_HEADER)}")
             record = dict(zip(_MANIFEST_HEADER, parts))
             rows_by_scenario.setdefault(record["scenario_id"], []).append(record)
             task_of[record["scenario_id"]] = record["task"]
@@ -684,14 +710,7 @@ def load_suite(directory, db: Optional[Database] = None) -> ScenarioSuite:
                 applied=_unpack_cols(r["applied"]),
                 a=float(r["a"]), b=float(r["b"]), filter=filt, join_on=join,
                 output_name=r["output_name"], output_class=r["output_class"]))
-            tuples = []
-            with lineage_file(root, r["output_name"]).open(
-                    newline="", encoding="utf-8") as lf:
-                reader = csv.reader(lf)
-                next(reader)
-                for row in reader:
-                    tuples.append(LineageTuple(*row))
-            lineage.append(tuple(tuples))
+            lineage.append(_load_lineage(lineage_file(root, r["output_name"])))
         suite.scenarios.setdefault(task.name, []).append(
             Scenario(scenario_id, task, tuple(specs), tuple(lineage)))
     # keep canonical task order

@@ -1,5 +1,6 @@
 import random
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -691,3 +692,119 @@ class TestOracles:
         assert frozen >= 4
         assert all(escape in "".join(texts) for escape in ('\\"', "\\\\", "\\n", "\\r", "\\t"))
         assert population_report(g) == {"nodes": 0, "triples": 0}
+
+
+# -- oracle for the index that population builds ---------------------------------
+
+
+def triple_pass_index(g):
+    """Oracle: what resolution reads of a graph, gathered in one pass over its
+    triples, as (columns, rows, kinds, cells).
+
+    ``columns`` maps an object to its columns by local name, each with its
+    position in the object's hasColumn order; ``rows`` maps an object to its
+    rows; ``kinds`` maps a column to the literal kind of its first cell, in
+    belongsToColumn order, that has a literal; ``cells`` maps (column, literal)
+    to the (row, cell) pairs holding that value, in exactValue then
+    hasCellValue insertion order.
+    """
+    has_column, has_row, has_cell, belongs, exact = (
+        g.relation_id(name) for name in
+        ("hasColumn", "hasRow", "hasCellValue", "belongsToColumn", "exactValue"))
+    columns, rows = {}, {}
+    cell_rows, cell_columns, column_cells, cell_literal = {}, {}, {}, {}
+    values = []  # (cell, literal), insertion order
+    for (s, r, o) in g.triples():
+        if r == exact:
+            if isinstance(o, Literal):
+                values.append((s, o))
+                cell_literal.setdefault(s, o)
+        elif r == belongs:
+            column_cells.setdefault(o, []).append(s)
+            cell_columns.setdefault(s, []).append(o)
+        elif r == has_cell:
+            cell_rows.setdefault(o, []).append(s)
+        elif r == has_row:
+            rows.setdefault(s, set()).add(o)
+        elif r == has_column:
+            names = columns.setdefault(s, {})
+            names.setdefault(g.local_name(o), (len(names), o))
+    kinds = {}
+    for column, cells in column_cells.items():
+        kind = next((cell_literal[c].kind for c in cells if c in cell_literal), None)
+        if kind is not None:
+            kinds[column] = kind
+    cells = {}
+    for cell, literal in values:
+        for column in cell_columns.get(cell, ()):
+            cells.setdefault((column, literal), []).extend(
+                (row, cell) for row in cell_rows.get(cell, ()))
+    return columns, rows, kinds, cells
+
+
+def in_order(columns, rows, kinds, cells):
+    """The index as lists of items, so that comparing them compares order too."""
+    return ([(obj, list(names.items())) for obj, names in columns.items()],
+            list(rows.items()), list(kinds.items()), list(cells.items()))
+
+
+class TestPopulationIndex:
+    def assert_index_matches_triples(self, g):
+        index = g.meta["index"]
+        assert in_order(index.columns, index.rows, index.kinds, index.cells_by_value()) \
+            == in_order(*triple_pass_index(g))
+
+    def test_equals_triple_pass_on_oracle_graphs(self):
+        indexed = 0
+        for g in oracle_graphs():
+            if "index" in g.meta:  # the hand-built and empty graphs have none
+                self.assert_index_matches_triples(g)
+                indexed += 1
+        assert indexed == 12
+
+    def test_equals_triple_pass_on_random_lineage_dbs(self):
+        rng = random.Random(31)
+        shared = unkinded = both_names = 0
+        for trial in range(40):
+            db = random_lineage_db(rng)
+            g = KnowledgeGraph()
+            populate_kg(g, db, ("baseline", "rddl")[trial % 2])
+            if trial % 3:
+                resolve_lineage_detailed(g, random_tuples(rng, db, 10))
+            self.assert_index_matches_triples(g)
+            columns, _, kinds, _ = triple_pass_index(g)
+            owners = Counter(c for names in columns.values() for (_, c) in names.values())
+            shared += any(count > 1 for count in owners.values())  # V1.x and V2.x
+            unkinded += any(c not in kinds for c in owners)  # the all-NULL n
+            both_names += {"x", "W_x"} <= set(columns[g.node_id("rddl:W" if trial % 2
+                                                                else "baseline:W")])
+        assert shared == unkinded == both_names == 40
+
+    @pytest.mark.parametrize("order", [("W_x", "x"), ("x", "W_x")])
+    def test_equals_triple_pass_with_two_candidate_columns(self, order):
+        view = Relation(TableDef("W", tuple(ColumnDef(c, "varchar", length=10) for c in order)),
+                        [("a", "b"), (None, "a")], "View")
+        db = views_sharing_column_db()
+        db.views["W"] = view
+        g = KnowledgeGraph()
+        populate_kg(g, db, "rddl")
+        self.assert_index_matches_triples(g)
+        w = g.node_id("rddl:W")
+        assert g.meta["index"].column(w, "W", "x") == g.node_id(f"rddl:{order[0]}")
+
+    @pytest.mark.parametrize("view, table", [("A B", "A_B"), ("A_B", "A B"), ("A", "A")])
+    def test_relations_of_one_iri_rejected(self, view, table):
+        # they would share every row and cell node
+        db = two_table_db([("1", "a")], [("1", "a")])
+        for relations, name in ((db.views, view), (db.tables, table)):
+            relations[name] = Relation(TableDef(name, (ColumnDef("x", "integer"),)), [("1",)])
+        with pytest.raises(ConvertError, match="two relations share the IRI 'A"):
+            populate_kg(KnowledgeGraph(), db, "rddl")
+
+    def test_resolution_needs_the_population_index(self):
+        g = KnowledgeGraph()
+        populate_kg(g, two_table_db([("1", "a")], [("1", "a")]), "rddl")
+        parsed = parse_ntriples(serialize_ntriples(g), relations=tuple(g.relation_names()))
+        parsed.meta["profile"], parsed.namespace = "rddl", "rddl"
+        with pytest.raises(ConvertError, match="populate_kg"):
+            resolve_lineage_detailed(parsed, [LineageTuple("Src", "v", "a", "Dst", "w", "a")])

@@ -117,6 +117,71 @@ class TestAddTriple:
         assert len(g) == 0
 
 
+def inserted_one_by_one(g, triples):
+    """Oracle for ``add_triples``: a loop of ``add_triple`` calls; returns the
+    count of new triples, or the error the loop stopped at."""
+    added = 0
+    for triple in triples:
+        try:
+            added += g.add_triple(*triple)
+        except KgError as exc:
+            return exc
+    return added
+
+
+class TestAddTriples:
+    # a batch over nodes 0-2 and relations 0-1 that repeats a triple within
+    # itself and one the graph already holds
+    BATCH = [(0, 0, 1), (1, 1, Literal("7", "integer")), (0, 0, 1), (2, 0, 0),
+             (0, 1, 2), (1, 0, Literal("x"))]
+    BAD = [(3, 0, 1), (-1, 0, 1), ("t:a", 0, 1), (None, 0, 1),
+           (0, 0, 3), (0, 0, -1), (0, 0, "1"), (0, 0, 1.0), (0, 0, None),
+           (0, 2, 1), (0, -1, Literal("x"))]
+
+    def graph(self):
+        g = KnowledgeGraph()
+        for i in range(3):
+            g.add_node(f"t:n{i}")
+        g.add_relation("r0"), g.add_relation("r1")
+        g.add_triple(2, 0, 0)
+        return g
+
+    def assert_same(self, batch, freeze=False):
+        bulk, single = self.graph(), self.graph()
+        if freeze:
+            bulk.freeze(), single.freeze()
+        expected = inserted_one_by_one(single, batch)
+        if isinstance(expected, KgError):
+            with pytest.raises(KgError) as err:
+                bulk.add_triples(batch)
+            assert type(err.value) is type(expected)
+            assert str(err.value) == str(expected)
+        else:
+            assert bulk.add_triples(batch) == expected
+        assert list(bulk.triples()) == list(single.triples())
+        return expected
+
+    def test_counts_new_triples_in_order(self):
+        assert self.assert_same(self.BATCH) == 4
+        assert self.graph().add_triples(iter(self.BATCH)) == 4
+        assert self.assert_same([]) == 0
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_bad_triple_anywhere_raises_as_add_triple(self, bad):
+        for at in range(len(self.BATCH) + 1):
+            for freeze in (False, True):
+                expected = self.assert_same(
+                    self.BATCH[:at] + [bad] + self.BATCH[at:], freeze)
+                assert isinstance(expected, KgError)
+
+    def test_frozen_graph_takes_only_held_triples(self):
+        assert self.assert_same([(2, 0, 0), (2, 0, 0)], freeze=True) == 0
+        for at in range(len(self.BATCH)):
+            batch = [(2, 0, 0)] * at + self.BATCH
+            expected = self.assert_same(batch, freeze=True)
+            assert str(expected) == "graph is frozen"
+
+
 class TestIndexes:
     def test_every_triple_reachable_through_each_index(self):
         rng = random.Random(7)

@@ -278,6 +278,41 @@ class TestSuiteSerialization:
         header = sample.read_text(encoding="utf-8").splitlines()[0]
         assert header == "t1,c1,v1,t2,c2,v2"
 
+    def damage(self, path, line_number, edit):
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[line_number - 1] = edit(lines[line_number - 1])
+        path.write_text("".join(lines), encoding="utf-8")
+
+    def test_truncated_manifest_line_names_file_and_line(self, db, small_suite, tmp_path):
+        save_suite(small_suite, tmp_path)
+        manifest = tmp_path / "manifest.tsv"
+        self.damage(manifest, 3, lambda line: line.rsplit("\t", 3)[0] + "\n")
+        with pytest.raises(ScenarioError) as err:
+            load_suite(tmp_path, db=db)
+        assert str(err.value) == f"{manifest}: line 3: 11 fields, not 14"
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda line: line.rsplit(",", 1)[0] + "\n", "5 fields, not 6"),
+        (lambda line: line.rstrip("\n") + ",x\n", "7 fields, not 6"),
+    ])
+    def test_lineage_row_of_wrong_width_names_file_and_line(
+            self, db, small_suite, tmp_path, edit, message):
+        save_suite(small_suite, tmp_path)
+        lineage = sorted((tmp_path / "lineage").iterdir())[0]
+        self.damage(lineage, 2, edit)
+        with pytest.raises(ScenarioError) as err:
+            load_suite(tmp_path, db=db)
+        assert str(err.value) == f"{lineage}: line 2: {message}"
+
+    def test_lineage_header_is_checked(self, db, small_suite, tmp_path):
+        save_suite(small_suite, tmp_path)
+        lineage = sorted((tmp_path / "lineage").iterdir())[0]
+        self.damage(lineage, 1, lambda line: line.replace("v2", "v3"))
+        with pytest.raises(ScenarioError) as err:
+            load_suite(tmp_path, db=db)
+        assert str(err.value) == (f"{lineage}: line 1: bad lineage header:"
+                                  f" {['t1', 'c1', 'v1', 't2', 'c2', 'v3']!r}")
+
 
 def per_key_unambiguous(db, tuples):
     """Oracle: the resolution check that counts a source value by scanning its
