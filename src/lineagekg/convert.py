@@ -14,11 +14,11 @@ Population also records, as it emits them, what resolution reads (each
 object's columns and rows, each column's literal kind, and the (row, cell)
 pairs of each (column, value)): the graph carries that index, so resolution
 never reads its triples.  Resolution resolves the objects and columns of each
-distinct (t1, c1, t2, c2) once, canonicalises each (value, kind) once and
-matches each distinct (object, column, value) once, and links every (source
-row, target row) pair whose rows belong to the objects the tuple names.  Row
-pairs come out in first-match order: tuple by tuple, dst rows × src rows,
-each side in cell insertion order.
+distinct (t1, c1, t2, c2) once, canonicalises and matches each distinct
+(object, column, value) once, and links every (source row, target row) pair
+whose rows belong to the objects the tuple names.  Row pairs come out in
+first-match order: tuple by tuple, dst rows × src rows, each side in cell
+insertion order.
 """
 
 from __future__ import annotations
@@ -329,44 +329,28 @@ class _GraphIndex:
         return by_value
 
 
-class _Lookup:
-    """One resolution call's view of the index: the cells grouped by value,
-    the matches of each (object, column, value), and the canonical literal of
-    each (value, kind), None where the value does not parse as the kind."""
+def _match_rows(index: _GraphIndex, cells: dict, matches: dict, obj_node: int,
+                col_node: int, value: str) -> list[tuple[int, int]]:
+    """Rows (and their cells) of obj whose cell in col has the exact value.
 
-    def __init__(self, index: _GraphIndex):
-        self.index = index
-        self.cells = index.cells_by_value()
-        self.matches: dict[tuple[int, int, str], list[tuple[int, int]]] = {}
-        self.literals: dict[tuple[str, str], Optional[Literal]] = {}
-
-
-def _match_rows(lookup: _Lookup, obj_node: int, col_node: int,
-                value: str) -> list[tuple[int, int]]:
-    """Rows (and their cells) of obj whose cell in col has the exact value."""
+    ``cells`` is ``index.cells_by_value()`` and ``matches`` caches each
+    (object, column, value) for the length of one resolution call."""
     key = (obj_node, col_node, value)
-    matches = lookup.matches.get(key)
-    if matches is not None:
-        return matches
-    matches = lookup.matches[key] = []
-    kind = lookup.index.kinds.get(col_node)
+    found = matches.get(key)
+    if found is not None:
+        return found
+    found = matches[key] = []
+    kind = index.kinds.get(col_node)
     if kind is None:
-        return matches
-    literal_key = (value, kind)
-    if literal_key in lookup.literals:
-        literal = lookup.literals[literal_key]
-    else:
-        try:
-            literal = Literal(canonical_lexical(value, kind), kind)
-        except ValueError:
-            literal = None
-        lookup.literals[literal_key] = literal
-    if literal is not None:
-        # views share Column nodes, so a cell of col may sit in another object's row
-        rows = lookup.index.rows.get(obj_node, ())
-        matches += [(r, x) for (r, x) in lookup.cells.get((col_node, literal), ())
-                    if r in rows]
-    return matches
+        return found
+    try:
+        literal = Literal(canonical_lexical(value, kind), kind)
+    except ValueError:
+        return found
+    # views share Column nodes, so a cell of col may sit in another object's row
+    rows = index.rows.get(obj_node, ())
+    found += [(r, x) for (r, x) in cells.get((col_node, literal), ()) if r in rows]
+    return found
 
 
 def resolve_lineage_detailed(
@@ -410,7 +394,8 @@ def resolve_lineage_detailed(
         except UnknownNodeError:
             return None
 
-    lookup = _Lookup(index)
+    cells = index.cells_by_value()
+    matches: dict[tuple[int, int, str], list[tuple[int, int]]] = {}
     added = {family: 0 for family in LINEAGE_PROPERTIES}
     row_pairs: dict[tuple[int, int], None] = {}  # insertion-ordered set
     linked_columns: set[tuple[int, int]] = set()
@@ -442,8 +427,8 @@ def resolve_lineage_detailed(
                 raise ConvertError(f"unresolvable column in tuple {t}")
             nodes = resolved[key] = (src_obj, dst_obj, c1, c2)
         src_obj, dst_obj, c1, c2 = nodes
-        src_matches = _match_rows(lookup, src_obj, c1, v1)
-        dst_matches = _match_rows(lookup, dst_obj, c2, v2)
+        src_matches = _match_rows(index, cells, matches, src_obj, c1, v1)
+        dst_matches = _match_rows(index, cells, matches, dst_obj, c2, v2)
         if not src_matches or not dst_matches:
             continue
         tuples_matched += 1

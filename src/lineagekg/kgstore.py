@@ -162,32 +162,18 @@ class KnowledgeGraph:
             raise UnknownNodeError(f"unknown node: {node_id!r}")
 
     def add_triple(self, s: int, r: int, o: Object) -> bool:
-        """Insert (s, r, o); returns True when newly added.
-
-        The checks of ``_check_node`` (on s, and on o unless it is a literal)
-        and ``_check_mutable`` are written out here and in ``add_triples``,
-        with the same errors.
-        """
-        nodes = len(self._iris)
-        if not isinstance(s, int) or not 0 <= s < nodes:
-            raise UnknownNodeError(f"unknown node: {s!r}")
-        if not isinstance(o, Literal) and (not isinstance(o, int) or not 0 <= o < nodes):
-            raise UnknownNodeError(f"unknown node: {o!r}")
-        if not 0 <= r < len(self._rel_names):
-            raise KgError(f"unknown relation id: {r}")
-        triple = (s, r, o)
-        if triple in self._triples:
-            return False
-        if self._frozen:
-            raise KgError("graph is frozen")
-        self._triples[triple] = None
-        return True
+        """Insert (s, r, o); returns True when newly added."""
+        return self.add_triples(((s, r, o),)) == 1
 
     def add_triples(self, triples: Iterable[Triple]) -> int:
-        """Insert each (s, r, o) tuple in turn as ``add_triple`` would, with its
-        checks and errors; returns how many were new.  A triple that fails
-        leaves the ones before it inserted.  Graph population inserts each
-        relation's rows through one call."""
+        """Insert each (s, r, o) tuple in turn; returns how many were new.
+
+        The checks of ``_check_node`` (on s, and on o unless it is a literal)
+        and ``_check_mutable`` are written out here, with the same errors: graph
+        population and parsing insert their triples through one call.  A
+        triple that fails leaves the ones before it inserted.  The batch must
+        not add nodes or relations while it is consumed.
+        """
         nodes, relations = len(self._iris), len(self._rel_names)
         store, frozen = self._triples, self._frozen
         before = len(store)
@@ -287,6 +273,7 @@ def parse_ntriples(text: str, relations: tuple[str, ...] = ()) -> KnowledgeGraph
     g = KnowledgeGraph()
     for name in relations:
         g.add_relation(name)
+    triples = []
     for number, raw in enumerate(text.split("\n"), start=1):
         line = raw.rstrip("\r")
         if not line.strip():
@@ -308,5 +295,6 @@ def parse_ntriples(text: str, relations: tuple[str, ...] = ()) -> KnowledgeGraph
                 raise ParseError(f"bad escape: \\{exc.args[0]}", number) from None
             obj = Literal(lexical, kind)
         # object node before subject node: node ids fix the path sampler's walk order
-        g.add_triple(g.add_node(subj), g.add_relation(rel), obj)
+        triples.append((g.add_node(subj), g.add_relation(rel), obj))
+    g.add_triples(triples)
     return g
