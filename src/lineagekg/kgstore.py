@@ -238,27 +238,22 @@ def serialize_ntriples(g: KnowledgeGraph) -> str:
 
     Each node's and relation's ``<iri>`` term is formatted once, straight from
     the graph's lists (``add_triple`` admits only ids in range, so no lookup
-    needs its check), and each distinct literal once.  The terms are dropped
-    before the lines are sorted, and the text is joined once, its final
-    newline included, so the sorted lines and one copy of the text are the
-    most this holds at a time.
+    needs its check).  The terms are dropped before the lines are sorted, and
+    the text is joined once, its final newline included, so the sorted lines
+    and one copy of the text are the most this holds at a time.
     """
     nodes = [f"<{iri}>" for iri in g._iris]
     relations = [f"<{name}>" for name in g._rel_names]
-    literals: dict[Literal, str] = {}
     lines = []
     for (s, r, o) in g._triples:
         if isinstance(o, Literal):
-            obj = literals.get(o)
-            if obj is None:
-                obj = f'"{o.lexical.translate(_ESCAPE_TABLE)}"'
-                if o.kind != "string":
-                    obj += f"^^<xsd:{o.kind}>"
-                literals[o] = obj
+            obj = f'"{o.lexical.translate(_ESCAPE_TABLE)}"'
+            if o.kind != "string":
+                obj += f"^^<xsd:{o.kind}>"
         else:
             obj = nodes[o]
         lines.append(f"{nodes[s]} {relations[r]} {obj} .")
-    del nodes, literals
+    del nodes
     lines.sort()
     lines.append("")  # the final newline
     return "\n".join(lines)
