@@ -10,7 +10,7 @@ directory records the stage's config digest and each output's sha256, and a
 rerun skips the stage while both are unchanged.  So a file added to or
 removed from a stage's directory, even a stray one, reruns that stage; once
 any stage actually runs, every downstream stage runs too.  The sidecar also
-records the stage's wall seconds and what it counted: build-kg its graphs'
+records the stage's seconds and what it counted: build-kg its graphs'
 triples and the lineage edges resolution added per family, sample-paths the
 processes it walked in, train its samples, per-epoch losses, and the path
 rows of its batches next to the distinct rows the LSTM ran and their non-PAD
@@ -28,18 +28,16 @@ to the first stage that failed.
 
 sample-paths walks each pair of its cell once (``paths.PairWalk``): the
 training pairs in the order in which the first epoch (``model.epoch_orders``)
-first reads one of each pair's samples, then the eval pairs.  On a share of two
-or more CPUs, forked children walk them and the cell's process walks none;
-run alone, sample-paths' children send their whole shares when done, as
-handing each pair on cost walk time on desk-paths.  The walk order changes no
-artifact (``paths`` module docstring).  There, a cell that runs both
-sample-paths and train runs them at once (``Pipeline.stage_sample_and_train``):
-its process fits the model on the training set as it fills, then writes the
-sample files; where no child can be forked, it walks the pairs between its
-batches.  A walk that fails fails sample-paths, and train writes nothing; a fit
-that fails fails train after sample-paths is done.  sample-paths' ``seconds``
-then includes the training, and train's only the model's writing.  On one CPU
-the stages run one after the other: interleaved, the walks ran slower.
+first reads one of each pair's samples, then the eval pairs, in forked
+children on a share of two or more CPUs (run alone, each sends its whole share
+when done, as handing each pair on cost walk time on desk-paths), else all in
+the cell's process before it takes one in.  The walk order changes no artifact
+(``paths`` module docstring).  train fits on that walk's training set when
+sample-paths runs in the same call (``Pipeline.stage_sample_and_train``): as
+the children fill it, or once the cell's own walks are done; the sample files
+are written after the fit, whose seconds count for train.  Otherwise train
+reads ``train.txt``.  A walk that fails fails sample-paths, and train writes
+nothing; a fit that fails fails train after sample-paths is done.
 
 Only train and evaluate run the model (``siamese``), and only the model needs
 numpy, whose import is about a third of a process's set-up and about 11 MiB of
@@ -281,7 +279,7 @@ class Pipeline:
 
     def _run_stage(self, stage: str, task: str, profile: str, fn) -> None:
         """Runs ``fn`` as the stage, once its directory exists, unless the
-        stage is skipped."""
+        stage is skipped; a ``seconds`` that ``fn`` returns adds to its wall time."""
         if (stage, task, profile) in self.skipped:
             return
         label = _label(stage, task, profile)
@@ -293,7 +291,8 @@ class Pipeline:
             raise
         except Exception as exc:
             raise StageError(label, exc) from exc
-        telemetry["seconds"] = round(time.perf_counter() - start, 3)
+        elapsed = time.perf_counter() - start
+        telemetry["seconds"] = round(telemetry.get("seconds", 0) + elapsed, 3)
         self._mark_done(stage, task, profile, telemetry)
 
     # -- stages -----------------------------------------------------------------
@@ -341,8 +340,8 @@ class Pipeline:
 
     def stage_sample(self, task: str, profile: str, fit=None) -> None:
         """sample-paths (``paths.PairWalk``); ``fit``, if given, is called with
-        the vocabulary and the training set as it fills, before any sample
-        file is written."""
+        the vocabulary and the training set once the walk has started, before
+        any sample file is written, and returns its seconds."""
         kg = self.dir_of("build-kg", task, profile)
         out = self.dir_of("sample-paths", task, profile)
         cfg = self.m.sampler_config()
@@ -364,9 +363,11 @@ class Pipeline:
             walk = paths.PairWalk(pairs, first_epoch, test_g, ground_truth, negatives,
                                   streamed=fit is not None)
             del train_g, test_g, pairs  # held by the walk alone, freed here once it forks
+            seconds = 0.0  # the fit's, which count for train (_run_stage)
             try:
                 if fit is not None:
-                    fit(walk.vocab, walk)
+                    walk.take()  # forks the walking children, or walks every pair here
+                    seconds = fit(walk.vocab, walk)
                 paths.save_samples(out / "train.txt", paths.build_training_set(walk))
                 walk.vocab.save(out / "vocab.txt")
                 for name, samples in zip(("pos", "neg"), paths.build_eval_set(walk)):
@@ -374,7 +375,7 @@ class Pipeline:
                 convert.write_report(out / "walk_stats.txt", walk.walk_stats())
             finally:
                 walk.close()
-            return {"processes": len(walk.pids)}  # must not enter an artifact
+            return {"processes": len(walk.pids), "seconds": -seconds}  # never in an artifact
 
         self._run_stage("sample-paths", task, profile, build)
 
@@ -385,9 +386,9 @@ class Pipeline:
         params = siamese.init_parameters(cfg)
         return len(samples), params, siamese.train(params, samples, cfg)
 
-    def stage_train(self, task: str, profile: str, fitted=None) -> None:
+    def stage_train(self, task: str, profile: str, fitted=None, seconds=0.0) -> None:
         """train; ``fitted``, if given, is what ``stage_sample_and_train``'s
-        fit gave: saved here, or raised if an exception."""
+        fit gave in ``seconds``: saved here, or raised if an exception."""
         samples_dir = self.dir_of("sample-paths", task, profile)
         out = self.dir_of("train", task, profile)
 
@@ -408,22 +409,26 @@ class Pipeline:
             (out / "losses.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
             return {"samples": count, "epoch_losses": result.epoch_losses,
                     "path_rows": count * params.cfg.num_paths * params.cfg.epochs,
-                    "lstm_rows": result.lstm_rows, "lstm_positions": result.lstm_positions}
+                    "lstm_rows": result.lstm_rows, "lstm_positions": result.lstm_positions,
+                    "seconds": seconds}
 
         self._run_stage("train", task, profile, build)
 
     def stage_sample_and_train(self, task: str, profile: str) -> None:
-        """Both stages at once, as the module docstring describes."""
-        fitted = []
+        """Both stages in one call, as the module docstring describes."""
+        fitted = []  # the model, or what the fit raised, then the fit's seconds
 
-        def fit(vocab: paths.EdgeVocabulary, samples) -> None:
+        def fit(vocab: paths.EdgeVocabulary, samples) -> float:
+            start = time.perf_counter()
             try:
                 fitted.append(self._fit(vocab, samples))
             except Exception as exc:  # train's failure, raised once sample-paths is done
                 fitted.append(exc)
+            fitted.append(time.perf_counter() - start)
+            return fitted[1]
 
         self.stage_sample(task, profile, fit)
-        self.stage_train(task, profile, fitted[0])
+        self.stage_train(task, profile, *fitted)
 
     def stage_evaluate(self, task: str, profile: str) -> None:
         out = self.dir_of("evaluate", task, profile)
@@ -441,13 +446,9 @@ class Pipeline:
             # one call, so that equal inputs tie across the two sets
             scores = siamese.predict(params, pos + neg)
             pos_scores, neg_scores = scores[:len(pos)], scores[len(pos):]
-            with (out / "scores.tsv").open("w", encoding="utf-8") as fh:
-                fh.write("label\tscore\n")
-                for score in pos_scores:
-                    fh.write(f"1\t{score!r}\n")
-                for score in neg_scores:
-                    fh.write(f"0\t{score!r}\n")
             scored = [(s, 1) for s in pos_scores] + [(s, 0) for s in neg_scores]
+            (out / "scores.tsv").write_text("label\tscore\n" + "".join(
+                f"{label}\t{score!r}\n" for score, label in scored), encoding="utf-8")
             precision, recall = metrics.precision_recall(scored)
             result = metrics.TaskResult(
                 task=task, profile=profile, precision=precision, recall=recall,
@@ -470,12 +471,9 @@ class Pipeline:
             if set(self.m.profiles()) == {"baseline", "rddl"}:
                 text = metrics.report(results)
             else:
-                lines = ["task\tprofile\tprecision\trecall\tpr_auc\thits_at_10"]
-                for r in results:
-                    lines.append(
-                        f"{r.task}\t{r.profile}\t{r.precision:.4f}\t{r.recall:.4f}"
-                        f"\t{r.pr_auc:.4f}\t{r.hits_at_10:.4f}")
-                text = "\n".join(lines) + "\n"
+                text = "task\tprofile\tprecision\trecall\tpr_auc\thits_at_10\n" + "".join(
+                    "\t".join([r.task, r.profile, *(f"{v:.4f}" for v in r.metrics())]) + "\n"
+                    for r in results)
             (self.out / "report.txt").write_text(text, encoding="utf-8")
 
         self._run_stage("report", "", "", build)
@@ -486,13 +484,10 @@ class Pipeline:
         """Runs the steps of a task's scenarios (profile "") or of one cell:
         the label and message of a stage that failed, if one did (a cell may
         run in a worker, and a StageError does not unpickle).  A cell that
-        runs both sample-paths and train on two or more CPUs runs them at
-        once."""
+        runs both sample-paths and train runs them in one call."""
         stages = [stage for stage, t, p in steps if (t, p) == (task, profile)]
-        # on one CPU, walks interleaved with training ran slower (module docstring)
         together = ("train" in stages and "sample-paths" in stages
-                    and ("sample-paths", task, profile) not in self.skipped
-                    and parallel.processes(2) > 1)
+                    and ("sample-paths", task, profile) not in self.skipped)
         try:
             for stage in stages:
                 if not profile:
@@ -506,7 +501,11 @@ class Pipeline:
         return None
 
     def run(self, only_stage: Optional[str] = None) -> None:
-        self.out.mkdir(parents=True, exist_ok=True)
+        try:
+            self.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # a file in its place or on its path, say
+            raise ManifestError(
+                f"cannot make out_dir {self.m.out_dir!r}: {exc.strerror}") from exc
         self.m.save(self.out / "manifest.json")
         sections = [(task, profile) for task in self.m.expanded_tasks()
                     for profile in [""] + self.m.profiles()]

@@ -4,10 +4,11 @@ its results yielded by a generator that blocks only for a result it lacks;
 goes.
 
 When it forks, ``fork_imap`` runs every index in a child, and the calling
-process only reads.  The pipeline maps its (task, profile) cells with it, and
-a cell's sample-paths its pairs, while the cell's process trains
-(``paths.PairWalk``): a child that runs a full pipe ahead of the trainer waits
-until the trainer next lacks a pair.  Forking with numpy loaded is safe:
+process only reads; what it keeps runs here to its end before it yields.  The
+pipeline maps its (task, profile) cells with it, and a cell's sample-paths its
+pairs (``paths.PairWalk``).  train fits on that walk when it runs in the same
+call, else on ``train.txt``: a walking child a full pipe ahead of the trainer
+waits until the trainer next lacks a pair.  Forking with numpy loaded is safe:
 OpenBLAS's pthreads build shuts its thread pool down before a fork
 (``pthread_atfork``) and restarts it at the next BLAS call, in parent and
 child alike, and no other thread runs.  Python 3.12+ warns on forking a
@@ -21,6 +22,7 @@ import pickle
 import select
 import signal
 import warnings
+from collections import deque
 from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
 T = TypeVar("T")
@@ -66,13 +68,13 @@ def fork_imap(count: int, fn: Callable[[int], T], batch: int) -> Iterator[tuple[
     """``(i, fn(i))`` for each i in ``range(count)``, with index i run in share
     i % P of P = ``processes(count)`` processes.
 
-    With P = 1 this process runs every index, one per ``next``.  Otherwise
     ``Forked`` children run the shares, each sending ``batch`` results at a
     time, and this process yields their results as each ``select`` returns,
     having read every ready pipe: a child that runs a full pipe ahead waits
-    until then.  Shares whose fork fails run here first, in index order.
-    ``fn`` is dropped once every share is forked or run, which frees here what
-    only it holds.
+    until then.  The shares no child runs (all of them where P = 1, or those
+    whose fork failed) run here to their end, in index order, before anything
+    is yielded, and each result is dropped here as it is yielded.  ``fn`` is
+    dropped once every share is forked or run, which frees what only it holds.
 
     A share stops at its first failing index; the exception of the first
     failing index of all is raised once every share is done, as a serial loop
@@ -94,20 +96,20 @@ def fork_imap(count: int, fn: Callable[[int], T], batch: int) -> Iterator[tuple[
                 break
         here = sorted(index for share in range(count_processes) if share not in children
                       for index in range(share, count, count_processes))
-        outcomes: Iterable[tuple] = _outcomes(fn, here)
-        fn = None  # the children have their copies, and outcomes holds this process's
+        outcomes = deque(_outcomes(fn, here))
+        fn = None  # the children have their copies
         live = list(children.values())
         while True:
-            for index, value, exc in outcomes:
-                if exc is None:
-                    yield index, value
+            while outcomes:  # each popped as it is yielded, so not held here
+                if outcomes[0][2] is None:
+                    yield outcomes.popleft()[:2]
                 else:
-                    failures.append((index, exc))
+                    failures.append(outcomes.popleft()[::2])
             if not live:
                 break
             ready = select.select(live, [], [])[0]
-            outcomes = [outcome for child in ready for sent in child.receive()
-                        for outcome in sent]
+            outcomes.extend(outcome for child in ready for sent in child.receive()
+                            for outcome in sent)
             for child in ready:
                 if child.closed:
                     live.remove(child)
@@ -127,15 +129,12 @@ class Forked:
     to this process at once, which takes the objects in with ``receive``.
 
     The child leaves with ``os._exit``: status 0 once ``fn`` returned, 1 if it
-    raised.  ``os.fork`` raising ``OSError`` (or missing) raises ``OSError``
-    here and starts nothing.  ``wait`` reaps the child after its last object;
-    ``kill`` kills and reaps a child not reaped yet, so the child is reaped
-    on every path.
+    raised.  An ``OSError`` from ``os.fork`` is raised here, and nothing
+    starts.  ``wait`` reaps the child after its last object; ``kill`` kills
+    and reaps a child not reaped yet, so the child is reaped on every path.
     """
 
     def __init__(self, fn: Callable[[Callable[[object], None]], None]):
-        if not hasattr(os, "fork"):
-            raise OSError("os.fork is not available")
         read_fd, write_fd = os.pipe()
         try:
             pid = _fork()

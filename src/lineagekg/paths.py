@@ -106,12 +106,12 @@ class EdgeVocabulary:
         ):
             _, tab, name = line.partition("\t")
             if not tab:
-                raise PathError(f"line {lineno}: no tab between id and name")
+                raise PathError(f"{path}: line {lineno}: no tab between id and name")
             names.append(name)
         relation_names = [n for n in names[2::2]]
         vocab = cls(relation_names)
         if vocab.names != names:
-            raise PathError("inconsistent vocabulary file")
+            raise PathError(f"{path}: inconsistent vocabulary file")
         return vocab
 
 
@@ -439,12 +439,14 @@ class PairWalk:
 
     As a sequence, the training set in pair order, which fills while it is
     read: a read of a present sample takes nothing in, and a read of a missing
-    one calls ``take`` until its pair is in.  Pairs this process walks (a fork
-    failed, or P = 1) come first; a child a full pipe ahead of the reader waits
-    until the reader's next miss (``parallel.fork_imap``).  With ``streamed``,
-    children send each pair as it is walked, else their whole shares.  Once a
-    walk fails, every ``take`` raises its failure; ``close`` kills and reaps
-    the children of a walk not read to its end.
+    one calls ``take`` until its pair is in.  train fits on it when
+    sample-paths runs in the same call, else on ``train.txt``.  The first
+    ``take`` walks every pair this process walks (a fork failed, or P = 1); a
+    child a full pipe ahead of the reader waits until the reader's next miss
+    (``parallel.fork_imap``).  With ``streamed``, children send each pair as
+    it is walked, else their whole shares.  Once a walk fails, every ``take``
+    raises its failure; ``close`` kills and reaps the children of a walk not
+    read to its end.
     """
 
     def __init__(self, pairs: TrainingPairs, sample_order: Sequence[int],
@@ -565,14 +567,14 @@ def load_samples(path, num_paths: int, max_length: int) -> list[PathSample]:
     ):
         parts = line.split()
         if len(parts) != 2 + num_paths * max_length:
-            raise PathError(f"line {lineno}: bad token count {len(parts)}")
+            raise PathError(f"{path}: line {lineno}: bad token count {len(parts)}")
         try:
             values = [int(p) for p in parts]
         except ValueError:
-            raise PathError(f"line {lineno}: non-integer field") from None
+            raise PathError(f"{path}: line {lineno}: non-integer field") from None
         label, relation, flat = values[0], values[1], values[2:]
         if label not in (0, 1):
-            raise PathError(f"line {lineno}: label {label} is not 0 or 1")
+            raise PathError(f"{path}: line {lineno}: label {label} is not 0 or 1")
         paths = tuple(
             tuple(flat[i * max_length:(i + 1) * max_length])
             for i in range(num_paths)

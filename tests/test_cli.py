@@ -6,6 +6,7 @@ import re
 import signal
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -903,11 +904,11 @@ def unforked_run(out, monkeypatch, **overrides):
 
 @pytest.mark.usefixtures("deadline")
 class TestSampleAndTrainTogether:
-    """A cell that runs sample-paths and train on two or more CPUs runs them at
-    once: this process (or the cell's worker) trains while its forked
-    children, the walkers, walk the pairs, or, where no child can be forked,
-    between its own walks.  On one CPU it runs them one after the other.
-    Tests fake two CPUs unless they say otherwise."""
+    """A cell that runs sample-paths and train runs them in one call: this
+    process (or the cell's worker) trains on the walk's training set, while its
+    forked children, the walkers, walk the pairs, or, on one CPU or where no
+    child can be forked, once it has walked every pair itself.  Tests fake two
+    CPUs unless they say otherwise."""
 
     @pytest.fixture(autouse=True)
     def two_cpus(self, monkeypatch):
@@ -1030,35 +1031,6 @@ class TestSampleAndTrainTogether:
         assert [(ppid, triples) for _, ppid, triples in children] == [(here, str(test))] * 2
         assert_no_child_left()
 
-    def test_cell_runs_its_stages_one_by_one_where_nothing_forks(
-            self, tmp_path, monkeypatch):
-        # on one CPU, nothing forks, and train reads train.txt once every
-        # pair is walked
-        record, forward_batch = tmp_path / "record", siamese.forward_batch
-
-        def noting(params, samples):
-            note(record, "batch")
-            return forward_batch(params, samples)
-
-        def no_child(fn):
-            raise AssertionError("a child was forked")
-
-        forked = run_pipeline_logs(tiny_manifest(tmp_path / "forked"))
-        assert forked[0] == 0
-        record_walks(record, monkeypatch)
-        monkeypatch.setattr(siamese, "forward_batch", noting)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        monkeypatch.setattr(parallel, "Forked", no_child)
-        assert run_pipeline_logs(tiny_manifest(tmp_path / "out")) == forked
-        kinds = [line.split()[0] for line in record.read_text().splitlines()]
-        assert set(walks_by_process(record)) == {str(os.getpid())}
-        assert "batch" not in kinds[:len(kinds) - kinds[::-1].index("walk")]
-        assert serial_run(tmp_path / "serial", monkeypatch) == forked
-        assert (TestCellWorkers.tree(tmp_path / "forked")
-                == TestCellWorkers.tree(tmp_path / "out")
-                == TestCellWorkers.tree(tmp_path / "serial"))
-        assert_no_child_left()
-
     def test_cell_on_one_cpu_forks_no_walker(self, tmp_path, monkeypatch):
         def no_walker(fn):
             raise AssertionError("a walker was forked")
@@ -1068,26 +1040,61 @@ class TestSampleAndTrainTogether:
         assert run_pipeline_logs(tiny_manifest(tmp_path)) == (0, [
             line for line in serial_log() if "baseline" not in line])
 
-    def test_cell_where_no_child_forks_trains_between_its_walks(
-            self, tmp_path, monkeypatch):
-        # two CPUs and a failing fork: the cell's process walks every pair,
-        # and trains on each batch once its pairs are in
-        record, forward_batch = tmp_path / "record", siamese.forward_batch
+    @pytest.mark.parametrize("where", ["one-cpu", "failing-fork"])
+    def test_cell_walks_every_pair_before_it_trains_where_nothing_forks(
+            self, tmp_path, monkeypatch, where):
+        # on one CPU, or on two with every fork failing, the cell's process
+        # walks every pair, then trains on the training set it holds
+        record = tmp_path / "record"
+        forward_batch, load_samples = siamese.forward_batch, paths.load_samples
 
         def noting(params, samples):
             note(record, "batch")
             return forward_batch(params, samples)
 
+        def loading(path, *args):
+            note(record, "load", Path(path).name)
+            return load_samples(path, *args)
+
         record_walks(record, monkeypatch)
         monkeypatch.setattr(siamese, "forward_batch", noting)
-        status, logs = unforked_run(tmp_path / "out", monkeypatch)
-        kinds = [line.split()[0] for line in record.read_text().splitlines()]
-        assert set(walks_by_process(record)) == {str(os.getpid())}
-        assert kinds.index("batch") < len(kinds) - 1 - kinds[::-1].index("walk")
+        monkeypatch.setattr(paths, "load_samples", loading)
+        if where == "one-cpu":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+            status, logs = run_pipeline_logs(tiny_manifest(tmp_path / "out"))
+        else:
+            status, logs = unforked_run(tmp_path / "out", monkeypatch)
+        lines = record.read_text().splitlines()
+        walks = walks_by_process(record)
+        assert set(walks) == {str(os.getpid())}
+        first_batch = lines.index("batch")
+        assert [line.split()[0] for line in lines[:first_batch]] == ["walk"] * len(
+            walks[str(os.getpid())][1])
+        assert "load train.txt" not in lines
         assert serial_run(tmp_path / "serial", monkeypatch) == (status, logs) == (
             0, [line for line in serial_log() if "baseline" not in line])
         assert (TestCellWorkers.tree(tmp_path / "out")
                 == TestCellWorkers.tree(tmp_path / "serial"))
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_fit_seconds_count_for_train_not_sample_paths(self, tmp_path, monkeypatch,
+                                                           cpus):
+        # the fit runs inside sample-paths' call, slowed here by half a second
+        train = siamese.train
+
+        def slowed(*args):
+            time.sleep(0.5)
+            return train(*args)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(siamese, "train", slowed)
+        assert run_pipeline_logs(tiny_manifest(tmp_path)) == (0, [
+            line for line in serial_log() if "baseline" not in line])
+        seconds = {stage: json.loads((tmp_path / CELL / f".stage_{stage}.ok").read_text())[
+            "seconds"] for stage in ("sample-paths", "train")}
+        assert seconds["train"] >= 0.5 > seconds["sample-paths"]
+        assert_no_child_left()
 
     def test_walker_that_fails(self, tmp_path, monkeypatch):
         def failing(*args):
@@ -1230,6 +1237,20 @@ class TestMainEntry:
         assert (tmp_path / "union-linear" / "scenarios" / "manifest.tsv").is_file()
         saved = json.loads((tmp_path / "manifest.json").read_text())
         assert saved["scenarios_per_task"] == PRESETS["desk"]["scenarios_per_task"]
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+    def test_out_that_cannot_be_a_directory_is_a_validation_error(
+            self, tmp_path, capsys, under):
+        file = tmp_path / "file"
+        file.write_text("kept\n")
+        out = file / "sub" if under else file
+        code = main(["gen-scenarios", "--preset", "desk", "--task", "union-linear",
+                     "--out", str(out)])
+        captured = capsys.readouterr()
+        reason = "Not a directory" if under else "File exists"
+        assert (code, (captured.out + captured.err).splitlines()) == (
+            1, [f"validation error: cannot make out_dir {str(out)!r}: {reason}"])
+        assert file.read_text() == "kept\n"
 
     def test_presets_exposed(self):
         assert PRESETS["paper"]["eval_negatives"] == 4000

@@ -86,6 +86,31 @@ class TestForkImap:
             assert [i for i, _ in results if i % 3 == share] == list(range(share, 300, 3))
         assert_no_child_left()
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_what_runs_here_runs_to_its_end_first_and_is_not_held(self, monkeypatch, cpus):
+        # on one CPU, or on two with every fork failing, every index runs here
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        def no_fork():
+            raise OSError("fork failed")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        ran = []
+
+        class Value:  # a weak reference to a result tells when it is freed
+            pass
+
+        def fn(index):
+            ran.append(index)
+            return Value()
+
+        results = fork_imap(3, fn, 1)
+        index, value = next(results)
+        assert (index, ran) == (0, [0, 1, 2])
+        freed = weakref.ref(value)
+        del value
+        assert freed() is None
+        assert [index for index, _ in results] == [1, 2]
+
     def test_stopping_early_kills_and_reaps_the_children(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         results = fork_imap(300, lambda i: time.sleep(0.01) or i, 1)

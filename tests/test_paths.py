@@ -799,6 +799,15 @@ class TestSampleFiles:
         with pytest.raises(PathError, match="line 2"):
             load_samples(tmp_path / "bad.txt", num_paths=2, max_length=3)
 
+    def test_errors_name_the_file(self, tmp_path):
+        # evaluate reads eval_pos.txt and eval_neg.txt: an error says which
+        (tmp_path / "eval_neg.txt").write_text("1 0 2 3 0 5 0 0\n1 0 2\n", encoding="utf-8")
+        (tmp_path / "vocab.txt").write_text("0\t<pad>\n1 <nopath>\n", encoding="utf-8")
+        with pytest.raises(PathError, match=r"eval_neg\.txt: line 2: bad token count 3$"):
+            load_samples(tmp_path / "eval_neg.txt", num_paths=2, max_length=3)
+        with pytest.raises(PathError, match=r"vocab\.txt: line 2: no tab"):
+            EdgeVocabulary.load(tmp_path / "vocab.txt")
+
     def test_non_integer_field_rejected(self, tmp_path):
         (tmp_path / "bad.txt").write_text("1 0 2 x 0 5 0 0\n", encoding="utf-8")
         with pytest.raises(PathError, match="line 1"):
