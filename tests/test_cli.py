@@ -895,8 +895,8 @@ def serial_run(out, monkeypatch, **overrides):
 
 
 def unforked_run(out, monkeypatch, **overrides):
-    """tiny_manifest run in one call where no child can be forked: on two or
-    more CPUs, the cell trains between its own walks.  Status and log."""
+    """tiny_manifest run in one call where no child can be forked: the cell
+    walks every pair itself, then trains.  Status and log."""
     with monkeypatch.context() as patch:
         patch.setattr(os, "fork", no_fork)
         return run_pipeline_logs(tiny_manifest(out, **overrides))
@@ -1040,11 +1040,9 @@ class TestSampleAndTrainTogether:
         assert run_pipeline_logs(tiny_manifest(tmp_path)) == (0, [
             line for line in serial_log() if "baseline" not in line])
 
-    @pytest.mark.parametrize("where", ["one-cpu", "failing-fork"])
-    def test_cell_walks_every_pair_before_it_trains_where_nothing_forks(
-            self, tmp_path, monkeypatch, where):
-        # on one CPU, or on two with every fork failing, the cell's process
-        # walks every pair, then trains on the training set it holds
+    def assert_walks_every_pair_before_it_trains(self, tmp_path, monkeypatch, run):
+        # the cell's process walks every pair, then trains on the training set
+        # it holds, and reads no train.txt
         record = tmp_path / "record"
         forward_batch, load_samples = siamese.forward_batch, paths.load_samples
 
@@ -1059,11 +1057,7 @@ class TestSampleAndTrainTogether:
         record_walks(record, monkeypatch)
         monkeypatch.setattr(siamese, "forward_batch", noting)
         monkeypatch.setattr(paths, "load_samples", loading)
-        if where == "one-cpu":
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-            status, logs = run_pipeline_logs(tiny_manifest(tmp_path / "out"))
-        else:
-            status, logs = unforked_run(tmp_path / "out", monkeypatch)
+        status, logs = run(tmp_path / "out")
         lines = record.read_text().splitlines()
         walks = walks_by_process(record)
         assert set(walks) == {str(os.getpid())}
@@ -1076,6 +1070,29 @@ class TestSampleAndTrainTogether:
         assert (TestCellWorkers.tree(tmp_path / "out")
                 == TestCellWorkers.tree(tmp_path / "serial"))
         assert_no_child_left()
+        return status, logs
+
+    def test_cell_runs_its_stages_one_by_one_where_nothing_forks(
+            self, tmp_path, monkeypatch):
+        # on one CPU nothing forks: every walk comes before the first batch,
+        # and the run matches the one that forks walkers on two CPUs
+        def no_child(fn):
+            raise AssertionError("a child was forked")
+
+        forked = run_pipeline_logs(tiny_manifest(tmp_path / "forked"))
+        assert forked[0] == 0
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(parallel, "Forked", no_child)
+        assert self.assert_walks_every_pair_before_it_trains(
+            tmp_path, monkeypatch, lambda out: run_pipeline_logs(tiny_manifest(out))) == forked
+        assert (TestCellWorkers.tree(tmp_path / "forked")
+                == TestCellWorkers.tree(tmp_path / "out"))
+
+    def test_unforked_cell_walks_every_pair_then_trains(self, tmp_path, monkeypatch):
+        # two CPUs and a failing fork: the cell's process walks every pair,
+        # then trains
+        self.assert_walks_every_pair_before_it_trains(
+            tmp_path, monkeypatch, lambda out: unforked_run(out, monkeypatch))
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_fit_seconds_count_for_train_not_sample_paths(self, tmp_path, monkeypatch,
